@@ -29,6 +29,8 @@ from .special import RootBracket, find_root
 
 ArrayLike = Union[float, np.ndarray]
 
+_TINY = np.finfo(np.float64).smallest_subnormal
+
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
@@ -178,9 +180,6 @@ class Levy(HeavyTailDistribution):
 
     name = "levy"
 
-    _erf = np.frompyfunc(math.erf, 1, 1)
-    _erfc = np.frompyfunc(math.erfc, 1, 1)
-
     @property
     def tail_index(self) -> float:
         return 0.5
@@ -192,20 +191,26 @@ class Levy(HeavyTailDistribution):
     def _sf(self, x):
         with np.errstate(divide="ignore"):
             t = np.where(x > 0, 1.0 / np.sqrt(2.0 * np.abs(x)), 0.0)
-        return np.where(x > 0, np.asarray(self._erf(t), dtype=np.float64), 1.0)
+        return np.where(x > 0, special.erf_array(t), 1.0)
 
     def _cdf(self, x):
         with np.errstate(divide="ignore"):
             t = np.where(x > 0, 1.0 / np.sqrt(2.0 * np.abs(x)), 0.0)
-        return np.where(x > 0, np.asarray(self._erfc(t), dtype=np.float64), 0.0)
+        return np.where(x > 0, special.erfc_array(t), 0.0)
 
+    # Q = Phi^-1(1/2 + h)^-2.  The offset h and the tail mass are passed
+    # separately, so a q or u near 0 is not rounded away by forming 1/2 + h.
+    # Below q = 6e-155 the true isf overflows: +inf, quietly.  u / 2 rounds
+    # only for a subnormal u; it is kept above 0 there.
     def _isf(self, q):
-        z = special.normal_quantile_array((1.0 + q) / 2.0)
-        return z ** -2.0
+        z = special._ndtri_split(0.5 * q, 0.5 * (1.0 - q))
+        with np.errstate(divide="ignore", over="ignore"):
+            return z ** -2.0
 
     def _quantile(self, u):
-        z = special.normal_quantile_array(1.0 - u / 2.0)
-        return z ** -2.0
+        z = special._ndtri_split(0.5 - 0.5 * u, np.maximum(0.5 * u, _TINY))
+        with np.errstate(divide="ignore", over="ignore"):
+            return z ** -2.0
 
     def spec_string(self):
         return "levy"

@@ -1,9 +1,13 @@
-"""Scalar special functions and a bracketed root finder.
+"""Special functions, their array kernels, and a bracketed root finder.
 
-Everything here is pure and thread-safe.  The normal CDF/quantile lean on
-the C library's ``erfc`` (accurate to <1 ulp); the regularized incomplete
-gamma and beta functions use the classic series / continued-fraction split
-evaluated with the modified Lentz algorithm.
+Everything here is pure, thread-safe and numpy only.  The scalar normal CDF
+leans on the C library's ``erfc``; the array kernels are rational
+approximations evaluated branch by branch: erf/erfc from Cephes ``ndtr.c``
+with exp(-x^2) split so that its exponent is exact (``expx2``), and the
+normal quantile from Wichura's AS 241 (PPND16), which the scalar quantile
+shares.  The regularized incomplete gamma and beta functions use the classic
+series / continued-fraction split evaluated with the modified Lentz
+algorithm.
 """
 
 from __future__ import annotations
@@ -29,48 +33,8 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-# Acklam's rational approximation for the normal quantile (|err| ~ 1.15e-9),
-# then Newton steps against the erfc-based CDF push it to full precision.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ACKLAM_LOW = 0.02425
-
-
-def _acklam(u: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if u < _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(u))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if u > 1.0 - _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = u - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def normal_quantile(u: float) -> float:
-    """Inverse standard normal CDF.
+    """Inverse standard normal CDF (one element of :func:`normal_quantile_array`).
 
     Raises
     ------
@@ -79,22 +43,7 @@ def normal_quantile(u: float) -> float:
     DomainError
         if ``u`` lies outside ``[0, 1]``.
     """
-    if math.isnan(u) or u < 0.0 or u > 1.0:
-        raise DomainError(f"normal_quantile: argument {u!r} outside [0, 1]")
-    if u == 0.0 or u == 1.0:
-        raise InfiniteQuantileError(f"normal_quantile: infinite quantile at u={u}")
-    x = _acklam(u)
-    # Two Newton steps; the residual uses whichever tail keeps erfc accurate.
-    for _ in range(2):
-        if x <= 0.0:
-            err = 0.5 * math.erfc(-x / _SQRT2) - u
-        else:
-            err = (1.0 - u) - 0.5 * math.erfc(x / _SQRT2)
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf == 0.0:
-            break
-        x -= err / pdf
-    return x
+    return float(normal_quantile_array(u))
 
 
 def log_gamma(a: float) -> float:
@@ -299,25 +248,199 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     raise ConvergenceError(f"find_root: no convergence in {bracket.max_iter} iterations")
 
 
+
+
 # ---------------------------------------------------------------------------
-# Array companions used by the simulation hot paths.
+# Array kernels used by the simulation hot paths.  Each branch of a piecewise
+# approximation runs only on its own elements (boolean compress, in-place
+# Horner, scatter back), so no element pays for a branch it does not take.
 
-_erfc_ufunc = np.frompyfunc(math.erfc, 1, 1)
+
+def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    # Polynomial with coefficients from the highest degree down.
+    y = x * coefs[0]
+    y += coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
 
 
-def normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise Phi(x) for float arrays."""
-    return 0.5 * np.asarray(_erfc_ufunc(np.negative(x) / _SQRT2), dtype=np.float64)
+# Cephes ndtr.c rational approximations: erf(x) = x T(x^2) / U(x^2) on
+# |x| < 1, erfc(x) = exp(-x^2) P(x) / Q(x) on [1, 8) and exp(-x^2) R(x) / S(x)
+# from 8 on.  The denominators carry their leading 1 explicitly.
+_ERF_T = (
+    9.60497373987051638749e00, 9.00260197203842689217e01, 2.23200534594684319226e03,
+    7.00332514112805075473e03, 5.55923013010394962768e04,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e01, 5.21357949780152679795e02, 4.59432382970980127987e03,
+    2.26290000613890934246e04, 4.92673942608635921086e04,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-01, 7.46321056442269912687e00,
+    4.86371970985681366614e01, 1.96520832956077098242e02, 5.26445194995477358631e02,
+    9.34528527171957607540e02, 1.02755188689515710272e03, 5.57535335369399327526e02,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e01, 8.67072140885989742329e01, 3.54937778887819891062e02,
+    9.75708501743205489753e02, 1.82390916687909736289e03, 2.24633760818710981792e03,
+    1.65666309194161350182e03, 5.57535340817727675546e02,
+)
+_ERFC_R = (
+    5.64189583547755073984e-01, 1.27536670759978104416e00, 5.01905042251180477414e00,
+    6.16021097993053585195e00, 7.40974269950448939160e00, 2.97886665372100240670e00,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e00, 9.39603524938001434673e00, 1.20489539808096656605e01,
+    1.70814450747565897222e01, 9.60896809063285878198e00, 3.36907645100081516050e00,
+)
+# erfc(x) underflows to 0 beyond about 27.23; clamping there keeps inf finite.
+_ERFC_ZERO_AT = 28.0
+
+
+def _erfc_tail(a: np.ndarray) -> np.ndarray:
+    """erfc(a) for a >= 1 (NaN passes through)."""
+    a = np.minimum(a, _ERFC_ZERO_AT)
+    out = np.empty_like(a)
+    mid = a < 8.0
+    for sel, num, den in ((mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
+        x = a[sel]
+        ratio = _horner(x, num)
+        ratio /= _horner(x, den)
+        # exp(-x^2) with the exponent split as m^2 + (2m + f) f, m = x rounded
+        # to 1/128 so m^2 is exact (Cephes expx2).  exp(-m^2 / 2) is applied
+        # twice so that a subnormal result is rounded once, at the end.
+        m = np.floor(x * 128.0 + 0.5)
+        m *= 1.0 / 128.0
+        f = x - m
+        half = np.exp(-0.5 * m * m)
+        f *= m + m + f
+        ratio *= np.exp(np.negative(f, out=f), out=f)
+        ratio *= half
+        ratio *= half
+        out[sel] = ratio
+    return out
+
+
+def _erf_pair(x, upper: bool) -> np.ndarray:
+    """erfc(x) if ``upper`` else erf(x), elementwise over the real line."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    small = np.abs(x) < 1.0
+    xs = x[small]
+    z = xs * xs
+    e = _horner(z, _ERF_T)
+    e /= _horner(z, _ERF_U)
+    e *= xs
+    out[small] = 1.0 - e if upper else e
+    large = ~small
+    xl = x[large]
+    c = _erfc_tail(np.abs(xl))
+    if upper:  # erfc(-a) = 2 - erfc(a)
+        neg = xl < 0.0
+        c[neg] = 2.0 - c[neg]
+    else:  # erf(a) = 1 - erfc(a), odd in a
+        c = np.copysign(1.0 - c, xl)
+    out[large] = c
+    return out
+
+
+def erfc_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise complementary error function, numpy only (Cephes ndtr.c)."""
+    return _erf_pair(x, upper=True)
+
+
+def erf_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise error function, numpy only (Cephes ndtr.c)."""
+    return _erf_pair(x, upper=False)
 
 
 def normal_sf_array(x: np.ndarray) -> np.ndarray:
     """Elementwise 1 - Phi(x) for float arrays."""
-    return 0.5 * np.asarray(_erfc_ufunc(np.asarray(x, dtype=np.float64) / _SQRT2), dtype=np.float64)
+    return 0.5 * erfc_array(np.asarray(x, dtype=np.float64) / _SQRT2)
 
 
-_normal_quantile_ufunc = np.frompyfunc(normal_quantile, 1, 1)
+# Wichura (1988), Algorithm AS 241 PPND16: relative error about 1e-16.
+_AS241_A = (
+    2.5090809287301226727e03, 3.3430575583588128105e04, 6.7265770927008700853e04,
+    4.5921953931549871457e04, 1.3731693765509461125e04, 1.9715909503065514427e03,
+    1.3314166789178437745e02, 3.3871328727963666080e00,
+)
+_AS241_B = (
+    5.2264952788528545610e03, 2.8729085735721942674e04, 3.9307895800092710610e04,
+    2.1213794301586595867e04, 5.3941960214247511077e03, 6.8718700749205790830e02,
+    4.2313330701600911252e01, 1.0,
+)
+_AS241_C = (
+    7.74545014278341407640e-04, 2.27238449892691845833e-02, 2.41780725177450611770e-01,
+    1.27045825245236838258e00, 3.64784832476320460504e00, 5.76949722146069140550e00,
+    4.63033784615654529590e00, 1.42343711074968357734e00,
+)
+_AS241_D = (
+    1.05075007164441684324e-09, 5.47593808499534494600e-04, 1.51986665636164571966e-02,
+    1.48103976427480074590e-01, 6.89767334985100004550e-01, 1.67638483018380384940e00,
+    2.05319162663775882187e00, 1.0,
+)
+_AS241_E = (
+    2.01033439929228813265e-07, 2.71155556874348757815e-05, 1.24266094738807843860e-03,
+    2.65321895265761230930e-02, 2.96560571828504891230e-01, 1.78482653991729133580e00,
+    5.46378491116411436990e00, 6.65790464350110377720e00,
+)
+_AS241_F = (
+    2.04426310338993978564e-15, 1.42151175831644588870e-07, 1.84631831751005468180e-05,
+    7.86869131145613259100e-04, 1.48753612908506148525e-02, 1.36929880922735805310e-01,
+    5.99832206555887937690e-01, 1.0,
+)
+
+
+def _ndtri_split(h: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Phi^-1(1/2 + h) from h and the smaller tail mass min(u, 1 - u).
+
+    Both are passed so that callers who hold them exactly (a tail mass near 0,
+    or an offset near 1/2) lose nothing to forming u.  ``tail`` is read only
+    where |h| > 0.425 and must be positive there.
+    """
+    out = np.empty_like(h)
+    central = np.abs(h) <= 0.425
+    hc = h[central]
+    r = 0.180625 - hc * hc
+    z = _horner(r, _AS241_A)
+    z /= _horner(r, _AS241_B)
+    z *= hc
+    out[central] = z
+    outer = ~central
+    r = np.sqrt(-np.log(tail[outer]))
+    z = np.empty_like(r)
+    near = r <= 5.0
+    for sel, shift, num, den in ((near, 1.6, _AS241_C, _AS241_D),
+                                 (~near, 5.0, _AS241_E, _AS241_F)):
+        s = r[sel]
+        s -= shift
+        v = _horner(s, num)
+        v /= _horner(s, den)
+        z[sel] = v
+    np.copysign(z, h[outer], out=z)
+    out[outer] = z
+    return out
 
 
 def normal_quantile_array(u: np.ndarray) -> np.ndarray:
-    """Elementwise inverse normal CDF for float arrays."""
-    return np.asarray(_normal_quantile_ufunc(np.asarray(u, dtype=np.float64)), dtype=np.float64)
+    """Elementwise inverse normal CDF for float arrays, numpy only (AS 241).
+
+    Raises
+    ------
+    InfiniteQuantileError
+        if an element is exactly 0 or 1.
+    DomainError
+        if an element is NaN or lies outside ``[0, 1]``.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    inside = (u > 0.0) & (u < 1.0)
+    if not inside.all():
+        bad = u[~inside]
+        edge = (bad == 0.0) | (bad == 1.0)
+        if not edge.all():
+            raise DomainError(f"normal_quantile: argument {float(bad[~edge][0])!r} outside [0, 1]")
+        raise InfiniteQuantileError(f"normal_quantile: infinite quantile at u={float(bad[0])}")
+    return _ndtri_split(u - 0.5, np.minimum(u, 1.0 - u))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from heavycomb import special
+
 from heavycomb.distributions import (
     Cauchy,
     Frechet,
@@ -264,6 +266,39 @@ class TestAgainstScipy:
         for ours, ref in self.CASES:
             got = np.array([float(ours.quantile(u)) for u in us])
             assert np.allclose(got, ref.ppf(us), rtol=1e-8), ours
+
+
+class TestLevyOracle:
+    GRID = np.concatenate([np.logspace(-150, 0, 15_001), [0.5, 0.85, 0.9]])
+
+    def test_inverse_survival_against_scipy(self):
+        q = self.GRID
+        ref = st.levy.isf(q)
+        got = np.asarray(Levy().inverse_survival(q))
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    def test_quantile_against_scipy(self):
+        u = self.GRID[self.GRID < 1.0]
+        ref = st.levy.ppf(u)
+        got = np.asarray(Levy().quantile(u))
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extremes_are_quiet(self):
+        levy = Levy()
+        isf = levy.inverse_survival(np.array([1e-300, 1e-12, 1.0]))
+        assert isf[0] == math.inf
+        assert isf[1] == pytest.approx(st.levy.isf(1e-12), rel=1e-14)
+        assert isf[2] == 0.0
+        sf = levy.survival(np.array([1e-300, 1.0, 1e300]))
+        assert sf[0] == 1.0
+        assert sf[1] == pytest.approx(st.levy.sf(1.0), rel=1e-15)
+        assert sf[2] == pytest.approx(st.levy.sf(1e300), rel=1e-15)
+        assert np.array_equal(special.normal_sf_array(np.array([40.0, -40.0, np.inf, -np.inf])),
+                              [0.0, 1.0, 0.0, 1.0])
+        z = special.normal_quantile_array(np.array([5e-324, 1.0 - 2.0**-53]))
+        assert np.all(np.isfinite(z))
+        assert z[0] < -38.0 < 8.0 < z[1]
 
 
 class TestParseGrammar:

@@ -12,10 +12,13 @@ from heavycomb.errors import (
 )
 from heavycomb.special import (
     RootBracket,
+    erfc_array,
     find_root,
     log_gamma,
     normal_cdf,
     normal_quantile,
+    normal_quantile_array,
+    normal_sf_array,
     reg_beta,
     reg_gamma_lower,
     reg_gamma_upper,
@@ -25,6 +28,9 @@ from heavycomb.special import (
 PHI_AT_1959964 = 0.9750000009035576
 # mpmath: log Gamma(1/2) = 0.572364942924700087071713675677
 LOG_GAMMA_HALF = 0.5723649429247001
+# 16 ulp: relative in the normal range, 16 subnormal steps below it.
+ULP16_REL = 3.6e-15
+ULP16_ABS = 16 * np.finfo(np.float64).smallest_subnormal
 
 
 class TestNormalCdf:
@@ -79,6 +85,66 @@ class TestNormalQuantile:
             normal_quantile(-0.1)
         with pytest.raises(DomainError):
             normal_quantile(1.1)
+
+
+def _with_neighbours(points):
+    pts = np.asarray(points, dtype=np.float64)
+    return np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf)])
+
+
+class TestArrayKernels:
+    """Array kernels against libm (``math.erfc``) and ``scipy.special.ndtri``."""
+
+    def test_erfc_against_libm(self):
+        # Branch points of the kernel: |x| = 1 and 8; 0 for the sign.
+        xs = np.concatenate([np.linspace(-6.0, 27.0, 66_001),
+                             _with_neighbours([-1.0, 0.0, 1.0, 8.0])])
+        ref = np.array([math.erfc(x) for x in xs])
+        got = erfc_array(xs)
+        assert np.all(np.abs(got - ref) <= ULP16_REL * ref + ULP16_ABS)
+
+    def test_normal_sf_against_libm(self):
+        xs = np.concatenate([np.linspace(-38.0, 38.0, 76_001),
+                             _with_neighbours([-8 * math.sqrt(2), -math.sqrt(2), math.sqrt(2),
+                                               8 * math.sqrt(2)])])
+        ref = np.array([0.5 * math.erfc(x / math.sqrt(2.0)) for x in xs])
+        got = normal_sf_array(xs)
+        assert np.all(np.abs(got - ref) <= ULP16_REL * ref + ULP16_ABS)
+
+    def test_normal_quantile_against_ndtri(self):
+        # Branch points: |u - 1/2| = 0.425 and a tail mass of exp(-25).
+        lows = np.concatenate([np.logspace(-300, math.log10(0.5), 30_001),
+                               _with_neighbours([math.exp(-25.0), 0.075])])
+        highs = 1.0 - np.logspace(-16, math.log10(0.5), 10_001)
+        us = np.concatenate([lows, highs, _with_neighbours([0.925, 1.0 - math.exp(-25.0)])])
+        ref = sps.ndtri(us)
+        got = normal_quantile_array(us)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    def test_exact_values(self):
+        assert normal_quantile_array(np.array([0.5]))[0] == 0.0
+        assert normal_quantile_array(0.5) == 0.0
+        assert np.array_equal(normal_sf_array(np.array([np.inf, -np.inf])), [0.0, 1.0])
+        assert np.array_equal(erfc_array(np.array([np.inf, -np.inf, 0.0])), [0.0, 2.0, 1.0])
+
+    def test_shape_and_nan(self):
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert normal_sf_array(grid).shape == (3, 4)
+        assert normal_quantile_array(normal_sf_array(grid)).shape == (3, 4)
+        assert np.isnan(erfc_array(np.array([np.nan]))[0])
+
+    @pytest.mark.parametrize("u, error", [
+        (0.0, InfiniteQuantileError),
+        (1.0, InfiniteQuantileError),
+        (math.nan, DomainError),
+        (-0.1, DomainError),
+        (1.1, DomainError),
+    ])
+    def test_quantile_errors_match_scalar(self, u, error):
+        with pytest.raises(error):
+            normal_quantile(u)
+        with pytest.raises(error):
+            normal_quantile_array(np.array([0.3, u, 0.7]))
 
 
 class TestLogGamma:
