@@ -69,47 +69,49 @@ class _Writer:
         else:
             self.rows.append({k: v for k, v in zip(self.header, values)})
 
-    def finish(self, manifest: dict | None):
+    def finish(self, manifest: dict):
         if self.fmt == "json":
-            doc = {"rows": self.rows}
-            if manifest is not None:
-                doc["manifest"] = manifest
+            doc = {"rows": self.rows, "manifest": manifest}
             json.dump(doc, self.stream, indent=2, default=_json_default)
             self.stream.write("\n")
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _open_output(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _emit(args, header, rows, start, config_echo, seed=None, workers=None) -> int:
+    """Write ``rows`` and the run's manifest to ``--output`` (default stdout).
 
-
-def _write_manifest(output_path, manifest):
-    if output_path in (None, "-"):
-        return
-    base, _ = os.path.splitext(output_path)
-    with open(base + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=_json_default)
-        fh.write("\n")
-
-
-def _manifest(args, config_echo, runtime):
-    return {
-        "command": " ".join(getattr(args, "argv", [])) or args.command,
-        "config": config_echo,
-        "seed": getattr(args, "seed", None),
-        "workers": getattr(args, "workers", None),
-        "version": __version__,
-        "runtime_seconds": runtime,
-    }
+    Rows are written as they are produced, so an error part-way leaves the
+    rows so far and no manifest.  An output file gets its manifest beside
+    it, as ``<stem>.manifest.json``.
+    """
+    to_file = args.output not in (None, "-")
+    stream = open(args.output, "w", newline="") if to_file else sys.stdout
+    writer = _Writer(stream, args.format, header)
+    try:
+        for row in rows:
+            writer.write(row)
+        manifest = {
+            "command": " ".join(args.argv),
+            "config": config_echo,
+            "seed": args.seed if seed is None else seed,
+            "workers": args.workers if workers is None else workers,
+            "version": __version__,
+            "runtime_seconds": time.perf_counter() - start,
+        }
+        writer.finish(manifest)
+    finally:
+        if to_file:
+            stream.close()
+    if to_file:
+        with open(os.path.splitext(args.output)[0] + ".manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, default=_json_default)
+            fh.write("\n")
+    return 0
 
 
 def _parse_float(token: str, line_no: int, what: str) -> float:
@@ -179,9 +181,8 @@ def cmd_combine(args) -> int:
     header = ["group_id", "n", "statistic", "combined_p"]
     if args.alpha is not None:
         header.append("reject")
-    stream, close = _open_output(args.output)
-    writer = _Writer(stream, args.format, header)
-    try:
+
+    def rows():
         for line_no, group_id, values in _iter_groups(args.input):
             try:
                 if method == "standard":
@@ -206,25 +207,18 @@ def cmd_combine(args) -> int:
             out = [group_id, res.n, res.statistic, res.combined_p]
             if args.alpha is not None:
                 out.append(res.combined_p < args.alpha)
-            writer.write(out)
-        manifest = _manifest(args, {"input": args.input, "method": method,
-                                    "dist": args.dist, "weights": args.weights,
-                                    "alpha": args.alpha}, time.perf_counter() - start)
-        writer.finish(manifest)
-    finally:
-        if close:
-            stream.close()
-    _write_manifest(args.output, manifest)
-    return 0
+            yield out
+
+    echo = {"input": args.input, "method": method, "dist": args.dist,
+            "weights": args.weights, "alpha": args.alpha}
+    return _emit(args, header, rows(), start, echo)
 
 
 def cmd_closed_test(args) -> int:
     start = time.perf_counter()
     dist = _dist_from_arg(args.dist)
-    header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
-    stream, close = _open_output(args.output)
-    writer = _Writer(stream, args.format, header)
-    try:
+
+    def rows():
         for line_no, group_id, values in _iter_groups(args.input):
             try:
                 res = closed_test_shortcut(values, dist, args.alpha)
@@ -233,15 +227,11 @@ def cmd_closed_test(args) -> int:
             for idx, (p, adj, rej) in enumerate(
                 zip(values, res.adjusted_p, res.rejected), start=1
             ):
-                writer.write([group_id, idx, p, float(adj), bool(rej)])
-        manifest = _manifest(args, {"input": args.input, "dist": args.dist,
-                                    "alpha": args.alpha}, time.perf_counter() - start)
-        writer.finish(manifest)
-    finally:
-        if close:
-            stream.close()
-    _write_manifest(args.output, manifest)
-    return 0
+                yield [group_id, idx, p, float(adj), bool(rej)]
+
+    header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
+    echo = {"input": args.input, "dist": args.dist, "alpha": args.alpha}
+    return _emit(args, header, rows(), start, echo)
 
 
 def cmd_adjust_bh(args) -> int:
@@ -256,29 +246,25 @@ def cmd_adjust_bh(args) -> int:
         ids.append(group_id)
         pvals.append(values[0])
     adjusted = comb.bh_adjust(pvals)
+    rows = ([gid, p, float(adj), bool(adj <= args.q)]
+            for gid, p, adj in zip(ids, pvals, adjusted))
     header = ["group_id", "p_value", "adjusted_p", "discovery"]
-    stream, close = _open_output(args.output)
-    writer = _Writer(stream, args.format, header)
-    try:
-        for gid, p, adj in zip(ids, pvals, adjusted):
-            writer.write([gid, p, float(adj), bool(adj <= args.q)])
-        manifest = _manifest(args, {"input": args.input, "q": args.q},
-                             time.perf_counter() - start)
-        writer.finish(manifest)
-    finally:
-        if close:
-            stream.close()
-    _write_manifest(args.output, manifest)
-    return 0
+    return _emit(args, header, rows, start, {"input": args.input, "q": args.q})
 
 
-def _load_config(args, expected_command: str) -> dict:
-    if getattr(args, "preset", None):
+def _load_config(args, command: str, from_flags: dict | None = None):
+    """Return ``(config echo, seed, workers)`` from ``--preset`` or ``--config``.
+
+    Commands that pass ``from_flags`` also run from ``--n``/``--rho``: their
+    config is the model flags, then ``from_flags``, then the seed.  ``--seed``
+    and ``--workers`` win over the config, which wins over the defaults.
+    """
+    if args.preset:
         try:
             cfg = presets.get_preset(args.preset)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-    elif getattr(args, "config", None):
+    elif args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
@@ -286,20 +272,26 @@ def _load_config(args, expected_command: str) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    else:
+    elif from_flags is None:
         raise ConfigError("either --config FILE or --preset NAME is required")
-    declared = cfg.pop("command", expected_command)
-    if declared != expected_command:
-        raise ConfigError(
-            f"config declares command {declared!r} but was passed to {expected_command!r}"
-        )
+    elif args.n is None or args.rho is None:
+        raise ConfigError(f"{command} needs --config/--preset or --n and --rho")
+    else:
+        model = {"family": args.family, "n": args.n, "rho": args.rho, "nu": args.nu,
+                 "sided": args.sided}
+        seed = _DEFAULT_SEED if args.seed is None else args.seed
+        workers = _default_workers() if args.workers is None else args.workers
+        return {"model": model, **from_flags, "seed": seed}, seed, workers
+    declared = cfg.pop("command", command)
+    if declared != command:
+        raise ConfigError(f"config declares command {declared!r} but was passed to {command!r}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.workers is not None:
         cfg["workers"] = args.workers
     cfg.setdefault("seed", _DEFAULT_SEED)
     cfg.setdefault("workers", _default_workers())
-    return cfg
+    return cfg, int(cfg["seed"]), int(cfg["workers"])
 
 
 def _build_mean(n: int, mean_spec) -> tuple[float, ...]:
@@ -364,172 +356,96 @@ def _method_specs(cfg: dict) -> tuple[MethodSpec, ...]:
     return tuple(out)
 
 
+_MODEL_HEADER = ["family", "n", "rho", "nu", "sided"]
+
+
+def _model_cols(model: ExchangeableModel) -> list:
+    return [model.family, model.n, model.rho, "" if model.nu is None else model.nu, model.sided]
+
+
 def cmd_simulate(args) -> int:
     start = time.perf_counter()
-    cfg = _load_config(args, "simulate")
+    cfg, seed, workers = _load_config(args, "simulate")
     models = _models_from_config(cfg)
     methods = _method_specs(cfg)
     alphas = tuple(float(a) for a in cfg.get("alphas", [0.05]))
     replications = int(cfg.get("replications", 0))
-    seed = int(cfg["seed"])
-    workers = int(cfg["workers"])
-    header = ["family", "n", "rho", "nu", "sided", "method", "alpha",
-              "estimate", "std_error", "rejections", "replications", "seed"]
-    stream, close = _open_output(args.output)
-    writer = _Writer(stream, args.format, header)
-    try:
+
+    def rows():
         for model in models:
             report = estimate_rejection_rate(
                 ExperimentConfig(model, methods, alphas, replications, seed, workers)
             )
             for row in report.rows:
-                writer.write([
-                    model.family, model.n, model.rho,
-                    "" if model.nu is None else model.nu, model.sided,
+                yield _model_cols(model) + [
                     row.method, row.alpha, row.estimate, row.std_error,
                     row.rejections, report.replications, report.seed,
-                ])
+                ]
             print(
                 f"[simulate] rho={model.rho:g}: {report.replications} replications "
                 f"in {report.runtime_seconds:.1f}s",
                 file=sys.stderr,
             )
-        manifest = _manifest(args, cfg, time.perf_counter() - start)
-        manifest["seed"] = seed
-        manifest["workers"] = workers
-        writer.finish(manifest)
-    finally:
-        if close:
-            stream.close()
-    _write_manifest(args.output, manifest)
-    return 0
+
+    header = _MODEL_HEADER + ["method", "alpha", "estimate", "std_error", "rejections",
+                              "replications", "seed"]
+    return _emit(args, header, rows(), start, cfg, seed, workers)
 
 
 def cmd_calibrate_minp(args) -> int:
     start = time.perf_counter()
-    if args.preset or args.config:
-        cfg = _load_config(args, "calibrate-minp")
-        models = _models_from_config(cfg)
-        alpha = float(cfg.get("alpha", 0.05))
-        replications = int(cfg.get("replications", 100_000))
-        seed = int(cfg["seed"])
-        workers = int(cfg["workers"])
-    else:
-        if args.n is None or args.rho is None:
-            raise ConfigError("calibrate-minp needs --config/--preset or --n and --rho")
-        models = [
-            ExchangeableModel(family=args.family, n=args.n, rho=r, nu=args.nu,
-                              sided=args.sided)
-            for r in args.rho
-        ]
-        alpha = args.alpha
-        replications = args.reps
-        seed = args.seed if args.seed is not None else _DEFAULT_SEED
-        workers = args.workers if args.workers is not None else _default_workers()
-        cfg = {"model": {"family": args.family, "n": args.n, "rho": args.rho,
-                         "nu": args.nu, "sided": args.sided},
-               "alpha": alpha, "replications": replications, "seed": seed}
-    header = ["family", "n", "rho", "nu", "sided", "alpha", "cutoff",
-              "cutoff_ratio", "replications", "seed", "unstable"]
-    stream, close = _open_output(args.output)
-    writer = _Writer(stream, args.format, header)
-    try:
+    flags = {"alpha": args.alpha, "replications": args.reps}
+    cfg, seed, workers = _load_config(args, "calibrate-minp", flags)
+    models = _models_from_config(cfg)
+    alpha = float(cfg.get("alpha", 0.05))
+    replications = int(cfg.get("replications", 100_000))
+
+    def rows():
         for model in models:
             cal = calibrate_minp(model, alpha, replications, seed, workers)
-            writer.write([
-                model.family, model.n, model.rho,
-                "" if model.nu is None else model.nu, model.sided,
-                cal.alpha, cal.cutoff, cal.cutoff_ratio, cal.replications,
-                cal.seed, cal.unstable,
-            ])
-        manifest = _manifest(args, cfg, time.perf_counter() - start)
-        manifest["seed"] = seed
-        manifest["workers"] = workers
-        writer.finish(manifest)
-    finally:
-        if close:
-            stream.close()
-    _write_manifest(args.output, manifest)
-    return 0
+            yield _model_cols(model) + [cal.alpha, cal.cutoff, cal.cutoff_ratio,
+                                        cal.replications, cal.seed, cal.unstable]
+
+    header = _MODEL_HEADER + ["alpha", "cutoff", "cutoff_ratio", "replications", "seed",
+                              "unstable"]
+    return _emit(args, header, rows(), start, cfg, seed, workers)
 
 
 def cmd_tail_dep(args) -> int:
     start = time.perf_counter()
-    header = ["nu", "rho", "tail_dependence"]
-    stream, close = _open_output(args.output)
-    writer = _Writer(stream, args.format, header)
-    try:
-        for rho in args.rho:
-            writer.write([args.nu, rho, tail_dependence_t(args.nu, rho)])
-        manifest = _manifest(args, {"nu": args.nu, "rho": args.rho},
-                             time.perf_counter() - start)
-        writer.finish(manifest)
-    finally:
-        if close:
-            stream.close()
-    _write_manifest(args.output, manifest)
-    return 0
+    rows = ([args.nu, rho, tail_dependence_t(args.nu, rho)] for rho in args.rho)
+    echo = {"nu": args.nu, "rho": args.rho}
+    return _emit(args, ["nu", "rho", "tail_dependence"], rows, start, echo)
 
 
 def cmd_equiv_ratio(args) -> int:
     start = time.perf_counter()
+    flags = {"distribution": args.dist, "alphas": args.alphas, "replications": args.reps}
+    cfg, seed, workers = _load_config(args, "equiv-ratio", flags)
+    models = _models_from_config(cfg)
+    alphas = tuple(float(a) for a in cfg.get("alphas", [0.05]))
+    replications = int(cfg.get("replications", 100_000))
     if args.preset or args.config:
-        cfg = _load_config(args, "equiv-ratio")
-        models = _models_from_config(cfg)
-        dist_spec = cfg.get("distribution", "cauchy")
-        alphas = tuple(float(a) for a in cfg.get("alphas", [0.05]))
-        replications = int(cfg.get("replications", 100_000))
-        seed = int(cfg["seed"])
-        workers = int(cfg["workers"])
         weights = tuple(cfg["weights"]) if cfg.get("weights") else None
     else:
-        if args.n is None or args.rho is None:
-            raise ConfigError("equiv-ratio needs --config/--preset or --n and --rho")
-        models = [
-            ExchangeableModel(family=args.family, n=args.n, rho=r, nu=args.nu,
-                              sided=args.sided)
-            for r in args.rho
-        ]
-        dist_spec = args.dist
-        alphas = tuple(args.alphas)
-        replications = args.reps
-        seed = args.seed if args.seed is not None else _DEFAULT_SEED
-        workers = args.workers if args.workers is not None else _default_workers()
         weights = _parse_weights_arg(args.weights) if args.weights else None
-        cfg = {"model": {"family": args.family, "n": args.n, "rho": args.rho,
-                         "nu": args.nu, "sided": args.sided},
-               "distribution": dist_spec, "alphas": list(alphas),
-               "replications": replications, "seed": seed}
-    dist = _dist_from_arg(dist_spec)
-    header = ["family", "n", "rho", "nu", "sided", "distribution", "alpha",
-              "ratio", "std_error", "disagreements", "weighted_rejections",
-              "bonferroni_rejections", "replications", "seed"]
-    stream, close = _open_output(args.output)
-    writer = _Writer(stream, args.format, header)
-    try:
+    dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
+
+    def rows():
         for model in models:
-            report = estimate_equivalence_ratio(
-                ExperimentConfig(model, (), alphas, replications, seed, workers),
-                dist,
-                weights,
-            )
+            config = ExperimentConfig(model, (), alphas, replications, seed, workers)
+            report = estimate_equivalence_ratio(config, dist, weights)
             for row in report.rows:
-                writer.write([
-                    model.family, model.n, model.rho,
-                    "" if model.nu is None else model.nu, model.sided,
+                yield _model_cols(model) + [
                     dist.spec_string(), row.alpha, row.ratio, row.std_error,
                     row.disagreements, row.weighted_rejections,
                     row.bonferroni_rejections, report.replications, report.seed,
-                ])
-        manifest = _manifest(args, cfg, time.perf_counter() - start)
-        manifest["seed"] = seed
-        manifest["workers"] = workers
-        writer.finish(manifest)
-    finally:
-        if close:
-            stream.close()
-    _write_manifest(args.output, manifest)
-    return 0
+                ]
+
+    header = _MODEL_HEADER + ["distribution", "alpha", "ratio", "std_error", "disagreements",
+                              "weighted_rejections", "bonferroni_rejections",
+                              "replications", "seed"]
+    return _emit(args, header, rows(), start, cfg, seed, workers)
 
 
 def _default_workers() -> int:
@@ -552,6 +468,19 @@ def _add_common(parser):
                         help="output file ('-' or omitted: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
+
+
+def _add_config(parser, model_flags=False):
+    """--config and --preset; with ``model_flags``, the flags that replace them."""
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--preset", help=f"named preset: {', '.join(sorted(presets.PRESETS))}")
+    if model_flags:
+        parser.add_argument("--family", choices=("normal", "student_t"), default="normal")
+        parser.add_argument("--n", type=int)
+        parser.add_argument("--rho", type=_float_list, help="comma-separated correlation values")
+        parser.add_argument("--nu", type=float)
+        parser.add_argument("--sided", choices=("one_sided", "two_sided"), default="one_sided")
+        parser.add_argument("--reps", type=int, default=100_000)
 
 
 def _float_list(text):
@@ -591,21 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adjust_bh)
 
     p = sub.add_parser("simulate", help="rejection-rate experiments from a config or preset")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--preset", help=f"named preset: {', '.join(sorted(presets.PRESETS))}")
+    _add_config(p)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate-minp", help="Monte Carlo calibration of the min-p cutoff")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--preset")
-    p.add_argument("--family", choices=("normal", "student_t"), default="normal")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rho", type=_float_list, help="comma-separated correlation values")
-    p.add_argument("--nu", type=float)
-    p.add_argument("--sided", choices=("one_sided", "two_sided"), default="one_sided")
+    _add_config(p, model_flags=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--reps", type=int, default=100_000)
     _add_common(p)
     p.set_defaults(func=cmd_calibrate_minp)
 
@@ -616,17 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tail_dep)
 
     p = sub.add_parser("equiv-ratio", help="disagreement ratio vs the Bonferroni test")
-    p.add_argument("--config")
-    p.add_argument("--preset")
-    p.add_argument("--family", choices=("normal", "student_t"), default="normal")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rho", type=_float_list)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--sided", choices=("one_sided", "two_sided"), default="one_sided")
+    _add_config(p, model_flags=True)
     p.add_argument("--dist", default="cauchy")
     p.add_argument("--alphas", type=_float_list, default=[0.05])
     p.add_argument("--weights")
-    p.add_argument("--reps", type=int, default=100_000)
     _add_common(p)
     p.set_defaults(func=cmd_equiv_ratio)
 
@@ -639,10 +553,7 @@ def main(argv=None) -> int:
     args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ShapeError as exc:
+    except (ValidationError, ShapeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, MethodMisuseError) as exc:
@@ -651,9 +562,6 @@ def main(argv=None) -> int:
     except (ConvergenceError, BracketError, InsufficientEventsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except HeavyCombError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -51,34 +51,41 @@ def closed_test_shortcut(p, d: HeavyTailDistribution, alpha: float) -> ClosedTes
     order = np.argsort(arr, kind="stable")
     ps = arr[order]
     x = np.asarray(d.inverse_survival(ps), dtype=np.float64)
+    # Sums may overflow, and only an overflowed transform (+inf, always at
+    # x[0]) can meet a -inf (p = 1); that NaN sum reads as +inf.
+    overflowed = x[0] == np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        # tail_sums[k] = sum of x over the k largest p-values (k = 0..n-1 used as k-1)
+        suffix = np.concatenate(([0.0], np.cumsum(x[::-1])))
+        if overflowed:
+            suffix[np.isnan(suffix)] = np.inf
 
-    # tail_sums[k] = sum of x over the k largest p-values (k = 0..n-1 used as k-1)
-    suffix = np.concatenate(([0.0], np.cumsum(x[::-1])))
+        ks = np.arange(1, n + 1)
+        h_alpha = np.asarray(d.inverse_survival(alpha / ks), dtype=np.float64)
+        c = h_alpha - suffix[ks - 1]  # c_k = H(alpha/k) - sum_{j=n-k+2}^{n} x_j
+        cmax = np.maximum.accumulate(c)
 
-    ks = np.arange(1, n + 1)
-    h_alpha = np.asarray(d.inverse_survival(alpha / ks), dtype=np.float64)
-    c = h_alpha - suffix[ks - 1]  # c_k = H(alpha/k) - sum_{j=n-k+2}^{n} x_j
-    cmax = np.maximum.accumulate(c)
+        limits = cmax[::-1]  # limits[i-1] = max(c_1, ..., c_{n-i+1})
+        fails = x < limits
+        cut = int(np.argmax(fails)) + 1 if fails.any() else n + 1
 
-    limits = cmax[::-1]  # limits[i-1] = max(c_1, ..., c_{n-i+1})
-    fails = x < limits
-    cut = int(np.argmax(fails)) + 1 if fails.any() else n + 1
+        rejected_sorted = np.arange(1, n + 1) < cut
+        rejected = np.empty(n, dtype=bool)
+        rejected[order] = rejected_sorted
 
-    rejected_sorted = np.arange(1, n + 1) < cut
-    rejected = np.empty(n, dtype=bool)
-    rejected[order] = rejected_sorted
-
-    adjusted = np.empty(n)
-    if n == 1:
-        adjusted[0] = ps[0]
-    else:
-        k_hi = np.arange(2, n + 1)
-        tail = suffix[k_hi - 1]          # sum of the (k-1) largest p-values' x
-        x_ref = x[n - k_hi]              # x at sorted rank n-k+1
-        for j in range(n):
-            s = np.maximum(x[j], x_ref) + tail
-            p_ik = np.minimum(k_hi * np.asarray(d.survival(s), dtype=np.float64), 1.0)
-            adjusted[order[j]] = max(ps[j], float(p_ik.max()))
+        adjusted = np.empty(n)
+        if n == 1:
+            adjusted[0] = ps[0]
+        else:
+            k_hi = np.arange(2, n + 1)
+            tail = suffix[k_hi - 1]          # sum of the (k-1) largest p-values' x
+            x_ref = x[n - k_hi]              # x at sorted rank n-k+1
+            for j in range(n):
+                s = np.maximum(x[j], x_ref) + tail
+                if overflowed:
+                    s[np.isnan(s)] = np.inf
+                p_ik = np.minimum(k_hi * np.asarray(d.survival(s), dtype=np.float64), 1.0)
+                adjusted[order[j]] = max(ps[j], float(p_ik.max()))
     return ClosedTestingResult(adjusted, rejected, cut, alpha)
 
 
@@ -93,9 +100,11 @@ def closed_test_bruteforce(p, d: HeavyTailDistribution, alpha: float) -> ClosedT
 
     sums = np.zeros(1)
     sizes = np.zeros(1, dtype=np.int64)
-    for i in range(n):
-        sums = np.concatenate([sums, sums + x[i]])
-        sizes = np.concatenate([sizes, sizes + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            sums = np.concatenate([sums, sums + x[i]])
+            sizes = np.concatenate([sizes, sizes + 1])
+    sums[np.isnan(sums)] = np.inf  # +inf plus -inf: the overflowed transform wins
     with np.errstate(invalid="ignore"):
         subset_p = np.minimum(sizes[1:] * np.asarray(d.survival(sums[1:]), dtype=np.float64), 1.0)
 

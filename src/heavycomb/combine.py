@@ -89,7 +89,10 @@ def combine_weighted(p, w, d: HeavyTailDistribution) -> CombinedResult:
 
 def _combine_weighted(arr, weights, d, label) -> CombinedResult:
     x, saturated = _transform(arr, d)
-    statistic = float(weights @ x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        statistic = float(weights @ x)
+    if math.isnan(statistic):  # +inf plus -inf: the overflowed transform wins
+        statistic = math.inf
     kappa = float(np.sum(weights ** d.tail_index))
     raw = kappa * float(d.survival(statistic))
     return CombinedResult(

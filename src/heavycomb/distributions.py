@@ -132,7 +132,7 @@ class Cauchy(HeavyTailDistribution):
         return self._sf(-x)
 
     def _isf(self, q):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             lowq = 1.0 / np.tan(np.pi * np.where(q <= 0.5, q, 0.25))
             highq = -1.0 / np.tan(np.pi * np.where(q > 0.5, 1.0 - q, 0.25))
         return np.where(q == 0.5, 0.0, np.where(q <= 0.5, lowq, highq))
@@ -293,7 +293,8 @@ class Frechet(HeavyTailDistribution):
         return np.where(x > 0, np.exp(-inner), 0.0)
 
     def _isf(self, q):
-        return (-np.log1p(-q)) ** (-1.0 / self.gamma)
+        with np.errstate(over="ignore"):
+            return (-np.log1p(-q)) ** (-1.0 / self.gamma)
 
     def _quantile(self, u):
         return (-np.log(u)) ** (-1.0 / self.gamma)
@@ -446,7 +447,8 @@ class StudentT(HeavyTailDistribution):
         if g == 1.0:
             return Cauchy()._isf(q)
         if g == 2.0:
-            return (1.0 - 2.0 * q) * np.sqrt(2.0 / (4.0 * q * (1.0 - q)))
+            with np.errstate(over="ignore"):
+                return (1.0 - 2.0 * q) * np.sqrt(2.0 / (4.0 * q * (1.0 - q)))
         return np.asarray(np.frompyfunc(self._isf_scalar, 1, 1)(q), dtype=np.float64)
 
     def _quantile(self, u):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
+from .combine import _transform
 from .distributions import HeavyTailDistribution, StudentT, parse_distribution
 from .errors import ConfigError, DomainError, InsufficientEventsError, ShapeError
 from .special import RootBracket, find_root
@@ -200,7 +201,6 @@ class _CompiledMethod:
     kind: str
     dist: HeavyTailDistribution | None = None
     weights: tuple[float, ...] | None = None
-    kappa: float | None = None
     thresholds: tuple[float, ...] = ()
     cutoff: float | None = None
 
@@ -216,12 +216,12 @@ def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
             dist = parse_distribution(spec.distribution)
             if kind == "standard":
                 thr = tuple(float(dist.inverse_survival(a / n)) for a in alphas)
-                compiled.append(_CompiledMethod(label, kind, dist, None, float(n), thr))
+                compiled.append(_CompiledMethod(label, kind, dist, None, thr))
             elif kind == "average":
                 if abs(dist.tail_index - 1.0) > 1e-12:
                     raise ConfigError(f"method {label}: average kind needs tail index 1")
                 thr = tuple(float(dist.inverse_survival(a)) for a in alphas)
-                compiled.append(_CompiledMethod(label, kind, dist, None, 1.0, thr))
+                compiled.append(_CompiledMethod(label, kind, dist, None, thr))
             else:
                 if spec.weights is None or len(spec.weights) != n:
                     raise ConfigError(f"method {label}: weighted kind needs {n} weights")
@@ -230,7 +230,7 @@ def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
                     raise ConfigError(f"method {label}: weights must be positive")
                 kappa = float(np.sum(w ** dist.tail_index))
                 thr = tuple(float(dist.inverse_survival(min(a / kappa, 1.0))) for a in alphas)
-                compiled.append(_CompiledMethod(label, kind, dist, tuple(w), kappa, thr))
+                compiled.append(_CompiledMethod(label, kind, dist, tuple(w), thr))
         elif kind == "bonferroni":
             if spec.weights is not None:
                 w = np.asarray(spec.weights, dtype=np.float64)
@@ -252,35 +252,34 @@ def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
     return tuple(compiled)
 
 
-def _blocks(replications: int, block_size: int = BLOCK_SIZE):
-    out = []
-    start = 0
-    index = 0
-    while start < replications:
-        rows = min(block_size, replications - start)
-        out.append((index, rows))
-        start += rows
-        index += 1
-    return out
+def _block(payload):
+    model, seed, index, rows, reduce_p, args = payload
+    t = sample_statistics(model, replication_rng(seed, index), rows)
+    return reduce_p(statistics_to_pvalues(t, model), *args)
 
 
-def _map_blocks(worker, payloads, workers: int):
+def _run_blocks(model, seed, replications, workers, reduce_p, *args, block_size=BLOCK_SIZE):
+    """``reduce_p(p, *args)`` of each block's p-values, in block order.
+
+    Block ``i`` holds the next ``block_size`` replications, drawn from
+    ``replication_rng(seed, i)``; blocks run serially or on a fork pool.
+    """
+    payloads = [
+        (model, seed, index, min(block_size, replications - start), reduce_p, args)
+        for index, start in enumerate(range(0, replications, block_size))
+    ]
     if workers <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
+        return [_block(p) for p in payloads]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork
         ctx = multiprocessing.get_context()
     max_workers = min(workers, len(payloads))
     with ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx) as pool:
-        return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // max_workers)))
+        return list(pool.map(_block, payloads, chunksize=max(1, len(payloads) // max_workers)))
 
 
-def _rates_block(payload):
-    model, plan, alphas, seed, block_index, rows = payload
-    rng = replication_rng(seed, block_index)
-    t = sample_statistics(model, rng, rows)
-    p = statistics_to_pvalues(t, model)
+def _rate_counts(p, plan, alphas):
     counts = np.zeros((len(plan), len(alphas)), dtype=np.int64)
     cache: dict[str, np.ndarray] = {}
     logs = None
@@ -289,9 +288,7 @@ def _rates_block(payload):
             key = method.dist.spec_string()
             x = cache.get(key)
             if x is None:
-                x = np.asarray(method.dist.inverse_survival(p), dtype=np.float64)
-                x = np.where(np.isneginf(x), -1.7976931348623157e308, x)
-                cache[key] = x
+                x = cache[key] = _transform(p, method.dist)[0]
             if method.kind == "standard":
                 stat = x.sum(axis=1)
             elif method.kind == "average":
@@ -302,7 +299,7 @@ def _rates_block(payload):
                 counts[mi, ai] = int(np.count_nonzero(stat > thr))
         elif method.kind == "bonferroni":
             if method.weights is None:
-                stat = p.min(axis=1) * model.n
+                stat = p.min(axis=1) * p.shape[1]
             else:
                 stat = (p / np.asarray(method.weights)).min(axis=1)
             for ai, a in enumerate(alphas):
@@ -316,7 +313,7 @@ def _rates_block(payload):
             stat = p.min(axis=1)
             for ai in range(len(alphas)):
                 counts[mi, ai] = int(np.count_nonzero(stat < method.cutoff))
-    return block_index, counts
+    return counts
 
 
 def estimate_rejection_rate(config: ExperimentConfig) -> ExperimentReport:
@@ -330,14 +327,8 @@ def estimate_rejection_rate(config: ExperimentConfig) -> ExperimentReport:
     if not config.methods:
         raise ConfigError("at least one method is required")
     plan = _compile_methods(config.methods, config.alphas, config.model.n)
-    payloads = [
-        (config.model, plan, config.alphas, config.seed, bi, rows)
-        for bi, rows in _blocks(config.replications)
-    ]
-    results = sorted(_map_blocks(_rates_block, payloads, config.workers), key=lambda r: r[0])
-    counts = np.zeros((len(plan), len(config.alphas)), dtype=np.int64)
-    for _, c in results:
-        counts += c
+    counts = sum(_run_blocks(config.model, config.seed, config.replications, config.workers,
+                             _rate_counts, plan, config.alphas))
     r = config.replications
     rows = []
     for mi, method in enumerate(plan):
@@ -377,14 +368,8 @@ class EquivalenceReport:
     runtime_seconds: float
 
 
-def _equivalence_block(payload):
-    model, dist, weights, mapped, kappa, thresholds, alphas, seed, block_index, rows = payload
-    rng = replication_rng(seed, block_index)
-    t = sample_statistics(model, rng, rows)
-    p = statistics_to_pvalues(t, model)
-    x = np.asarray(dist.inverse_survival(p), dtype=np.float64)
-    x = np.where(np.isneginf(x), -1.7976931348623157e308, x)
-    stat = x @ weights
+def _equivalence_tallies(p, dist, weights, mapped, thresholds, alphas):
+    stat = _transform(p, dist)[0] @ weights
     bon_stat = (p / mapped).min(axis=1)
     tallies = np.zeros((len(alphas), 5), dtype=np.int64)
     for ai, alpha in enumerate(alphas):
@@ -398,7 +383,7 @@ def _equivalence_block(payload):
             int((dis & wgt).sum()),
             int((dis & bon).sum()),
         )
-    return block_index, tallies
+    return tallies
 
 
 def estimate_equivalence_ratio(
@@ -420,15 +405,8 @@ def estimate_equivalence_ratio(
     kappa = float(np.sum(weights ** gamma))
     mapped = weights ** gamma / kappa
     thresholds = tuple(float(d.inverse_survival(min(a / kappa, 1.0))) for a in config.alphas)
-    payloads = [
-        (config.model, d, weights, mapped, kappa, thresholds, config.alphas,
-         config.seed, bi, rows)
-        for bi, rows in _blocks(config.replications)
-    ]
-    results = sorted(_map_blocks(_equivalence_block, payloads, config.workers), key=lambda r: r[0])
-    tallies = np.zeros((len(config.alphas), 5), dtype=np.int64)
-    for _, tal in results:
-        tallies += tal
+    tallies = sum(_run_blocks(config.model, config.seed, config.replications, config.workers,
+                              _equivalence_tallies, d, weights, mapped, thresholds, config.alphas))
     r = config.replications
     rows = []
     for ai, alpha in enumerate(config.alphas):
@@ -484,14 +462,6 @@ class MinPCalibration:
     unstable: bool
 
 
-def _minp_block(payload):
-    model, seed, block_index, rows = payload
-    rng = replication_rng(seed, block_index)
-    t = sample_statistics(model, rng, rows)
-    p = statistics_to_pvalues(t, model)
-    return block_index, p.min(axis=1)
-
-
 def calibrate_minp(
     model: ExchangeableModel, alpha: float, replications: int, seed: int, workers: int = 1
 ) -> MinPCalibration:
@@ -505,9 +475,8 @@ def calibrate_minp(
         raise DomainError(f"alpha must be in (0,1), got {alpha!r}")
     if any(model.mean):
         raise ConfigError("minP calibration requires the null model (zero mean)")
-    payloads = [(model, seed, bi, rows) for bi, rows in _blocks(replications)]
-    results = sorted(_map_blocks(_minp_block, payloads, workers), key=lambda r: r[0])
-    mins = np.concatenate([m for _, m in results])
+    # np.min(p, 1): the smallest p-value of each replication
+    mins = np.concatenate(_run_blocks(model, seed, replications, workers, np.min, 1))
     k = max(1, int(math.floor(alpha * replications)))
     cutoff = float(np.partition(mins, k - 1)[k - 1])
     return MinPCalibration(
@@ -546,14 +515,8 @@ class CovarianceEstimate:
     seed: int
 
 
-def _cov_block(payload):
-    model, seed, block_index, rows = payload
-    rng = replication_rng(seed, block_index)
-    t = sample_statistics(model, rng, rows)
-    p = statistics_to_pvalues(t, model)
-    return block_index, np.array(
-        [rows, p[:, 0].sum(), p[:, 1].sum(), (p[:, 0] * p[:, 1]).sum()]
-    )
+def _cov_moments(p):
+    return np.array([len(p), p[:, 0].sum(), p[:, 1].sum(), (p[:, 0] * p[:, 1]).sum()])
 
 
 def pvalue_covariance(
@@ -563,9 +526,8 @@ def pvalue_covariance(
     if model.n != 2:
         raise DomainError("pvalue_covariance requires an n=2 model")
     block_size = min(BLOCK_SIZE, max(1, replications // 16)) if replications >= 32 else 1
-    payloads = [(model, seed, bi, rows) for bi, rows in _blocks(replications, block_size)]
-    results = sorted(_map_blocks(_cov_block, payloads, workers), key=lambda r: r[0])
-    stats = np.vstack([s for _, s in results])
+    stats = np.vstack(_run_blocks(model, seed, replications, workers, _cov_moments,
+                                  block_size=block_size))
     total = stats.sum(axis=0)
 
     def cov_from(m):

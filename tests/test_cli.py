@@ -183,6 +183,15 @@ class TestClosedTestCommand:
                 assert (rows[k]["reject"] == "true") == bool(ref.rejected[i])
                 k += 1
 
+    def test_overflowed_transform_beside_p_one(self, tmp_path):
+        # isf(4.9e-324) overflows to +inf; with p = 1 (-inf) the sum reads as +inf
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        inp.write_text("g1,4.9e-324,1\n")
+        assert main(["closed-test", "-i", str(inp), "--dist", "cauchy",
+                     "--alpha", "0.05", "-o", str(out)]) == 0
+        assert [r["reject"] for r in read_csv(out)] == ["true", "false"]
+
 
 class TestAdjustBhCommand:
     def test_all_discovered(self, tmp_path):

@@ -1,10 +1,12 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from heavycomb.closed_testing import closed_test_bruteforce, closed_test_shortcut
-from heavycomb.distributions import Cauchy, Levy, Pareto, TruncatedT
+from heavycomb.combine import combine_standard
+from heavycomb.distributions import Cauchy, Levy, Pareto, TruncatedT, parse_distribution
 from heavycomb.errors import CapacityError, DomainError
 
 # mpmath: P_{12} = 2 * F_bar(H(0.01) + H(0.02)) = 0.0133401609348637792449
@@ -81,6 +83,33 @@ class TestShortcutEqualsBruteForce:
         b = closed_test_bruteforce(p, Cauchy(), 0.05)
         assert a.rejected.tolist() == b.rejected.tolist()
         assert np.max(np.abs(a.adjusted_p - b.adjusted_p)) <= 1e-12
+
+
+class TestOverflowedTransform:
+    """p = 5e-324 overflows the transform to +inf; p = 1 maps to -inf (or -MAX).
+
+    Their NaN sum reads as +inf, so the shortcut matches the brute force
+    and the combined p-value does not depend on the input order.
+    """
+
+    CASES = [[5e-324, 1.0], [5e-324, 5e-324, 1.0, 1.0], [1e-300, 1.0, 1.0],
+             [1.0, 5e-324, 1.0, 0.2]]
+
+    @pytest.mark.parametrize("spec", ["cauchy", "t:2", "trunc_t:1:0.9", "trunc_t:2:0.9",
+                                      "frechet:1", "pareto:1", "levy", "log_cauchy"])
+    def test_every_order_agrees(self, spec):
+        d = parse_distribution(spec)
+        for case in self.CASES:
+            combined = set()
+            for p in sorted(set(itertools.permutations(case))):
+                a = closed_test_shortcut(p, d, 0.05)
+                b = closed_test_bruteforce(p, d, 0.05)
+                assert a.rejected.tolist() == b.rejected.tolist(), p
+                assert a.rejection_cut == b.rejection_cut
+                assert np.max(np.abs(a.adjusted_p - b.adjusted_p)) <= 1e-12
+                res = combine_standard(p, d)
+                combined.add((res.statistic, res.combined_p))
+            assert len(combined) == 1, (case, combined)
 
 
 class TestStructuralProperties:

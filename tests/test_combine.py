@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -20,6 +22,7 @@ from heavycomb.distributions import (
     Pareto,
     StudentT,
     TruncatedT,
+    parse_distribution,
 )
 from heavycomb.errors import DomainError, MethodMisuseError, ShapeError
 
@@ -89,6 +92,22 @@ class TestCombineStandard:
         assert combine_standard([1.0, 0.2], Cauchy()).saturated
         assert not combine_standard([0.9, 0.2], Cauchy()).saturated
         assert not combine_standard([1.0, 0.2], Pareto(1.0)).saturated
+
+
+class TestSaturationIsQuiet:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extremes_emit_no_warning(self):
+        # two p = 1 give -MAX + -MAX = -inf: statistic -inf, combined p 1
+        res = combine_standard([1.0, 1.0, 0.001], Cauchy())
+        assert res.statistic == -math.inf
+        assert res.combined_p == 1.0
+        # the overflowed transform wins the NaN sum, in either order
+        for p in ([1.0, 1.0, 5e-324], [5e-324, 1.0, 1.0]):
+            res = combine_standard(p, Cauchy())
+            assert res.statistic == math.inf
+            assert res.combined_p == np.finfo(float).tiny
+        for spec in ("cauchy", "frechet:1", "trunc_t:1:0.9", "t:2"):
+            assert parse_distribution(spec).inverse_survival(5e-324) == math.inf
 
 
 class TestCombineAverage:

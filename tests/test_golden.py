@@ -267,7 +267,8 @@ def _regenerate():
     GOLDEN.mkdir(exist_ok=True)
     os.environ.pop("HEAVYCOMB_WORKERS", None)
     home = os.getcwd()
-    warnings.simplefilter("ignore", RuntimeWarning)  # a warning is no output
+    # pytest keeps warnings out of stderr; so does a regeneration
+    warnings.simplefilter("ignore", RuntimeWarning)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
