@@ -290,7 +290,8 @@ def _load_config(args, command: str, from_flags: dict | None = None):
     if args.workers is not None:
         cfg["workers"] = args.workers
     cfg.setdefault("seed", _DEFAULT_SEED)
-    cfg.setdefault("workers", _default_workers())
+    if "workers" not in cfg:  # the environment is read only when nothing else sets it
+        cfg["workers"] = _default_workers()
     return cfg, int(cfg["seed"]), int(cfg["workers"])
 
 

@@ -3,9 +3,12 @@
 Each family exposes the survival function, CDF, quantile, inverse survival
 (the workhorse for p-value transforms, computed directly from the tail
 probability to avoid ``1 - u`` cancellation), its tail index, and the lower
-support bound.  Survival/CDF/inverse-survival accept scalars or numpy
-arrays wherever a closed form exists; the Student-t (general degrees of
-freedom) and inverse-gamma quantiles fall back to bracketed root finding.
+support bound.  Every method takes scalars or numpy arrays and runs as
+array code.  The Student t (general degrees of freedom) and the inverse
+gamma evaluate their tails with the array incomplete beta and gamma of
+``special`` (integer t degrees of freedom use the finite sums of A&S
+26.7.3-4 away from the tail), and invert them by a safeguarded Halley
+iteration in log x seeded from closed-form approximations.
 
 Two survival formulas are implemented in corrected form:
 
@@ -24,12 +27,15 @@ from typing import Union
 import numpy as np
 
 from . import special
-from .errors import ConvergenceError, DomainError, InfiniteQuantileError
-from .special import RootBracket, find_root
+from .errors import DomainError, InfiniteQuantileError
+from .special import find_root  # noqa: F401  (kept importable by name)
 
 ArrayLike = Union[float, np.ndarray]
 
 _TINY = np.finfo(np.float64).smallest_subnormal
+_TINY_NORMAL = np.finfo(np.float64).tiny
+_MAX = np.finfo(np.float64).max
+_WIDEN = 1e-9  # relative margin on computed bracket ends
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -304,7 +310,10 @@ class Frechet(HeavyTailDistribution):
 
 
 class InverseGamma(HeavyTailDistribution):
-    """Inverse gamma on (0, inf); survival P(gamma, 1/x) (lower reg. gamma)."""
+    """Inverse gamma on (0, inf); survival P(gamma, 1/x) (lower reg. gamma).
+
+    Shape 1 is Frechet with tail index 1, whose closed forms it uses.
+    """
 
     name = "inv_gamma"
 
@@ -312,6 +321,7 @@ class InverseGamma(HeavyTailDistribution):
         if not (gamma > 0.0) or not math.isfinite(gamma):
             raise DomainError(f"{self.name}: tail index must be positive, got {gamma!r}")
         self.gamma = float(gamma)
+        self._frechet = Frechet(1.0) if self.gamma == 1.0 else None
 
     @property
     def tail_index(self) -> float:
@@ -321,52 +331,76 @@ class InverseGamma(HeavyTailDistribution):
     def support_lower(self) -> float:
         return 0.0
 
-    def _sf_scalar(self, x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        if math.isinf(x):
-            return 0.0
-        return special.reg_gamma_lower(self.gamma, 1.0 / x)
-
-    def _cdf_scalar(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if math.isinf(x):
-            return 1.0
-        return special.reg_gamma_upper(self.gamma, 1.0 / x)
-
-    def _isf_scalar(self, q: float) -> float:
-        # Solve P(gamma, y) = q in y (increasing), then x = 1/y.  The small-y
-        # leading term y ~ (q * gamma * Gamma(gamma))^(1/gamma) seeds the bracket.
-        g = self.gamma
-        y0 = math.exp((math.log(q) + math.lgamma(g + 1.0)) / g)
-        lo, hi = 0.5 * y0, 2.0 * y0
-        flo = special.reg_gamma_lower(g, lo) - q
-        for _ in range(200):
-            if flo <= 0.0:
-                break
-            lo /= 4.0
-            flo = special.reg_gamma_lower(g, lo) - q
-        fhi = special.reg_gamma_lower(g, hi) - q
-        for _ in range(200):
-            if fhi >= 0.0:
-                break
-            hi *= 4.0
-            fhi = special.reg_gamma_lower(g, hi) - q
-        y = find_root(
-            lambda t: special.reg_gamma_lower(g, t) - q,
-            RootBracket(lo, hi, rel_tol=1e-14),
-        )
-        return 1.0 / y
+    def _tails(self, x):
+        """(survival, cdf, y^g e^-y / Gamma(g)) at x, with y = 1/x."""
+        flat = x.ravel()
+        sf = np.ones_like(flat)
+        cdf = np.zeros_like(flat)
+        dens = np.zeros_like(flat)
+        pos = flat > 0.0
+        with np.errstate(over="ignore"):  # 1/x of a subnormal x
+            y = np.minimum(1.0 / flat[pos], _MAX)
+        sf[pos], cdf[pos], dens[pos] = special._reg_gamma_array(self.gamma, y)
+        return sf.reshape(x.shape), cdf.reshape(x.shape), dens.reshape(x.shape)
 
     def _sf(self, x):
-        return np.asarray(np.frompyfunc(self._sf_scalar, 1, 1)(x), dtype=np.float64)
+        if self._frechet:
+            return self._frechet._sf(x)
+        return self._tails(x)[0]
 
     def _cdf(self, x):
-        return np.asarray(np.frompyfunc(self._cdf_scalar, 1, 1)(x), dtype=np.float64)
+        if self._frechet:
+            return self._frechet._cdf(x)
+        return self._tails(x)[1]
 
     def _isf(self, q):
-        return np.asarray(np.frompyfunc(self._isf_scalar, 1, 1)(q), dtype=np.float64)
+        if self._frechet:
+            return self._frechet._isf(q)
+        upper = q <= 0.5
+        return self._invert(upper, np.where(upper, q, 1.0 - q))
+
+    def _quantile(self, u):
+        if self._frechet:
+            return self._frechet._quantile(u)
+        upper = u > 0.5
+        return self._invert(upper, np.where(upper, 1.0 - u, u))
+
+    def _invert(self, upper, tail):
+        """x whose survival (where ``upper``) or cdf (elsewhere) is ``tail`` <= 1/2.
+
+        Halley on the log of that tail in log x: the log-gamma density is
+        log-concave, so both tails are log-concave in log x.  The true isf
+        overflows where ``tail`` is below the survival at the largest double:
+        +inf there.
+        """
+        g = self.gamma
+        up = upper.ravel()
+        t = tail.ravel()
+        out = np.full_like(t, np.inf)
+        sf_max = math.exp(-g * math.log(_MAX) - math.lgamma(g + 1.0))  # P(g, y) ~ y^g / Gamma(g+1)
+        todo = ~up | (t >= sf_max)
+        up, t = up[todo], t[todo]
+        lower_p = np.where(up, t, 1.0 - t)  # P(g, 1/x) at the root
+        # P(g, y) <= y^g / Gamma(g + 1) puts the root's y above y_low: x below 1/y_low
+        with np.errstate(divide="ignore", over="ignore"):
+            y_low = np.exp((np.log(lower_p) + math.lgamma(g + 1.0)) / g)
+            hi = np.minimum(1.0 / y_low * (1.0 + _WIDEN), _MAX)  # widened past its rounding
+            # Wilson-Hilferty in the centre
+            z = special._ndtri_split(np.where(up, t - 0.5, 0.5 - t), t)
+            y_wh = g * (1.0 - 1.0 / (9.0 * g) + z / (3.0 * math.sqrt(g))) ** 3
+            seed = np.minimum(1.0 / np.maximum(y_low, y_wh), hi)
+
+        def evaluate(x, lanes):
+            sf, cdf, dens = self._tails(x)
+            sided = up[lanes]
+            f = np.where(sided, sf, cdf)
+            h = dens / f
+            r = np.log(f / t[lanes])
+            # G = log(P/t) (decreasing in x), or -log(Q/t); G' = -h both ways
+            return np.where(sided, r, -r), -h, np.where(sided, h, -h) + 1.0 / x - g
+
+        out[todo] = special._solve_decreasing(seed, np.full_like(t, _TINY_NORMAL), hi, evaluate)
+        return out.reshape(tail.shape)
 
     def spec_string(self):
         return f"inv_gamma:{self.gamma:g}"
@@ -390,57 +424,75 @@ class StudentT(HeavyTailDistribution):
     def support_lower(self) -> float:
         return -math.inf
 
-    def _half_sf(self, x: float) -> float:
-        # Survival at x >= 0.
-        if math.isinf(x):
-            return 0.0
-        g = self.gamma
-        return 0.5 * special.reg_beta(g / (x * x + g), 0.5 * g, 0.5)
+    def _upper(self, ax):
+        """(sf, 1/2 - sf, x f(x), x^2 / (x^2 + nu)) at finite ax >= 0 (1-D, nu not 1 or 2).
+
+        With w = nu / (x^2 + nu), the power w^(nu/2) (1 - w)^(1/2) is formed
+        from w directly (rounding amplified by nu/2), or, where x^2 overflows,
+        from sqrt(w) = sqrt(nu) / hypot(sqrt(nu), x).  Integer nu uses the
+        finite sums of A&S 26.7.3-4 where they give sf >= 1/20, so that their
+        cancellation costs at most a factor 10; the tail beyond, where it
+        would cost everything, is left to the continued fraction.
+        """
+        nu = self.gamma
+        root = math.sqrt(nu)
+        hyp = np.hypot(root, ax)
+        s = root / hyp
+        cs = ax / hyp
+        y = cs * cs
+        with np.errstate(over="ignore"):
+            w = nu / (nu + ax * ax)
+        power = w ** (0.5 * nu) * cs
+        huge = ax > 1e150
+        if huge.any():
+            power[huge] = s[huge] ** nu * cs[huge]
+        if nu != int(nu):
+            i_w, i_y, dens = special._reg_beta_array(w, y, 0.5 * nu, 0.5, power)
+            return 0.5 * i_w, 0.5 * i_y, dens, y
+        # a finite series in w = cos^2(theta), theta = arctan(x / sqrt(nu))
+        odd = nu % 2 == 1
+        coef, total = 1.0, np.ones_like(w)
+        for j in range(1, (int(nu) - 1) // 2 if odd else int(nu) // 2):
+            coef *= (2.0 * j) / (2.0 * j + 1.0) if odd else (2.0 * j - 1.0) / (2.0 * j)
+            total += coef * w ** j
+        if odd:  # 1 - 2 sf = (2/pi)(theta + sin(theta) cos(theta) total)
+            t = s * cs * total
+            sf = (np.arctan2(root, ax) - t) / np.pi  # pi/2 - theta
+            mid = (np.arctan2(ax, root) + t) / np.pi
+        else:  # 1 - 2 sf = sin(theta) total
+            mid = 0.5 * cs * total
+            sf = 0.5 - mid
+        dens = power * math.exp(
+            math.lgamma(0.5 * nu + 0.5) - math.lgamma(0.5 * nu) - 0.5 * math.log(math.pi))
+        tail = sf < 0.05
+        if tail.any():
+            i_w, _, _ = special._reg_beta_array(w[tail], y[tail], 0.5 * nu, 0.5, power[tail])
+            sf[tail] = 0.5 * i_w
+            mid[tail] = 0.5 - sf[tail]
+        return sf, mid, dens, y
 
     def _sf(self, x):
-        g = self.gamma
+        nu = self.gamma
         ax = np.abs(x)
-        if g == 1.0:
+        if nu == 2.0:
+            # 1/2 (1 - x / s), s = sqrt(x^2 + 2): in stable form above 0; below 0
+            # it is 1 where s overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = np.sqrt(ax * ax + 2.0)
+                below = np.where(s < np.inf, 0.5 + ax / (2.0 * s), 1.0)
+                return np.where(x > 0, 1.0 / (s * (s + ax)), below)
+        if nu == 1.0:
             half = np.arctan2(1.0, ax) / np.pi
-        elif g == 2.0:
-            # stable form of (1 - x/sqrt(x^2+2))/2 for large x
-            s = np.sqrt(ax * ax + 2.0)
-            half = 1.0 / (s * (s + ax))
         else:
-            half = np.asarray(np.frompyfunc(self._half_sf, 1, 1)(ax), dtype=np.float64)
+            flat = ax.ravel()
+            half = np.zeros_like(flat)
+            finite = flat < np.inf
+            half[finite] = self._upper(flat[finite])[0]
+            half = half.reshape(ax.shape)
         return np.where(x >= 0, half, 1.0 - half)
 
     def _cdf(self, x):
         return self._sf(-x)
-
-    def _isf_scalar(self, q: float) -> float:
-        g = self.gamma
-        if q == 0.5:
-            return 0.0
-        if q > 0.5:
-            return -self._isf_scalar(1.0 - q)
-        if g == 1.0:
-            return 1.0 / math.tan(math.pi * q)
-        if g == 2.0:
-            return (1.0 - 2.0 * q) * math.sqrt(2.0 / (4.0 * q * (1.0 - q)))
-        # Root-find on the positive half line; regular-variation asymptotics
-        # seed the bracket when q is deep in the tail.
-        lo, hi = 0.0, 1.0
-        if q < 1e-6:
-            log_c = (0.5 * g - 1.0) * math.log(g) - (
-                math.lgamma(0.5 * g) + math.lgamma(0.5) - math.lgamma(0.5 * g + 0.5)
-            )
-            x0 = math.exp((log_c - math.log(q)) / g)
-            lo, hi = 0.5 * x0, 2.0 * x0
-            while self._half_sf(lo) < q and lo > 0.0:
-                lo /= 4.0
-        for _ in range(400):
-            if self._half_sf(hi) <= q:
-                break
-            hi *= 4.0
-        else:
-            raise ConvergenceError(f"{self.name}: could not bracket quantile for q={q}")
-        return find_root(lambda t: self._half_sf(t) - q, RootBracket(lo, hi, rel_tol=1e-14))
 
     def _isf(self, q):
         g = self.gamma
@@ -449,7 +501,75 @@ class StudentT(HeavyTailDistribution):
         if g == 2.0:
             with np.errstate(over="ignore"):
                 return (1.0 - 2.0 * q) * np.sqrt(2.0 / (4.0 * q * (1.0 - q)))
-        return np.asarray(np.frompyfunc(self._isf_scalar, 1, 1)(q), dtype=np.float64)
+        x = self._upper_isf(np.where(q < 0.5, q, 1.0 - q))
+        return np.where(q > 0.5, -x, x)
+
+    def _upper_isf(self, tail):
+        """x >= 0 with survival ``tail`` <= 1/2, by Halley on a log tail in log x.
+
+        |T| has a log-concave density in log x, so both log sf and
+        log(1/2 - sf) are concave there.  Above ``tail`` = 1/4 the solve is on
+        1/2 - sf, whose target 1/2 - tail is exact, so that an x near 0 keeps
+        its relative accuracy.  The bracket: sf is convex on x > 0, so
+        sf(x) >= 1/2 - f(0) x; and sf(x) <= C x^-nu, the regular-variation
+        bound.  The true isf overflows where ``tail`` is below the survival at
+        the largest double: +inf there.
+        """
+        nu = self.gamma
+        flat = tail.ravel()
+        out = np.zeros_like(flat)
+        lgam = math.lgamma(0.5 * nu + 0.5) - math.lgamma(0.5 * nu) - 0.5 * math.log(math.pi)
+        log_c = lgam + (0.5 * nu - 1.0) * math.log(nu)  # sf(x) ~ C x^-nu
+        sf_max = math.exp(log_c - nu * math.log(_MAX))  # exact to rounding that far out
+        out[flat < sf_max] = np.inf
+        todo = (flat < 0.5) & (flat >= sf_max)
+        t = flat[todo]
+        # both bounds are widened by far more than their rounding
+        lo = (0.5 - t) / math.exp(lgam - 0.5 * math.log(nu)) * (1.0 - _WIDEN)  # f(0)
+        with np.errstate(over="ignore"):
+            hi = np.minimum(np.exp((log_c - np.log(t)) / nu) * (1.0 + _WIDEN), _MAX)
+        seed = hi if nu < 1.0 else np.fmin(np.fmax(self._hill(t), lo), hi)
+        centre = t > 0.25
+        target = np.where(centre, 0.5 - t, t)
+        sign = np.where(centre, -1.0, 1.0)
+
+        def evaluate(x, lanes):
+            sf, half_minus_sf, xf, y = self._upper(x)
+            f = np.where(centre[lanes], half_minus_sf, sf)
+            h = xf / f
+            sg = sign[lanes]
+            # G = log(sf / t), or -log((1/2 - sf) / (1/2 - t)); G' = -h both ways
+            return sg * np.log(f / target[lanes]), -h, 1.0 - (nu + 1.0) * y + sg * h
+
+        out[todo] = special._solve_decreasing(seed, lo, hi, evaluate)
+        return out.reshape(tail.shape)
+
+    def _hill(self, t):
+        """Hill (1970), CACM Algorithm 396: x > 0 with sf(x) near t, for nu > 1."""
+        n = self.gamma
+        a = 1.0 / (n - 0.5)
+        b = 48.0 / (a * a)
+        c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+        d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * n
+        out = np.empty_like(t)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            y = (2.0 * d * t) ** (2.0 / n)
+            centre = y > 0.05 + a
+            if n < 2.1:
+                centre |= t > 0.25
+            # expansion about the normal quantile
+            z = special._ndtri_split(t[centre] - 0.5, t[centre])  # Phi^-1(t) < 0
+            zz = z * z
+            cz = c + 0.3 * (n - 4.5) * (z + 0.6) if n < 5.0 else c
+            cz = (((0.05 * d * z - 5.0) * z - 7.0) * z - 2.0) * z + b + cz
+            w = (((((0.4 * zz + 6.3) * zz + 36.0) * zz + 94.5) / cz - zz - 3.0) / b + 1.0) * z
+            out[centre] = np.expm1(a * w * w)
+            # tail expansion; y underflows to 0 for a t far out, which the
+            # caller's bracket clips
+            y = y[~centre]
+            out[~centre] = ((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
+                             + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
+            return np.sqrt(n * out)
 
     def _quantile(self, u):
         return -self._isf(u)

@@ -165,15 +165,6 @@ def sample_statistics(model: ExchangeableModel, rng: np.random.Generator, size: 
     return t[0] if size is None else t
 
 
-def _t_sf_array(t: np.ndarray, nu: float) -> np.ndarray:
-    if nu == 1.0:
-        return 0.5 - np.arctan(t) / np.pi
-    if nu == 2.0:
-        s = np.sqrt(t * t + 2.0)
-        return np.where(t > 0, 1.0 / (s * (s + np.abs(t))), 0.5 - t / (2.0 * s))
-    return StudentT(nu)._sf(np.asarray(t, dtype=np.float64))
-
-
 def statistics_to_pvalues(t, model: ExchangeableModel) -> np.ndarray:
     """Marginal p-values (exactly uniform under the zero-mean null)."""
     arr = np.asarray(t, dtype=np.float64)
@@ -181,9 +172,11 @@ def statistics_to_pvalues(t, model: ExchangeableModel) -> np.ndarray:
         if model.sided == "one_sided":
             return special.normal_sf_array(arr)
         return 2.0 * special.normal_sf_array(np.abs(arr))
+    # the draws are finite, so the NaN check of StudentT.survival is skipped
+    sf = StudentT(model.nu)._sf
     if model.sided == "one_sided":
-        return _t_sf_array(arr, model.nu)
-    return 2.0 * _t_sf_array(np.abs(arr), model.nu)
+        return sf(arr)
+    return 2.0 * sf(np.abs(arr))
 
 
 def chi_square_upper_quantile(dof_pairs: float, alpha: float) -> float:

@@ -7,7 +7,8 @@ with exp(-x^2) split so that its exponent is exact (``expx2``), and the
 normal quantile from Wichura's AS 241 (PPND16), which the scalar quantile
 shares.  The regularized incomplete gamma and beta functions use the classic
 series / continued-fraction split evaluated with the modified Lentz
-algorithm.
+algorithm, as scalars and as private array kernels; a safeguarded Halley
+solver inverts the array kernels.
 """
 
 from __future__ import annotations
@@ -444,3 +445,193 @@ def normal_quantile_array(u: np.ndarray) -> np.ndarray:
             raise DomainError(f"normal_quantile: argument {float(bad[~edge][0])!r} outside [0, 1]")
         raise InfiniteQuantileError(f"normal_quantile: infinite quantile at u={float(bad[0])}")
     return _ndtri_split(u - 0.5, np.minimum(u, 1.0 - u))
+
+
+# ---------------------------------------------------------------------------
+# Array incomplete beta and gamma, and a safeguarded Halley solver.  Every
+# loop keeps a per-lane active set: finished lanes are scattered out and the
+# rest compressed, so a lane pays only for the iterations it needs.  A front
+# factor that reaches far into a tail is a power of a base in (0, 1] (or a
+# caller-supplied power): the exponential of a long logarithm would carry its
+# rounding, |log| * eps, into the result (1e-13 relative at log = -700).  The
+# Gamma-function constants are taken in log space.
+
+_ITER_TOL = 2.0 * _EPS
+_MAX_ITER_SOLVE = 100
+_HALLEY_DONE = 1e-5  # a Halley step this small leaves an error of order its cube
+
+
+def _retire(done, out, idx, result, *lanes):
+    """Scatter ``result`` of the finished lanes into ``out``; compress the rest.
+
+    The series and continued fractions call it once a quarter of their lanes
+    are done: compressing costs a pass over every lane array, and a finished
+    lane left in place only converges further.
+    """
+    out[idx[done]] = result[done]
+    live = ~done
+    return (idx[live], result[live]) + tuple(a[live] for a in lanes)
+
+
+def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Continued fraction of I_x(a, b) (modified Lentz) on a 1-D array.
+
+    Converges quickly for x < (a + 1) / (a + b + 2); x = 0 gives 1.
+    """
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 / (1.0 - (a + b) / (a + 1.0) * x)
+    h = d.copy()
+    t = np.empty_like(x)
+    for m in range(1, _MAX_ITER_CF + 1):
+        if not idx.size:
+            return out
+        for coef in (m * (b - m) / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            # in place: d = 1 / (1 + t d), c = 1 + t / c, h *= d c with t = coef x
+            np.multiply(x, coef, out=t)
+            d *= t
+            d += 1.0
+            np.reciprocal(d, out=d)
+            np.divide(t, c, out=c)
+            c += 1.0
+            np.multiply(d, c, out=t)
+            h *= t
+        t -= 1.0
+        done = np.abs(t, out=t) <= _ITER_TOL
+        if 4 * np.count_nonzero(done) >= idx.size:
+            idx, h, x, c, d, t = _retire(done, out, idx, h, x, c, d, t)
+    raise ConvergenceError(f"incomplete beta: no convergence for a={a}, b={b}")
+
+
+def _reg_beta_array(x: np.ndarray, y: np.ndarray, a: float, b: float, power: np.ndarray):
+    """``(I_x(a, b), I_y(b, a), power / B(a, b))`` on 1-D arrays with x + y = 1.
+
+    ``power`` is x^a y^b, formed by the caller, which alone can form it
+    without underflow for its parametrisation.  The continued fraction runs
+    on x below (a + 1) / (a + b + 2) and on y above, where each converges
+    fast; a lane whose I_y comes out above 1/2 is computed again on x, so
+    that the complement, 1 minus the value computed directly, loses at most
+    a bit to cancellation.
+    """
+    dens = power * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    i_x = np.empty_like(x)
+    i_y = np.empty_like(x)
+    low = x < (a + 1.0) / (a + b + 2.0)
+    high = ~low
+    i_y[high] = dens[high] / b * _beta_cf_array(y[high], b, a)
+    low[high] = i_y[high] > 0.5
+    i_x[low] = dens[low] / a * _beta_cf_array(x[low], a, b)
+    high = ~low
+    i_y[low] = 1.0 - i_x[low]
+    i_x[high] = 1.0 - i_y[high]
+    return i_x, i_y, dens
+
+
+def _gamma_series_array(s: float, y: np.ndarray) -> np.ndarray:
+    """sum_n y^n / ((s + 1) ... (s + n)) on a 1-D array with y < s + 1."""
+    out = np.empty_like(y)
+    idx = np.arange(y.size)
+    term = np.ones_like(y)
+    total = np.ones_like(y)
+    for n in range(1, _MAX_ITER_CF + 1):
+        if not idx.size:
+            return out
+        term *= y
+        term /= s + n
+        total += term
+        done = term <= total * _ITER_TOL
+        if 4 * np.count_nonzero(done) >= idx.size:
+            idx, total, y, term = _retire(done, out, idx, total, y, term)
+    raise ConvergenceError(f"incomplete gamma: series failed for s={s}")
+
+
+def _gamma_cf_array(s: float, y: np.ndarray) -> np.ndarray:
+    """Continued fraction of Q(s, y) e^y y^-s Gamma(s) (modified Lentz), y >= s + 1."""
+    out = np.empty_like(y)
+    idx = np.arange(y.size)
+    b = y + (1.0 - s)
+    d = 1.0 / b
+    c = np.full_like(y, 1.0 / _FPMIN)
+    h = d.copy()
+    for i in range(1, _MAX_ITER_CF + 1):
+        if not idx.size:
+            return out
+        an = -i * (i - s)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) <= _ITER_TOL
+        if 4 * np.count_nonzero(done) >= idx.size:
+            idx, h, b, c, d = _retire(done, out, idx, h, b, c, d)
+    raise ConvergenceError(f"incomplete gamma: continued fraction failed for s={s}")
+
+
+def _reg_gamma_array(s: float, y: np.ndarray):
+    """``(P(s, y), Q(s, y), y^s e^-y / Gamma(s))`` on a 1-D array of finite y >= 0.
+
+    Below y = s + 1, P is the series (front (y e^(-y/s) / Gamma(s+1)^(1/s))^s,
+    a power of a base below 1); above, Q is the continued fraction (front in
+    log space, where the exponent is dominated by -y).  The value computed
+    directly is accurate to relative error, the other is 1 minus it: below
+    1/2 on either side for s >= 1; for small s, Q below s + 1 is small and
+    known only to absolute error (y^s / Gamma(s + 1) - 1 cancels in it).
+    """
+    p = np.empty_like(y)
+    q = np.empty_like(y)
+    dens = np.empty_like(y)
+    low = y < s + 1.0
+    yl = y[low]
+    front = (yl * np.exp(-yl / s) * math.exp(-math.lgamma(s + 1.0) / s)) ** s
+    p[low] = front * _gamma_series_array(s, yl)
+    dens[low] = s * front
+    high = ~low
+    yh = y[high]
+    with np.errstate(divide="ignore"):
+        front = np.exp(s * np.log(yh) - yh - math.lgamma(s))
+    q[high] = front * _gamma_cf_array(s, yh)
+    dens[high] = front
+    q[low] = 1.0 - p[low]
+    p[high] = 1.0 - q[high]
+    return p, q, dens
+
+
+def _solve_decreasing(x, lo, hi, evaluate):
+    """Root of a decreasing function G on 1-D arrays, by Halley steps in log x.
+
+    ``evaluate(x, lanes)`` returns, at the points ``x`` of the lanes
+    ``lanes`` (indices into the caller's arrays), G, dG/dlog x and the ratio
+    G''/G' of the log-x derivatives.  ``lo <= x <= hi`` must bracket each
+    root (G(lo) >= 0 >= G(hi)); a step that leaves the bracket, which shrinks
+    with every evaluation, is replaced by bisection in log x.  x is updated
+    multiplicatively, so its relative rounding does not grow with |log x|.
+    A lane stops after a step below ``_HALLEY_DONE``, or when its bracket
+    closes.
+    """
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    # a lane evaluated where its tail underflows yields an inf or NaN step;
+    # the bracket check turns it into bisection
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITER_SOLVE):
+            if not idx.size:
+                return out
+            g, slope, curv = evaluate(x, idx)
+            above = g < 0.0
+            lo = np.where(above, lo, x)
+            hi = np.where(above, x, hi)
+            newton = -g / slope
+            nc = newton * curv
+            step = np.where(np.abs(nc) < 1.0, newton / (1.0 + 0.5 * nc), newton)
+            new = x * np.exp(step)
+            inside = (new >= lo) & (new <= hi)
+            new = np.where(inside, new, np.sqrt(lo) * np.sqrt(hi))
+            finished = (inside & (np.abs(step) <= _HALLEY_DONE)) | (hi <= lo * (1.0 + 4.0 * _EPS))
+            if finished.any():
+                idx, new, lo, hi = _retire(finished, out, idx, new, lo, hi)
+            x = new
+    out[idx] = x
+    return out

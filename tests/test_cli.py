@@ -193,6 +193,32 @@ class TestClosedTestCommand:
         assert [r["reject"] for r in read_csv(out)] == ["true", "false"]
 
 
+class TestGeneralNuTransforms:
+    """Valid groups whose general-nu transforms overflow or sit deep in the tail."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dist,p", [("t:0.5", 1e-200), ("inv_gamma:0.5", 1e-200),
+                                        ("t:1.5", 1e-295)])
+    def test_combine_standard_exits_zero(self, tmp_path, dist, p):
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_groups(inp, [("g1", [p, 0.3])])
+        assert main(["combine", "-i", str(inp), "--method", "standard", "--dist", dist,
+                     "-o", str(out)]) == 0
+        row = read_csv(out)[0]
+        d = parse_distribution(dist)
+        x = d.inverse_survival(np.array([p, 0.3]))
+        if dist == "t:1.5":
+            # a finite isf near 1e196, checked by its round trip
+            assert 1e195 < x[0] < 1e197
+            assert float(d.survival(x[0])) == pytest.approx(p, rel=1e-13)
+            assert float(row["combined_p"]) == pytest.approx(
+                combine_standard([p, 0.3], d).combined_p, rel=1e-12)
+        else:
+            assert x[0] == np.inf
+            assert float(row["combined_p"]) == sys.float_info.min
+
+
 class TestAdjustBhCommand:
     def test_all_discovered(self, tmp_path):
         inp = tmp_path / "in.csv"
@@ -394,6 +420,26 @@ class TestWorkerEnvVar:
         monkeypatch.setenv("HEAVYCOMB_WORKERS", "many")
         assert main(["calibrate-minp", "--n", "2", "--rho", "0",
                      "--reps", "1000"]) == 2
+
+    def test_flag_wins_over_invalid_env_on_config_path(self, tmp_path, monkeypatch):
+        # the environment default is read only when neither --workers nor the
+        # config sets the worker count
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"command": "calibrate-minp",
+                                    "model": {"family": "normal", "n": 2, "rho": 0.0},
+                                    "alpha": 0.05, "replications": 1_000, "seed": 1}))
+        out = tmp_path / "m.csv"
+        monkeypatch.setenv("HEAVYCOMB_WORKERS", "many")
+        assert main(["calibrate-minp", "--config", str(path), "--workers", "1",
+                     "-o", str(out)]) == 0
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        assert manifest["workers"] == 1
+        cfg = json.loads(path.read_text())
+        cfg["workers"] = 1
+        path.write_text(json.dumps(cfg))
+        assert main(["calibrate-minp", "--config", str(path), "-o", str(out)]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["calibrate-minp", "--preset", "tableS3"]) == 2  # still read without both
 
 
 class TestEntryPoint:

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -20,6 +22,8 @@ from heavycomb.distributions import (
     truncation_point,
 )
 from heavycomb.errors import DomainError, InfiniteQuantileError
+
+MAX_DOUBLE = sys.float_info.max
 
 
 def all_families():
@@ -328,3 +332,85 @@ class TestParseGrammar:
             parse_distribution("pareto:-1")
         with pytest.raises(DomainError):
             parse_distribution("trunc_t:1:1.5")
+
+
+class TestGeneralNuOracle:
+    """Student t and inverse gamma against mpmath on a log grid of q in [1e-300, 1).
+
+    ``scipy.stats.t.isf`` is not an oracle here: below q ~ 1e-220 it is wrong
+    (at nu = 2.5, q = 1.53e-221 the sf of its answer is 9 q), and scipy's t sf
+    underflows to 0 for x beyond about 1e154.  mpmath evaluates the exact sf
+    of each returned double.
+    """
+
+    Q = np.concatenate([np.logspace(-300, 0, 61)[:-1], [0.2, 0.3, 0.45, 0.5 - 1e-9, 0.5,
+                                                         0.55, 0.7, 0.9, 0.99, 1.0 - 1e-9]])
+    NUS = (0.5, 1.5, 2.5, 3.0, 7.0)
+    GAMMAS = (0.5, 1.0, 3.5)
+    TOL = 1e-14
+
+    @staticmethod
+    def t_sf(nu, x):
+        nu = mpmath.mpf(nu)
+        x = mpmath.mpf(float(x))
+        half = mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + x * x), regularized=True) / 2
+        return half if x >= 0 else 1 - half
+
+    @staticmethod
+    def inv_gamma_sf(g, x):
+        return mpmath.gammainc(mpmath.mpf(g), 0, 1 / mpmath.mpf(float(x)), regularized=True)
+
+    def check(self, d, sf_exact):
+        x = np.asarray(d.inverse_survival(self.Q))
+        sf = np.asarray(d.survival(x))
+        with mpmath.workdps(30):
+            overflow = sf_exact(MAX_DOUBLE)
+            for q, xi, ours in zip(self.Q, x, sf):
+                if xi == np.inf:  # the true isf overflows: quiet +inf
+                    assert overflow > q, (d, q)
+                    continue
+                exact = sf_exact(xi)
+                assert abs(exact / q - 1) <= self.TOL, (d, q, xi)  # isf round trip
+                assert abs(ours / exact - 1) <= self.TOL, (d, q, xi)
+
+    def test_student_t(self):
+        for nu in self.NUS:
+            self.check(StudentT(nu), lambda x, nu=nu: self.t_sf(nu, x))
+
+    def test_inverse_gamma(self):
+        for g in self.GAMMAS:
+            self.check(InverseGamma(g), lambda x, g=g: self.inv_gamma_sf(g, x))
+
+    def test_deep_tail_isf_is_finite_where_the_true_one_is(self):
+        # t:1.5 at 1e-295 sits near 1e196; t:0.5 and inv_gamma:0.5 overflow
+        x = StudentT(1.5).inverse_survival(1e-295)
+        assert 1e195 < x < 1e197
+        with mpmath.workdps(30):
+            assert abs(self.t_sf(1.5, x) / 1e-295 - 1) <= self.TOL
+        assert StudentT(0.5).inverse_survival(1e-200) == math.inf
+        assert InverseGamma(0.5).inverse_survival(1e-200) == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_extremes_are_quiet(self):
+        q = np.array([5e-324, 1e-320, 1e-300, 1e-200, 1e-100, 1e-10, 0.25, 0.5, 0.75, 1.0])
+        dists = [StudentT(nu) for nu in self.NUS] + [InverseGamma(g) for g in self.GAMMAS]
+        dists += [TruncatedT(nu, 0.9) for nu in self.NUS]
+        for d in dists:
+            x = np.asarray(d.inverse_survival(q))
+            assert not np.isnan(x).any(), d
+            assert np.all(x[1:] <= x[:-1]), d
+            sf = np.asarray(d.survival(x))
+            assert np.all((sf >= 0.0) & (sf <= 1.0)), d
+            u = np.asarray(d.quantile(q[:-1]))
+            assert not np.isnan(u).any() and np.all(u[1:] >= u[:-1]), d
+            assert not np.isnan(np.asarray(d.cdf(u))).any(), d
+
+    def test_inv_gamma_1_is_frechet_1(self):
+        ig, fr = InverseGamma(1.0), Frechet(1.0)
+        q = np.concatenate([np.logspace(-300, 0, 31), [0.3, 0.5, 0.9]])
+        assert np.array_equal(ig.inverse_survival(q), fr.inverse_survival(q))
+        assert np.array_equal(ig.quantile(q[:-4]), fr.quantile(q[:-4]))
+        x = np.logspace(-300, 300, 61)
+        assert np.array_equal(ig.survival(x), fr.survival(x))
+        assert np.array_equal(ig.cdf(x), fr.cdf(x))
+        assert ig.inverse_survival(0.25) == -1.0 / math.log1p(-0.25)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from heavycomb import special
 from heavycomb.errors import (
     BracketError,
     ConvergenceError,
@@ -270,3 +271,54 @@ class TestFindRoot:
             RootBracket(2.0, 1.0)
         with pytest.raises(DomainError):
             RootBracket(0.0, 1.0, rel_tol=0.0)
+
+
+class TestIncompleteArrays:
+    """The private array incomplete beta and gamma and the Halley solver."""
+
+    def test_beta_against_scipy(self):
+        x = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(0.01, 0.99, 99), [1 - 1e-9, 1.0]])
+        y = 1.0 - x
+        for a, b in ((0.25, 0.5), (1.5, 0.5), (3.5, 0.5), (15.0, 0.5), (0.5, 1.5), (2.0, 3.0)):
+            i_x, i_y, dens = special._reg_beta_array(x, y, a, b, x ** a * y ** b)
+            assert np.allclose(i_x, sps.betainc(a, b, x), rtol=1e-13, atol=1e-300), (a, b)
+            # y = 1 - x is rounded, so scipy's I_y(b, a) is not the complement
+            # near x = 0; the identity is checked instead
+            assert np.all(np.abs(i_x + i_y - 1.0) <= 2.3e-16), (a, b)
+            assert np.allclose(dens, x ** a * y ** b / sps.beta(a, b), rtol=1e-13, atol=0), (a, b)
+            # the value computed directly is the smaller one, near 1/2 at most
+            assert np.all(np.minimum(i_x, i_y) <= 0.6)
+
+    def test_gamma_against_scipy(self):
+        y = np.concatenate([[0.0, 1e-300, 1e-20], np.logspace(-5, 2.8, 200)])
+        for s in (0.01, 0.5, 1.0, 3.5, 20.0):
+            p, q, dens = special._reg_gamma_array(s, y)
+            assert np.allclose(p, sps.gammainc(s, y), rtol=1e-13, atol=1e-300), s
+            # below s + 1, Q = 1 - P is known to absolute error only
+            assert np.allclose(q, sps.gammaincc(s, y), rtol=1e-13, atol=2e-15), s
+            with np.errstate(divide="ignore"):
+                ref = np.exp(s * np.log(y) - y - sps.gammaln(s))
+            assert np.allclose(dens, ref, rtol=1e-12, atol=0), s
+
+    def test_empty_lane_sets(self):
+        empty = np.empty(0)
+        assert special._beta_cf_array(empty, 1.5, 0.5).size == 0
+        assert all(v.size == 0 for v in special._reg_gamma_array(2.0, empty))
+
+    def test_solver_converges_and_bisects(self):
+        # G = log(c / x) is exactly linear in log x: one Halley step lands on c.
+        c = np.array([1e-200, 0.5, 3.0, 1e250])
+
+        def linear(x, lanes):
+            return np.log(c[lanes] / x), -np.ones_like(x), np.zeros_like(x)
+
+        x0 = c * np.array([1e3, 0.9, 1.1, 1e-3])
+        got = special._solve_decreasing(x0, c / 1e4, c * 1e4, linear)
+        assert np.allclose(got, c, rtol=1e-15)
+
+        # a useless slope forces bisection inside the bracket
+        def flat(x, lanes):
+            return np.log(c[lanes] / x), np.full_like(x, -1e-30), np.zeros_like(x)
+
+        got = special._solve_decreasing(c * 7.0, c / 10.0, c * 10.0, flat)
+        assert np.allclose(got, c, rtol=1e-13)
