@@ -36,6 +36,7 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 _TINY_NORMAL = np.finfo(np.float64).tiny
 _MAX = np.finfo(np.float64).max
 _WIDEN = 1e-9  # relative margin on computed bracket ends
+_MAX_FINITE_SUM_NU = 100  # the t's finite sums have about nu / 2 terms
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -429,8 +430,8 @@ class StudentT(HeavyTailDistribution):
 
         With w = nu / (x^2 + nu), the power w^(nu/2) (1 - w)^(1/2) is formed
         from w directly (rounding amplified by nu/2), or, where x^2 overflows,
-        from sqrt(w) = sqrt(nu) / hypot(sqrt(nu), x).  Integer nu uses the
-        finite sums of A&S 26.7.3-4 where they give sf >= 1/20, so that their
+        from sqrt(w) = sqrt(nu) / hypot(sqrt(nu), x).  Integer nu up to 100 uses
+        the finite sums of A&S 26.7.3-4 where they give sf >= 1/20, so that their
         cancellation costs at most a factor 10; the tail beyond, where it
         would cost everything, is left to the continued fraction.
         """
@@ -446,7 +447,7 @@ class StudentT(HeavyTailDistribution):
         huge = ax > 1e150
         if huge.any():
             power[huge] = s[huge] ** nu * cs[huge]
-        if nu != int(nu):
+        if nu != int(nu) or nu > _MAX_FINITE_SUM_NU:
             i_w, i_y, dens = special._reg_beta_array(w, y, 0.5 * nu, 0.5, power)
             return 0.5 * i_w, 0.5 * i_y, dens, y
         # a finite series in w = cos^2(theta), theta = arctan(x / sqrt(nu))

@@ -511,9 +511,10 @@ def _reg_beta_array(x: np.ndarray, y: np.ndarray, a: float, b: float, power: np.
     ``power`` is x^a y^b, formed by the caller, which alone can form it
     without underflow for its parametrisation.  The continued fraction runs
     on x below (a + 1) / (a + b + 2) and on y above, where each converges
-    fast; a lane whose I_y comes out above 1/2 is computed again on x, so
-    that the complement, 1 minus the value computed directly, loses at most
-    a bit to cancellation.
+    fast; a lane whose I_y comes out above 1/2 is computed again on x (up to
+    x = 0.99, beyond which that fraction needs hundreds of terms), so that
+    the complement, 1 minus the value computed directly, loses at most a bit
+    to cancellation.
     """
     dens = power * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
     i_x = np.empty_like(x)
@@ -521,7 +522,7 @@ def _reg_beta_array(x: np.ndarray, y: np.ndarray, a: float, b: float, power: np.
     low = x < (a + 1.0) / (a + b + 2.0)
     high = ~low
     i_y[high] = dens[high] / b * _beta_cf_array(y[high], b, a)
-    low[high] = i_y[high] > 0.5
+    low[high] = (i_y[high] > 0.5) & (x[high] <= 0.99)
     i_x[low] = dens[low] / a * _beta_cf_array(x[low], a, b)
     high = ~low
     i_y[low] = 1.0 - i_x[low]
@@ -628,7 +629,8 @@ def _solve_decreasing(x, lo, hi, evaluate):
             step = np.where(np.abs(nc) < 1.0, newton / (1.0 + 0.5 * nc), newton)
             new = x * np.exp(step)
             inside = (new >= lo) & (new <= hi)
-            new = np.where(inside, new, np.sqrt(lo) * np.sqrt(hi))
+            if not inside.all():
+                new = np.where(inside, new, np.sqrt(lo) * np.sqrt(hi))
             finished = (inside & (np.abs(step) <= _HALLEY_DONE)) | (hi <= lo * (1.0 + 4.0 * _EPS))
             if finished.any():
                 idx, new, lo, hi = _retire(finished, out, idx, new, lo, hi)
