@@ -450,7 +450,7 @@ def normal_quantile_array(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Array incomplete beta and gamma, and a safeguarded Halley solver.  Every
 # loop keeps a per-lane active set: finished lanes are scattered out and the
-# rest compressed, so a lane pays only for the iterations it needs.  A front
+# rest compressed, so the loop runs only as long as its slowest lane.  A front
 # factor that reaches far into a tail is a power of a base in (0, 1] (or a
 # caller-supplied power): the exponential of a long logarithm would carry its
 # rounding, |log| * eps, into the result (1e-13 relative at log = -700).  The
@@ -464,9 +464,10 @@ _HALLEY_DONE = 1e-5  # a Halley step this small leaves an error of order its cub
 def _retire(done, out, idx, result, *lanes):
     """Scatter ``result`` of the finished lanes into ``out``; compress the rest.
 
-    The series and continued fractions call it once a quarter of their lanes
-    are done: compressing costs a pass over every lane array, and a finished
-    lane left in place only converges further.
+    The series and continued fractions call it only once a quarter of their
+    lanes are done: compressing costs a pass over every lane array, and a
+    finished lane left in place only converges further.  The solver, whose
+    every step costs an evaluation, retires lanes as they finish.
     """
     out[idx[done]] = result[done]
     live = ~done
