@@ -28,7 +28,7 @@ import numpy as np
 
 from . import special
 from .errors import DomainError, InfiniteQuantileError
-from .special import find_root  # noqa: F401  (kept importable by name)
+from .special import find_root  # noqa: F401  (perfbench/tracing.py patches this name)
 
 ArrayLike = Union[float, np.ndarray]
 
