@@ -576,11 +576,12 @@ def _reg_gamma_array(s: float, y: np.ndarray):
     """``(P(s, y), Q(s, y), y^s e^-y / Gamma(s))`` on a 1-D array of finite y >= 0.
 
     Below y = s + 1, P is the series (front (y e^(-y/s) / Gamma(s+1)^(1/s))^s,
-    a power of a base below 1); above, Q is the continued fraction (front in
-    log space, where the exponent is dominated by -y).  The value computed
-    directly is accurate to relative error, the other is 1 minus it: below
-    1/2 on either side for s >= 1; for small s, Q below s + 1 is small and
-    known only to absolute error (y^s / Gamma(s + 1) - 1 cancels in it).
+    a power of a base below 1); above, Q is the continued fraction, whose
+    front e^-y y^s / Gamma(s) is a product of separately rounded factors
+    below y = 708 (and y^s < e^700), one exponential of the summed logarithms
+    beyond.  The value computed directly is accurate to relative error, the
+    other is 1 minus it: below 1/2 on either side for s >= 1; for small s,
+    Q below s + 1 is small and known only to absolute error.
     """
     p = np.empty_like(y)
     q = np.empty_like(y)
@@ -592,8 +593,11 @@ def _reg_gamma_array(s: float, y: np.ndarray):
     dens[low] = s * front
     high = ~low
     yh = y[high]
-    with np.errstate(divide="ignore"):
-        front = np.exp(s * np.log(yh) - yh - math.lgamma(s))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logs = s * np.log(yh)
+        front = np.where((yh < 708.0) & (logs < 700.0),
+                         np.exp(-yh) * yh ** s * math.exp(-math.lgamma(s)),
+                         np.exp(logs - yh - math.lgamma(s)))
     q[high] = front * _gamma_cf_array(s, yh)
     dens[high] = front
     q[low] = 1.0 - p[low]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -299,6 +300,17 @@ class TestIncompleteArrays:
             with np.errstate(divide="ignore"):
                 ref = np.exp(s * np.log(y) - y - sps.gammaln(s))
             assert np.allclose(dens, ref, rtol=1e-12, atol=0), s
+
+    def test_gamma_upper_tail_front(self):
+        # e^-y y^s / Gamma(s) taken as one exponential of summed logarithms
+        # carries their rounding, |log| * eps: 2.2e-14 at y = 300
+        y = np.array([5.0, 50.0, 300.0, 699.0])
+        with mpmath.workdps(30):
+            for s in (0.5, 3.5):
+                q = special._reg_gamma_array(s, y)[1]
+                for yi, qi in zip(y, q):
+                    exact = mpmath.gammainc(s, yi, mpmath.inf, regularized=True)
+                    assert abs(qi / exact - 1) <= 5e-15, (s, yi)
 
     def test_empty_lane_sets(self):
         empty = np.empty(0)
