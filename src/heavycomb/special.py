@@ -451,10 +451,11 @@ def normal_quantile_array(u: np.ndarray) -> np.ndarray:
 # Array incomplete beta and gamma, and a safeguarded Halley solver.  Every
 # loop keeps a per-lane active set: finished lanes are scattered out and the
 # rest compressed, so the loop runs only as long as its slowest lane.  A front
-# factor that reaches far into a tail is a power of a base in (0, 1] (or a
-# caller-supplied power): the exponential of a long logarithm would carry its
-# rounding, |log| * eps, into the result (1e-13 relative at log = -700).  The
-# Gamma-function constants are taken in log space.
+# factor that reaches far into a tail is built from separately rounded powers
+# and exponentials (or supplied by the caller): one exponential of a long
+# summed logarithm would carry its rounding, |log| * eps, into the result
+# (1e-13 relative at log = -700).  The Gamma-function constants are taken in
+# log space.
 
 _ITER_TOL = 2.0 * _EPS
 _MAX_ITER_SOLVE = 100
