@@ -370,16 +370,17 @@ class InverseGamma(HeavyTailDistribution):
         """x whose survival (where ``upper``) or cdf (elsewhere) is ``tail`` <= 1/2.
 
         Halley on the log of that tail in log x: the log-gamma density is
-        log-concave, so both tails are log-concave in log x.  The true isf
-        overflows where ``tail`` is below the survival at the largest double:
-        +inf there.
+        log-concave, so both tails are log-concave in log x.  The true root
+        overflows where a survival ``tail`` is below the survival at the
+        largest double, or (for a shape below about 1/700, where that survival
+        exceeds 1/2) a cdf ``tail`` is above the cdf there: +inf there.
         """
         g = self.gamma
         up = upper.ravel()
         t = tail.ravel()
         out = np.full_like(t, np.inf)
         sf_max = math.exp(-g * math.log(_MAX) - math.lgamma(g + 1.0))  # P(g, y) ~ y^g / Gamma(g+1)
-        todo = ~up | (t >= sf_max)
+        todo = np.where(up, t >= sf_max, t <= 1.0 - sf_max)
         up, t = up[todo], t[todo]
         lower_p = np.where(up, t, 1.0 - t)  # P(g, 1/x) at the root
         # P(g, y) <= y^g / Gamma(g + 1) puts the root's y above y_low: x below 1/y_low

@@ -577,7 +577,8 @@ def _reg_gamma_array(s: float, y: np.ndarray):
     """``(P(s, y), Q(s, y), y^s e^-y / Gamma(s))`` on a 1-D array of finite y >= 0.
 
     Below y = s + 1, P is the series (front (y e^(-y/s) / Gamma(s+1)^(1/s))^s,
-    a power of a base below 1); above, Q is the continued fraction, whose
+    a power of a base below 1; for s below 1/699, where e^(-y/s) can
+    underflow, one exponential of an exponent above -2.1); above, Q is the continued fraction, whose
     front e^-y y^s / Gamma(s) is a product of separately rounded factors
     below y = 708 (and y^s < e^700), one exponential of the summed logarithms
     beyond.  The value computed directly is accurate to relative error, the
@@ -589,7 +590,13 @@ def _reg_gamma_array(s: float, y: np.ndarray):
     dens = np.empty_like(y)
     low = y < s + 1.0
     yl = y[low]
-    front = (yl * np.exp(-yl / s) * math.exp(-math.lgamma(s + 1.0) / s)) ** s
+    if 700.0 * s < s + 1.0:
+        # y / s may pass 700, where e^(-y/s) underflows; here y < 1.0015 and
+        # s |log y| < 1.07, so the exponent lies in (-2.1, 0.01)
+        with np.errstate(divide="ignore"):
+            front = np.exp(s * np.log(yl) - yl - math.lgamma(s + 1.0))
+    else:
+        front = (yl * np.exp(-yl / s) * math.exp(-math.lgamma(s + 1.0) / s)) ** s
     p[low] = front * _gamma_series_array(s, yl)
     dens[low] = s * front
     high = ~low
@@ -616,7 +623,8 @@ def _solve_decreasing(x, lo, hi, evaluate):
     with every evaluation, is replaced by bisection in log x.  x is updated
     multiplicatively, so its relative rounding does not grow with |log x|.
     A lane stops after a step below ``_HALLEY_DONE``, or when its bracket
-    closes.
+    closes; a lane still running after ``_MAX_ITER_SOLVE`` evaluations
+    raises ``ConvergenceError``.
     """
     out = np.empty_like(x)
     idx = np.arange(x.size)
@@ -641,5 +649,7 @@ def _solve_decreasing(x, lo, hi, evaluate):
             if finished.any():
                 idx, new, lo, hi = _retire(finished, out, idx, new, lo, hi)
             x = new
-    out[idx] = x
+    if idx.size:
+        raise ConvergenceError(
+            f"inverse survival: {idx.size} values not converged in {_MAX_ITER_SOLVE} steps")
     return out

@@ -343,10 +343,12 @@ class TestGeneralNuOracle:
     of each returned double.
     """
 
+    # 1 - 3e-4 puts the inverse gamma root with shape 1e-3 at 1/y, y / gamma > 700
     Q = np.concatenate([np.logspace(-300, 0, 61)[:-1], [0.2, 0.3, 0.45, 0.5 - 1e-9, 0.5,
-                                                         0.55, 0.7, 0.9, 0.99, 1.0 - 1e-9]])
+                                                         0.55, 0.7, 0.9, 0.99, 1.0 - 3e-4,
+                                                         1.0 - 1e-9]])
     NUS = (0.5, 1.5, 2.5, 3.0, 7.0)
-    GAMMAS = (0.5, 1.0, 3.5)
+    GAMMAS = (1e-5, 1e-3, 0.5, 1.0, 3.5)  # below 1/700, e^(-y/gamma) underflows in P
     TOL = 1e-14
 
     @staticmethod
@@ -380,6 +382,16 @@ class TestGeneralNuOracle:
     def test_inverse_gamma(self):
         for g in self.GAMMAS:
             self.check(InverseGamma(g), lambda x, g=g: self.inv_gamma_sf(g, x))
+
+    def test_integer_nu_centre(self):
+        # integer nu takes the centre (sf >= 1/20) from the finite sums of
+        # A&S 26.7.3-4, 1.7e-16 (nu = 7) and 3.1e-16 (nu = 20) off here; the
+        # incomplete beta alone would be 1.2e-15 and 3.4e-15 off
+        x = np.linspace(0.0, 1.6, 81)
+        with mpmath.workdps(30):
+            for nu in (7.0, 20.0):
+                for xi, cdf in zip(x, StudentT(nu).cdf(x)):
+                    assert abs(cdf / (1 - self.t_sf(nu, xi)) - 1) <= 1e-15, (nu, xi)
 
     def test_deep_tail_isf_is_finite_where_the_true_one_is(self):
         # t:1.5 at 1e-295 sits near 1e196; t:0.5 and inv_gamma:0.5 overflow

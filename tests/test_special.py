@@ -292,7 +292,8 @@ class TestIncompleteArrays:
 
     def test_gamma_against_scipy(self):
         y = np.concatenate([[0.0, 1e-300, 1e-20], np.logspace(-5, 2.8, 200)])
-        for s in (0.01, 0.5, 1.0, 3.5, 20.0):
+        # below s = 1/699, y / s passes 700 (e^(-y/s) underflows) below y = s + 1
+        for s in (1e-5, 1e-3, 0.01, 0.5, 1.0, 3.5, 20.0):
             p, q, dens = special._reg_gamma_array(s, y)
             assert np.allclose(p, sps.gammainc(s, y), rtol=1e-13, atol=1e-300), s
             # below s + 1, Q = 1 - P is known to absolute error only
@@ -334,3 +335,13 @@ class TestIncompleteArrays:
 
         got = special._solve_decreasing(c * 7.0, c / 10.0, c * 10.0, flat)
         assert np.allclose(got, c, rtol=1e-13)
+
+    def test_solver_raises_when_steps_never_shrink(self):
+        # every step is -2e-5 in log x and stays inside the bracket: the lane
+        # never finishes, and its value after the last step is no root
+        def creeping(x, lanes):
+            return np.full_like(x, -1.0), np.full_like(x, -5e4), np.zeros_like(x)
+
+        x0 = np.array([1.0, 2.0])
+        with pytest.raises(ConvergenceError):
+            special._solve_decreasing(x0, x0 / 2.0, x0 * 2.0, creeping)
