@@ -169,7 +169,7 @@ def fisher(p) -> CombinedResult:
     """Fisher's method: -2 sum log p_i against the chi-square(2n) upper tail."""
     arr = _validate_pvalues(p)
     statistic = float(-2.0 * np.sum(np.log(arr)))
-    raw = special.reg_gamma_upper(arr.size, statistic / 2.0)
+    raw = special._poisson_tail(arr.size, statistic / 2.0)
     return CombinedResult(
         method="fisher",
         n=arr.size,

@@ -180,8 +180,16 @@ def statistics_to_pvalues(t, model: ExchangeableModel) -> np.ndarray:
 
 
 def chi_square_upper_quantile(dof_pairs: float, alpha: float) -> float:
-    """Upper-tail quantile of chi-square with 2*dof_pairs degrees of freedom."""
-    f = lambda t: special.reg_gamma_upper(dof_pairs, t / 2.0) - alpha
+    """Upper-tail quantile of chi-square with 2*dof_pairs degrees of freedom.
+
+    ``dof_pairs`` is a positive integer (the number of p-values Fisher's
+    method combines); the survival is the same Poisson tail as ``fisher``'s.
+    """
+    k = int(dof_pairs)
+    if k != dof_pairs or k < 1:
+        raise DomainError(f"chi_square_upper_quantile: dof_pairs must be a positive integer, "
+                          f"got {dof_pairs!r}")
+    f = lambda t: special._poisson_tail(k, t / 2.0) - alpha
     hi = 4.0 * dof_pairs + 10.0
     while f(hi) > 0.0:
         hi *= 2.0

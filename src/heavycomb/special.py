@@ -1,14 +1,16 @@
-"""Special functions, their array kernels, and a bracketed root finder.
+"""Special functions as numpy array kernels, and a bracketed root finder.
 
-Everything here is pure, thread-safe and numpy only.  The scalar normal CDF
-leans on the C library's ``erfc``; the array kernels are rational
-approximations evaluated branch by branch: erf/erfc from Cephes ``ndtr.c``
-with exp(-x^2) split so that its exponent is exact (``expx2``), and the
-normal quantile from Wichura's AS 241 (PPND16), which the scalar quantile
-shares.  The regularized incomplete gamma and beta functions use the classic
-series / continued-fraction split evaluated with the modified Lentz
-algorithm, as scalars and as private array kernels; a safeguarded Halley
-solver inverts the array kernels.
+Everything here is pure, thread-safe and numpy only, and each function has
+one implementation.  erf/erfc follow Cephes ``ndtr.c``, with exp(-x^2) split
+so that its exponent is exact (``expx2``), and the normal quantile is
+Wichura's AS 241 (PPND16); each branch of these rational approximations runs
+only on its own elements.  The regularized incomplete gamma and beta
+functions are a series / continued-fraction split (modified Lentz) over
+arrays with a per-lane active set, and a safeguarded Halley solver inverts
+them.  ``reg_gamma_lower``, ``reg_gamma_upper`` and ``reg_beta`` are
+one-element views of those kernels.  The chi-square survival at an even
+number of degrees of freedom, behind Fisher's method, is the closed-form
+Poisson tail ``_poisson_tail``.
 """
 
 from __future__ import annotations
@@ -25,151 +27,6 @@ _SQRT2 = math.sqrt(2.0)
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
 _MAX_ITER_CF = 500
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    if not math.isfinite(x):
-        raise DomainError(f"normal_cdf: non-finite input {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_quantile(u: float) -> float:
-    """Inverse standard normal CDF (one element of :func:`normal_quantile_array`).
-
-    Raises
-    ------
-    InfiniteQuantileError
-        if ``u`` is exactly 0 or 1.
-    DomainError
-        if ``u`` lies outside ``[0, 1]``.
-    """
-    return float(normal_quantile_array(u))
-
-
-def log_gamma(a: float) -> float:
-    """log Gamma(a) for a > 0."""
-    if not (a > 0.0):
-        raise DomainError(f"log_gamma: argument must be positive, got {a!r}")
-    return math.lgamma(a)
-
-
-def _gamma_series(s: float, x: float) -> float:
-    # Lower regularized gamma by series, valid for x < s + 1.
-    ap = s
-    total = 1.0 / s
-    term = total
-    for _ in range(_MAX_ITER_CF):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ConvergenceError(f"reg_gamma series failed for s={s}, x={x}")
-
-
-def _gamma_cf(s: float, x: float) -> float:
-    # Upper regularized gamma by continued fraction (modified Lentz).
-    b = x + 1.0 - s
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER_CF + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ConvergenceError(f"reg_gamma continued fraction failed for s={s}, x={x}")
-
-
-def reg_gamma_lower(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x)."""
-    if not (s > 0.0) or math.isnan(x) or x < 0.0:
-        raise DomainError(f"reg_gamma_lower: invalid arguments s={s!r}, x={x!r}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    if x < s + 1.0:
-        return _gamma_series(s, x)
-    return 1.0 - _gamma_cf(s, x)
-
-
-def reg_gamma_upper(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x)."""
-    if not (s > 0.0) or math.isnan(x) or x < 0.0:
-        raise DomainError(f"reg_gamma_upper: invalid arguments s={s!r}, x={x!r}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x < s + 1.0:
-        return 1.0 - _gamma_series(s, x)
-    return _gamma_cf(s, x)
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta (modified Lentz).
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER_CF + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise ConvergenceError(f"reg_beta continued fraction failed for a={a}, b={b}, x={x}")
-
-
-def reg_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if not (a > 0.0) or not (b > 0.0) or math.isnan(x) or x < 0.0 or x > 1.0:
-        raise DomainError(f"reg_beta: invalid arguments x={x!r}, a={a!r}, b={b!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    # Continued fraction converges fast on its own side of the split.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
 @dataclass(frozen=True)
@@ -653,3 +510,86 @@ def _solve_decreasing(x, lo, hi, evaluate):
         raise ConvergenceError(
             f"inverse survival: {idx.size} values not converged in {_MAX_ITER_SOLVE} steps")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalars.  ``perfbench/tracing.py`` looks up ``reg_beta``, ``reg_gamma_lower``,
+# ``reg_gamma_upper`` and ``find_root`` by name; the first three are
+# one-element views of the array kernels.
+
+
+def _reg_gamma_pair(name: str, s: float, x: float) -> tuple[float, float]:
+    if not (0.0 < s < math.inf) or math.isnan(x) or x < 0.0:
+        raise DomainError(f"{name}: invalid arguments s={s!r}, x={x!r}")
+    if math.isinf(x):
+        return 1.0, 0.0
+    p, q, _ = _reg_gamma_array(s, np.array([x], dtype=np.float64))
+    return float(p[0]), float(q[0])
+
+
+def reg_gamma_lower(s: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(s, x)."""
+    return _reg_gamma_pair("reg_gamma_lower", s, x)[0]
+
+
+def reg_gamma_upper(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x)."""
+    return _reg_gamma_pair("reg_gamma_upper", s, x)[1]
+
+
+def reg_beta(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta I_x(a, b).
+
+    x^a (1 - x)^b and 1 / B(a, b) are taken as separate factors, so where
+    either leaves the double range (a + b beyond about 1000) the value is lost.
+    """
+    if not (a > 0.0) or not (b > 0.0) or math.isnan(x) or x < 0.0 or x > 1.0:
+        raise DomainError(f"reg_beta: invalid arguments x={x!r}, a={a!r}, b={b!r}")
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    xs = np.array([x])
+    ys = 1.0 - xs
+    return float(_reg_beta_array(xs, ys, a, b, xs ** a * ys ** b)[0][0])
+
+
+# A Poisson term this far below the running total, past the largest term,
+# leaves it unchanged, and so do all the terms after it.
+_TAIL_DONE = 1e-20
+
+
+def _poisson_tail(k: int, y: float) -> float:
+    """Q(k, y) = e^-y sum_{j<k} y^j / j! for an integer k >= 1 and y >= 0.
+
+    This is P(Poisson(y) < k), and the chi-square(2k) survival at 2y.  Below
+    y = 708 the terms t_j are summed by recursion from e^-y.  Beyond, where
+    e^-y underflows, they are summed relative to the largest one, which then
+    scales the sum as one exponential of its logarithm (relative error about
+    y * eps): up to k - 1 <= y that is t_(k-1); above, Q is 1 minus the terms
+    from t_k on, whose sum lies below about 1/2, as the incomplete gamma
+    series does past s + 1.  Summation stops once the terms, falling
+    geometrically, no longer change the total.
+    """
+    if y < 708.0:
+        term = total = math.exp(-y)
+        for j in range(1, k):
+            term *= y / j
+            total += term
+            if j > y and term < total * _TAIL_DONE:
+                break
+        return total
+    total = term = 1.0
+    if k - 1 <= y:
+        for j in range(k - 1, 0, -1):
+            term *= j / y
+            total += term
+            if term < total * _TAIL_DONE:
+                break
+        return total * math.exp((k - 1) * math.log(y) - y - math.lgamma(k))
+    j = k
+    while term >= total * _TAIL_DONE:
+        j += 1
+        term *= y / j
+        total += term
+    return 1.0 - total * math.exp(k * math.log(y) - y - math.lgamma(k + 1.0))

@@ -1,6 +1,8 @@
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -251,6 +253,26 @@ class TestFisher:
         res = fisher([0.05, 0.05])
         assert res.statistic == pytest.approx(11.982929094215963, rel=1e-14)
         assert res.combined_p == pytest.approx(0.017478661367769955, rel=1e-13)
+
+    def test_against_poisson_sum(self):
+        # the chi-square(2n) survival at 2y is e^-y sum_{j<n} y^j / j!; mpmath
+        # evaluates it at the returned statistic.  Beyond y = 708 the sum's
+        # scale is one exponential of a logarithm near y, so about y * eps.
+        with mpmath.workdps(30):
+            for n in range(1, 61):
+                for y in np.logspace(-3, math.log10(900.0), 40):
+                    p = np.full(n, math.exp(-y / n))
+                    if p[0] == 0.0:
+                        continue
+                    res = fisher(p)
+                    half = mpmath.mpf(res.statistic) / 2
+                    exact = mpmath.exp(-half) * mpmath.fsum(
+                        half ** j / mpmath.factorial(j) for j in range(n))
+                    if exact < sys.float_info.min:
+                        assert res.combined_p == sys.float_info.min, (n, y)
+                        continue
+                    tol = 2e-15 if half < 708 else 1.5e-13
+                    assert abs(res.combined_p / exact - 1) <= tol, (n, y)
 
     def test_against_scipy(self):
         rng = np.random.default_rng(2)

@@ -360,6 +360,11 @@ class TestChiSquareQuantile:
                 st.chi2.isf(alpha, 2 * n), rel=1e-10
             )
 
+    def test_needs_whole_pairs(self):
+        for bad in (0.0, 2.5):
+            with pytest.raises(DomainError):
+                chi_square_upper_quantile(bad, 0.05)
+
 
 class TestConfigValidation:
     def test_replications_positive(self):

@@ -16,9 +16,6 @@ from heavycomb.special import (
     RootBracket,
     erfc_array,
     find_root,
-    log_gamma,
-    normal_cdf,
-    normal_quantile,
     normal_quantile_array,
     normal_sf_array,
     reg_beta,
@@ -28,65 +25,66 @@ from heavycomb.special import (
 
 # mpmath (30 digits): Phi(1.959964) = 0.975000000903557595697504894747
 PHI_AT_1959964 = 0.9750000009035576
-# mpmath: log Gamma(1/2) = 0.572364942924700087071713675677
-LOG_GAMMA_HALF = 0.5723649429247001
 # 16 ulp: relative in the normal range, 16 subnormal steps below it.
 ULP16_REL = 3.6e-15
 ULP16_ABS = 16 * np.finfo(np.float64).smallest_subnormal
 
 
+def _phi(x: float) -> float:
+    """Standard normal CDF from the array kernel: Phi(x) = 1 - Phi(-x)."""
+    return float(normal_sf_array(-x))
+
+
 class TestNormalCdf:
     def test_symmetry_at_zero(self):
-        assert normal_cdf(0.0) == 0.5
+        assert _phi(0.0) == 0.5
 
     def test_limit_at_40(self):
-        assert abs(normal_cdf(40.0) - 1.0) < 1e-300
+        assert abs(_phi(40.0) - 1.0) < 1e-300
 
     def test_high_precision_point(self):
-        assert normal_cdf(1.959964) == pytest.approx(PHI_AT_1959964, rel=1e-15)
+        assert _phi(1.959964) == pytest.approx(PHI_AT_1959964, rel=1e-15)
 
     def test_symmetry_identity(self):
         for x in np.concatenate([np.linspace(-8, 8, 41), [-30.0, 30.0]]):
-            assert abs(normal_cdf(x) + normal_cdf(-x) - 1.0) <= 1e-15
+            assert abs(_phi(x) + _phi(-x) - 1.0) <= 1e-15
 
     def test_against_scipy(self):
         xs = np.linspace(-10, 10, 201)
-        ours = np.array([normal_cdf(x) for x in xs])
+        ours = np.array([_phi(x) for x in xs])
         assert np.allclose(ours, sps.ndtr(xs), rtol=5e-13, atol=0)
-
-    def test_nonfinite_rejected(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError):
-                normal_cdf(bad)
 
 
 class TestNormalQuantile:
+    """The array quantile on scalar arguments."""
+
     def test_median(self):
-        assert normal_quantile(0.5) == 0.0
+        assert normal_quantile_array(0.5) == 0.0
 
     def test_known_point(self):
-        assert normal_quantile(0.975) == pytest.approx(1.9599639845400545, abs=1e-12)
+        assert normal_quantile_array(0.975) == pytest.approx(1.9599639845400545, abs=1e-12)
 
     def test_antisymmetry(self):
         for u in (0.01, 0.1, 0.3, 0.45):
-            assert normal_quantile(u) == pytest.approx(-normal_quantile(1 - u), abs=1e-13)
+            assert normal_quantile_array(u) == pytest.approx(-normal_quantile_array(1 - u),
+                                                             abs=1e-13)
 
     def test_roundtrip_grid(self):
         # log-spaced grid 1e-12 .. 1 - 1e-12 in both tails
         lows = np.logspace(-12, -0.31, 60)
         grid = np.concatenate([lows, 1.0 - lows])
         for u in grid:
-            assert abs(normal_cdf(normal_quantile(u)) - u) <= 1e-12
+            assert abs(_phi(normal_quantile_array(u)) - u) <= 1e-12
 
     def test_bounds(self):
         with pytest.raises(InfiniteQuantileError):
-            normal_quantile(0.0)
+            normal_quantile_array(0.0)
         with pytest.raises(InfiniteQuantileError):
-            normal_quantile(1.0)
+            normal_quantile_array(1.0)
         with pytest.raises(DomainError):
-            normal_quantile(-0.1)
+            normal_quantile_array(-0.1)
         with pytest.raises(DomainError):
-            normal_quantile(1.1)
+            normal_quantile_array(1.1)
 
 
 def _with_neighbours(points):
@@ -144,27 +142,9 @@ class TestArrayKernels:
     ])
     def test_quantile_errors_match_scalar(self, u, error):
         with pytest.raises(error):
-            normal_quantile(u)
+            normal_quantile_array(u)
         with pytest.raises(error):
             normal_quantile_array(np.array([0.3, u, 0.7]))
-
-
-class TestLogGamma:
-    def test_at_one_and_two(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_at_half(self):
-        assert log_gamma(0.5) == pytest.approx(LOG_GAMMA_HALF, rel=1e-13)
-
-    def test_integers_match_factorials(self):
-        for n in range(3, 21):
-            assert log_gamma(n) == pytest.approx(math.log(math.factorial(n - 1)), rel=1e-13)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(DomainError):
-                log_gamma(bad)
 
 
 class TestRegGamma:
@@ -252,7 +232,7 @@ class TestFindRoot:
         assert find_root(lambda x: x - 3.0, RootBracket(0.0, 10.0)) == pytest.approx(3.0, abs=1e-12)
 
     def test_normal_quantile_equivalent(self):
-        root = find_root(lambda x: normal_cdf(x) - 0.975, RootBracket(0.0, 10.0))
+        root = find_root(lambda x: _phi(x) - 0.975, RootBracket(0.0, 10.0))
         assert root == pytest.approx(1.9599639845400545, abs=1e-10)
 
     def test_sqrt_two(self):
@@ -265,7 +245,7 @@ class TestFindRoot:
 
     def test_iteration_budget(self):
         with pytest.raises(ConvergenceError):
-            find_root(lambda x: normal_cdf(x) - 0.975, RootBracket(0.0, 10.0, max_iter=2))
+            find_root(lambda x: _phi(x) - 0.975, RootBracket(0.0, 10.0, max_iter=2))
 
     def test_bracket_validation(self):
         with pytest.raises(DomainError):
@@ -345,3 +325,17 @@ class TestIncompleteArrays:
         x0 = np.array([1.0, 2.0])
         with pytest.raises(ConvergenceError):
             special._solve_decreasing(x0, x0 / 2.0, x0 * 2.0, creeping)
+
+
+class TestPoissonTail:
+    """Q(k, y) for k and y beyond Fisher's test grid: large k, and y >= 708 on
+    both sides of k - 1 = y, where the scale is one exponential of a
+    logarithm near k log y (relative error up to about 1e-12 here)."""
+
+    @pytest.mark.parametrize("k, y", [(1, 708.0), (740, 750.0), (751, 750.0), (800, 750.0),
+                                      (2000, 713.0), (5000, 300.0)])
+    def test_against_mpmath(self, k, y):
+        with mpmath.workdps(30):
+            exact = mpmath.gammainc(k, y, mpmath.inf, regularized=True)
+            assert abs(special._poisson_tail(k, y) / exact - 1) <= 2e-12
+
