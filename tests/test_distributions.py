@@ -383,6 +383,12 @@ class TestGeneralNuOracle:
         for g in self.GAMMAS:
             self.check(InverseGamma(g), lambda x, g=g: self.inv_gamma_sf(g, x))
 
+    def test_large_inverse_gamma_shape(self):
+        # the incomplete gamma series and fraction need about 8 sqrt(shape) terms
+        q = np.array([1e-10, 0.01, 0.3, 0.9])
+        got = InverseGamma(1e4).inverse_survival(q)
+        assert np.allclose(got, st.invgamma.isf(q, 1e4), rtol=1e-12, atol=0)
+
     def test_integer_nu_centre(self):
         # integer nu takes the centre (sf >= 1/20) from the finite sums of
         # A&S 26.7.3-4, 1.7e-16 (nu = 7) and 3.1e-16 (nu = 20) off here; the
