@@ -364,6 +364,35 @@ class TestOtherCommands:
         assert len(read_csv(out)) == 4
 
 
+    def test_equiv_ratio_weights_reproduce_from_manifest(self, tmp_path):
+        # the manifest's config echo, run through --config, gives the same CSV
+        out, again = tmp_path / "eq.csv", tmp_path / "again.csv"
+        assert main(["equiv-ratio", "--n", "3", "--rho", "0.4", "--dist", "pareto:1",
+                     "--weights", "1,2,3", "--reps", "5000", "--seed", "9",
+                     "-o", str(out)]) == 0
+        manifest = json.loads((tmp_path / "eq.manifest.json").read_text())
+        assert manifest["config"]["weights"] == [1.0, 2.0, 3.0]
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps(manifest["config"]))
+        assert main(["equiv-ratio", "--config", str(path), "-o", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_equiv_ratio_weights_flag_wins_over_config(self, tmp_path):
+        cfg = {"model": {"n": 3, "rho": 0.4}, "distribution": "pareto:1",
+               "weights": [1, 1, 1], "replications": 5000, "seed": 9}
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps(cfg))
+        outs = []
+        for extra in ([], ["--weights", "1,2,3"]):
+            outs.append(tmp_path / f"eq{len(extra)}.csv")
+            assert main(["equiv-ratio", "--config", str(path), "-o", str(outs[-1])] + extra) == 0
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+        cfg["weights"] = [1, 2, 3]
+        path.write_text(json.dumps(cfg))
+        assert main(["equiv-ratio", "--config", str(path), "-o", str(outs[0])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 class TestPresets:
     @pytest.mark.parametrize("name,rows", [("table2a", 4 * 7), ("tableS1", 3 * 7)])
     def test_preset_shapes(self, tmp_path, name, rows):
