@@ -252,14 +252,12 @@ def cmd_adjust_bh(args) -> int:
     return _emit(args, header, rows, start, {"input": args.input, "q": args.q})
 
 
-def _load_config(args, command: str, from_flags: dict | None = None, overriding=()):
+def _load_config(args, command: str, from_flags: dict | None = None):
     """Return ``(config echo, seed, workers)`` from ``--preset`` or ``--config``.
 
     Commands that pass ``from_flags`` also run from ``--n``/``--rho``: their
-    config is the model flags, then ``from_flags``, then the seed.  ``--seed``,
-    ``--workers`` and the keys of ``from_flags`` named in ``overriding`` win
-    over the config when they are given (not None); the config wins over the
-    defaults.
+    config is the model flags, then ``from_flags``, then the seed.  ``--seed``
+    and ``--workers`` win over the config, which wins over the defaults.
     """
     if args.preset:
         try:
@@ -287,9 +285,10 @@ def _load_config(args, command: str, from_flags: dict | None = None, overriding=
     declared = cfg.pop("command", command)
     if declared != command:
         raise ConfigError(f"config declares command {declared!r} but was passed to {command!r}")
-    given = {"seed": args.seed, "workers": args.workers}
-    given.update((key, from_flags[key]) for key in overriding)
-    cfg.update((key, value) for key, value in given.items() if value is not None)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if args.workers is not None:
+        cfg["workers"] = args.workers
     cfg.setdefault("seed", _DEFAULT_SEED)
     if "workers" not in cfg:  # the environment is read only when nothing else sets it
         cfg["workers"] = _default_workers()
@@ -422,13 +421,15 @@ def cmd_tail_dep(args) -> int:
 
 def cmd_equiv_ratio(args) -> int:
     start = time.perf_counter()
-    flags = {"distribution": args.dist, "alphas": args.alphas, "replications": args.reps,
-             "weights": _parse_weights_arg(args.weights) if args.weights else None}
-    cfg, seed, workers = _load_config(args, "equiv-ratio", flags, overriding=("weights",))
+    flags = {"distribution": args.dist, "alphas": args.alphas, "replications": args.reps}
+    cfg, seed, workers = _load_config(args, "equiv-ratio", flags)
     models = _models_from_config(cfg)
     alphas = tuple(float(a) for a in cfg.get("alphas", [0.05]))
     replications = int(cfg.get("replications", 100_000))
-    weights = tuple(cfg["weights"]) if cfg.get("weights") else None
+    if args.preset or args.config:
+        weights = tuple(cfg["weights"]) if cfg.get("weights") else None
+    else:
+        weights = _parse_weights_arg(args.weights) if args.weights else None
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
 
     def rows():

@@ -180,15 +180,10 @@ def statistics_to_pvalues(t, model: ExchangeableModel) -> np.ndarray:
 
 
 def chi_square_upper_quantile(dof_pairs: float, alpha: float) -> float:
-    """Upper-tail quantile of chi-square with 2*dof_pairs degrees of freedom.
-
-    ``dof_pairs`` is a positive integer (the number of p-values Fisher's
-    method combines); the survival is the same Poisson tail as ``fisher``'s.
-    """
+    """Upper-tail quantile of chi-square with 2*dof_pairs (a whole number) degrees of freedom."""
     k = int(dof_pairs)
     if k != dof_pairs or k < 1:
-        raise DomainError(f"chi_square_upper_quantile: dof_pairs must be a positive integer, "
-                          f"got {dof_pairs!r}")
+        raise DomainError(f"chi_square_upper_quantile: dof_pairs {dof_pairs!r} is not in 1, 2, ...")
     f = lambda t: special._poisson_tail(k, t / 2.0) - alpha
     hi = 4.0 * dof_pairs + 10.0
     while f(hi) > 0.0:

@@ -1,16 +1,12 @@
 """Special functions as numpy array kernels, and a bracketed root finder.
 
-Everything here is pure, thread-safe and numpy only, and each function has
-one implementation.  erf/erfc follow Cephes ``ndtr.c``, with exp(-x^2) split
+Everything here is pure, thread-safe and numpy only, with one implementation
+of each function.  erf/erfc follow Cephes ``ndtr.c``, with exp(-x^2) split
 so that its exponent is exact (``expx2``), and the normal quantile is
-Wichura's AS 241 (PPND16); each branch of these rational approximations runs
-only on its own elements.  The regularized incomplete gamma and beta
-functions are a series / continued-fraction split (modified Lentz) over
-arrays with a per-lane active set, and a safeguarded Halley solver inverts
-them.  ``reg_gamma_lower``, ``reg_gamma_upper`` and ``reg_beta`` are
-one-element views of those kernels.  The chi-square survival at an even
-number of degrees of freedom, behind Fisher's method, is the closed-form
-Poisson tail ``_poisson_tail``.
+Wichura's AS 241 (PPND16).  The regularized incomplete gamma and beta are a
+series / continued-fraction split (modified Lentz) over arrays, inverted by
+a safeguarded Halley solver; ``reg_gamma_*`` and ``reg_beta`` are views of
+them.  Fisher's chi-square tail is the closed-form Poisson sum.
 """
 
 from __future__ import annotations
@@ -520,82 +516,55 @@ def _solve_decreasing(x, lo, hi, evaluate):
 
 # ---------------------------------------------------------------------------
 # Scalars.  ``perfbench/tracing.py`` looks up ``reg_beta``, ``reg_gamma_lower``,
-# ``reg_gamma_upper`` and ``find_root`` by name; the first three are
-# one-element views of the array kernels.
+# ``reg_gamma_upper`` and ``find_root`` by name; the first three are views of
+# the array kernels.
 
 
-def _reg_gamma_pair(name: str, s: float, x: float) -> tuple[float, float]:
+def _reg_gamma_view(name: str, s: float, x: float) -> tuple[float, float]:
     if not (0.0 < s < math.inf) or math.isnan(x) or x < 0.0:
         raise DomainError(f"{name}: invalid arguments s={s!r}, x={x!r}")
     if math.isinf(x):
         return 1.0, 0.0
-    p, q, _ = _reg_gamma_array(s, np.array([x], dtype=np.float64))
+    p, q, _ = _reg_gamma_array(s, np.array([float(x)]))
     return float(p[0]), float(q[0])
 
 
 def reg_gamma_lower(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x)."""
-    return _reg_gamma_pair("reg_gamma_lower", s, x)[0]
+    return _reg_gamma_view("reg_gamma_lower", s, x)[0]
 
 
 def reg_gamma_upper(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x)."""
-    return _reg_gamma_pair("reg_gamma_upper", s, x)[1]
+    return _reg_gamma_view("reg_gamma_upper", s, x)[1]
 
 
 def reg_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b).
 
-    x^a (1 - x)^b and 1 / B(a, b) are taken as separate factors, so where
-    either leaves the double range (a + b beyond about 1000) the value is lost.
+    x^a (1 - x)^b and 1 / B(a, b) are separate factors: once a + b passes
+    about 1000, one of them can leave the double range and the value is lost.
     """
     if not (a > 0.0) or not (b > 0.0) or math.isnan(x) or x < 0.0 or x > 1.0:
         raise DomainError(f"reg_beta: invalid arguments x={x!r}, a={a!r}, b={b!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    xs = np.array([x])
+    xs = np.array([float(x)])
     ys = 1.0 - xs
     return float(_reg_beta_array(xs, ys, a, b, xs ** a * ys ** b)[0][0])
 
 
-# A Poisson term this far below the running total, past the largest term,
-# leaves it unchanged, and so do all the terms after it.
-_TAIL_DONE = 1e-20
-
-
 def _poisson_tail(k: int, y: float) -> float:
-    """Q(k, y) = e^-y sum_{j<k} y^j / j! for an integer k >= 1 and y >= 0.
+    """Q(k, y) = e^-y sum_{j<k} y^j / j!, the chi-square(2k) survival at 2y (k >= 1, y >= 0).
 
-    This is P(Poisson(y) < k), and the chi-square(2k) survival at 2y.  Below
-    y = 708 the terms t_j are summed by recursion from e^-y.  Beyond, where
-    e^-y underflows, they are summed relative to the largest one, which then
-    scales the sum as one exponential of its logarithm (relative error about
-    y * eps): up to k - 1 <= y that is t_(k-1); above, Q is 1 minus the terms
-    from t_k on, whose sum lies below about 1/2, as the incomplete gamma
-    series does past s + 1.  Summation stops once the terms, falling
-    geometrically, no longer change the total.
+    Below y = 708 the terms are summed by recursion from e^-y.  Beyond, where
+    e^-y underflows, Q is the array kernel's, whose front factor there is one
+    exponential of summed logarithms (relative error about y * eps).
     """
-    if y < 708.0:
-        term = total = math.exp(-y)
-        for j in range(1, k):
-            term *= y / j
-            total += term
-            if j > y and term < total * _TAIL_DONE:
-                break
-        return total
-    total = term = 1.0
-    if k - 1 <= y:
-        for j in range(k - 1, 0, -1):
-            term *= j / y
-            total += term
-            if term < total * _TAIL_DONE:
-                break
-        return total * math.exp((k - 1) * math.log(y) - y - math.lgamma(k))
-    j = k
-    while term >= total * _TAIL_DONE:
-        j += 1
+    if y >= 708.0:
+        return float(_reg_gamma_array(float(k), np.array([y]))[1][0])
+    term = total = math.exp(-y)
+    for j in range(1, k):
         term *= y / j
         total += term
-    return 1.0 - total * math.exp(k * math.log(y) - y - math.lgamma(k + 1.0))
+        if j > y and term < 1e-20 * total:  # past the largest term they fall geometrically
+            break
+    return total
