@@ -421,15 +421,16 @@ def cmd_tail_dep(args) -> int:
 
 def cmd_equiv_ratio(args) -> int:
     start = time.perf_counter()
-    flags = {"distribution": args.dist, "alphas": args.alphas, "replications": args.reps}
+    weights = _parse_weights_arg(args.weights) if args.weights else None
+    flags = {"distribution": args.dist, "alphas": args.alphas, "replications": args.reps,
+             "weights": weights}
     cfg, seed, workers = _load_config(args, "equiv-ratio", flags)
+    if weights is not None:  # the flag wins over the config, as --seed does
+        cfg["weights"] = weights
     models = _models_from_config(cfg)
     alphas = tuple(float(a) for a in cfg.get("alphas", [0.05]))
     replications = int(cfg.get("replications", 100_000))
-    if args.preset or args.config:
-        weights = tuple(cfg["weights"]) if cfg.get("weights") else None
-    else:
-        weights = _parse_weights_arg(args.weights) if args.weights else None
+    weights = tuple(cfg["weights"]) if cfg.get("weights") else None
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
 
     def rows():
