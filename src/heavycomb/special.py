@@ -542,8 +542,8 @@ def reg_gamma_upper(s: float, x: float) -> float:
 def reg_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b).
 
-    x^a (1 - x)^b and 1 / B(a, b) are separate factors: once a + b passes
-    about 1000, one of them can leave the double range and the value is lost.
+    x^a (1 - x)^b and 1 / B(a, b) are separate factors, so with a and b both
+    large (a + b beyond about 1000) the second overflows: ``OverflowError``.
     """
     if not (a > 0.0) or not (b > 0.0) or math.isnan(x) or x < 0.0 or x > 1.0:
         raise DomainError(f"reg_beta: invalid arguments x={x!r}, a={a!r}, b={b!r}")
