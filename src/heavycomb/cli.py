@@ -173,10 +173,13 @@ def cmd_combine(args) -> int:
         if not args.dist:
             raise ConfigError(f"method {method!r} requires --dist")
         dist = _dist_from_arg(args.dist)
-        if method == "average" and abs(dist.tail_index - 1.0) > 1e-12:
-            raise ConfigError(
-                f"method 'average' needs a tail-index-1 distribution, got {args.dist!r}"
-            )
+        if method == "average":
+            try:
+                comb._sum_weights("average", 1, dist)  # checks the tail index
+            except MethodMisuseError:
+                raise ConfigError(
+                    f"method 'average' needs a tail-index-1 distribution, got {args.dist!r}"
+                ) from None
     weights = _parse_weights_arg(args.weights) if args.weights else None
     header = ["group_id", "n", "statistic", "combined_p"]
     if args.alpha is not None:
@@ -192,11 +195,6 @@ def cmd_combine(args) -> int:
                 elif method == "weighted":
                     if weights is None:
                         raise ConfigError("method 'weighted' requires --weights")
-                    if len(weights) != len(values):
-                        raise ValidationError(
-                            f"line {line_no}: group {group_id!r} has {len(values)} p-values "
-                            f"but {len(weights)} weights were given"
-                        )
                     res = comb.combine_weighted(values, weights, dist)
                 elif method == "bonferroni":
                     res = comb.bonferroni(values, weights)

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import _validate_pvalues
+from .combine import _check_alpha, _validate_pvalues
 from .distributions import HeavyTailDistribution
-from .errors import CapacityError, DomainError
+from .errors import CapacityError
 
 _BRUTE_FORCE_MAX_N = 20
+_CHUNK = 1 << 20  # elements per block of the shortcut's adjusted p-values
 
 
 @dataclass(frozen=True)
@@ -28,12 +29,6 @@ class ClosedTestingResult:
     rejected: np.ndarray    # bool, input order
     rejection_cut: int      # 1-based J: exactly the J-1 smallest p-values rejected
     alpha: float
-
-
-def _check_alpha(alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must be in (0,1), got {alpha!r}")
-    return float(alpha)
 
 
 def closed_test_shortcut(p, d: HeavyTailDistribution, alpha: float) -> ClosedTestingResult:
@@ -69,23 +64,26 @@ def closed_test_shortcut(p, d: HeavyTailDistribution, alpha: float) -> ClosedTes
         fails = x < limits
         cut = int(np.argmax(fails)) + 1 if fails.any() else n + 1
 
-        rejected_sorted = np.arange(1, n + 1) < cut
         rejected = np.empty(n, dtype=bool)
-        rejected[order] = rejected_sorted
+        rejected[order] = ks < cut
 
-        adjusted = np.empty(n)
-        if n == 1:
-            adjusted[0] = ps[0]
-        else:
-            k_hi = np.arange(2, n + 1)
-            tail = suffix[k_hi - 1]          # sum of the (k-1) largest p-values' x
-            x_ref = x[n - k_hi]              # x at sorted rank n-k+1
-            for j in range(n):
-                s = np.maximum(x[j], x_ref) + tail
+        # adjusted p of sorted rank j: the largest k * F_bar(max(x_j, x_(n-k+1))
+        # + tail sum) over k = 2..n, in blocks of at most _CHUNK elements
+        best = ps.copy()
+        k_hi = ks[1:]
+        tail = suffix[1:n]               # sum of the (k-1) largest p-values' x
+        x_ref = x[n - k_hi]              # x at sorted rank n-k+1
+        rows = max(1, _CHUNK // max(n - 1, 1))
+        for i in range(0, n, rows):
+            for j in range(0, n - 1, _CHUNK):
+                sizes = slice(j, j + _CHUNK)
+                s = np.maximum(x[i:i + rows, None], x_ref[sizes]) + tail[sizes]
                 if overflowed:
                     s[np.isnan(s)] = np.inf
-                p_ik = np.minimum(k_hi * np.asarray(d.survival(s), dtype=np.float64), 1.0)
-                adjusted[order[j]] = max(ps[j], float(p_ik.max()))
+                p_ik = np.minimum(k_hi[sizes] * d.survival(s), 1.0)
+                np.maximum(best[i:i + rows], p_ik.max(axis=1), out=best[i:i + rows])
+        adjusted = np.empty(n)
+        adjusted[order] = best
     return ClosedTestingResult(adjusted, rejected, cut, alpha)
 
 
@@ -107,6 +105,7 @@ def closed_test_bruteforce(p, d: HeavyTailDistribution, alpha: float) -> ClosedT
     sums[np.isnan(sums)] = np.inf  # +inf plus -inf: the overflowed transform wins
     with np.errstate(invalid="ignore"):
         subset_p = np.minimum(sizes[1:] * np.asarray(d.survival(sums[1:]), dtype=np.float64), 1.0)
+    subset_p[(1 << np.arange(n)) - 1] = arr  # a singleton's p is exact, not F_bar(H(p))
 
     masks = np.arange(1, 2 ** n)
     adjusted = np.empty(n)

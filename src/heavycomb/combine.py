@@ -48,6 +48,8 @@ def _validate_pvalues(p) -> np.ndarray:
 
 
 def _validate_weights(w, n: int) -> np.ndarray:
+    if w is None:
+        raise ShapeError(f"the weighted test needs {n} weights, none were given")
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 1 or arr.size != n:
         raise ShapeError(f"weight vector has length {arr.size}, expected {n}")
@@ -60,6 +62,71 @@ def _clamp_p(raw: float) -> float:
     if math.isnan(raw):
         raise DomainError("combined p-value is NaN")
     return min(1.0, max(raw, _MIN_P))
+
+
+# The decision rule shared by the library and the Monte Carlo engine: the
+# weighted sum of transformed scores rejects above Q_F(1 - alpha/kappa), with
+# kappa = sum w_i^gamma, and pairs with Bonferroni on the weights w_i^gamma/kappa.
+# Each helper takes one vector or a (rows, n) block.
+
+
+def _check_alpha(alpha: float) -> float:
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must be in (0,1), got {alpha!r}")
+    return float(alpha)
+
+
+def _sum_weights(kind: str, n: int, d: HeavyTailDistribution, w=None) -> np.ndarray:
+    """Weights of the standard, average or weighted test on ``n`` p-values."""
+    if kind == "standard":
+        return np.ones(n)
+    if kind == "weighted":
+        return _validate_weights(w, n)
+    if abs(d.tail_index - 1.0) > 1e-12:
+        raise MethodMisuseError(
+            f"average-based test needs tail index 1, got {d.tail_index} ({d!r})"
+        )
+    return np.full(n, 1.0 / n)
+
+
+def _kappa(weights: np.ndarray, d: HeavyTailDistribution) -> float:
+    return float(np.sum(weights ** d.tail_index))
+
+
+def _threshold(d: HeavyTailDistribution, alpha: float, kappa: float) -> float:
+    """Q_F(1 - alpha/kappa); the lower support bound once alpha/kappa >= 1."""
+    return float(d.inverse_survival(min(alpha / kappa, 1.0)))
+
+
+def _weighted_sum(x: np.ndarray, weights: np.ndarray):
+    """Sum of w_i x_i over the last axis; a NaN (+inf meeting -inf) reads as +inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = x @ weights
+    return np.where(np.isnan(s), np.inf, s)
+
+
+def _bonferroni_weights(w, n: int) -> tuple[np.ndarray, bool]:
+    """Weights summing to one (equal when ``w`` is None) and whether ``w`` was rescaled."""
+    if w is None:
+        return np.full(n, 1.0 / n), False
+    weights = _validate_weights(w, n)
+    total = float(weights.sum())
+    if math.isclose(total, 1.0, rel_tol=1e-12):
+        return weights, False
+    return weights / total, True
+
+
+def _mapped_weights(weights: np.ndarray, d: HeavyTailDistribution) -> np.ndarray:
+    """Bonferroni weights w_i^gamma / kappa paired with the weighted test."""
+    return _bonferroni_weights(weights ** d.tail_index, weights.size)[0]
+
+
+def _bonferroni_statistic(p: np.ndarray, weights: np.ndarray):
+    return np.min(p / weights, axis=-1)
+
+
+def _fisher_statistic(p: np.ndarray):
+    return -2.0 * np.sum(np.log(p), axis=-1)
 
 
 def transform(p, d: HeavyTailDistribution) -> np.ndarray:
@@ -80,45 +147,35 @@ def _transform(arr: np.ndarray, d: HeavyTailDistribution) -> tuple[np.ndarray, b
     return x, saturated
 
 
-def combine_weighted(p, w, d: HeavyTailDistribution) -> CombinedResult:
-    """Weighted combination test: combined p = kappa * F_bar(sum w_i X_i)."""
+def _combine(kind: str, p, d: HeavyTailDistribution, w=None) -> CombinedResult:
     arr = _validate_pvalues(p)
-    weights = _validate_weights(w, arr.size)
-    return _combine_weighted(arr, weights, d, "weighted")
-
-
-def _combine_weighted(arr, weights, d, label) -> CombinedResult:
+    weights = _sum_weights(kind, arr.size, d, w)
     x, saturated = _transform(arr, d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        statistic = float(weights @ x)
-    if math.isnan(statistic):  # +inf plus -inf: the overflowed transform wins
-        statistic = math.inf
-    kappa = float(np.sum(weights ** d.tail_index))
-    raw = kappa * float(d.survival(statistic))
+    statistic = float(_weighted_sum(x, weights))
+    kappa = _kappa(weights, d)
     return CombinedResult(
-        method=label,
+        method=kind,
         n=arr.size,
         statistic=statistic,
-        combined_p=_clamp_p(raw),
+        combined_p=_clamp_p(kappa * float(d.survival(statistic))),
         kappa=kappa,
         saturated=saturated,
     )
 
 
+def combine_weighted(p, w, d: HeavyTailDistribution) -> CombinedResult:
+    """Weighted combination test: combined p = kappa * F_bar(sum w_i X_i)."""
+    return _combine("weighted", p, d, w)
+
+
 def combine_standard(p, d: HeavyTailDistribution) -> CombinedResult:
     """Sum-based combination test: combined p = n * F_bar(S_n)."""
-    arr = _validate_pvalues(p)
-    return _combine_weighted(arr, np.ones(arr.size), d, "standard")
+    return _combine("standard", p, d)
 
 
 def combine_average(p, d: HeavyTailDistribution) -> CombinedResult:
     """Average-based combination test; requires tail index 1."""
-    arr = _validate_pvalues(p)
-    if abs(d.tail_index - 1.0) > 1e-12:
-        raise MethodMisuseError(
-            f"average-based test needs tail index 1, got {d.tail_index} ({d!r})"
-        )
-    return _combine_weighted(arr, np.full(arr.size, 1.0 / arr.size), d, "average")
+    return _combine("average", p, d)
 
 
 def bonferroni(p, w=None) -> CombinedResult:
@@ -128,20 +185,11 @@ def bonferroni(p, w=None) -> CombinedResult:
     normalization actually changed them.
     """
     arr = _validate_pvalues(p)
-    n = arr.size
-    if w is None:
-        weights = np.full(n, 1.0 / n)
-        normalized = False
-    else:
-        weights = _validate_weights(w, n)
-        total = float(weights.sum())
-        normalized = not math.isclose(total, 1.0, rel_tol=1e-12)
-        if normalized:
-            weights = weights / total
-    statistic = float(np.min(arr / weights))
+    weights, normalized = _bonferroni_weights(w, arr.size)
+    statistic = float(_bonferroni_statistic(arr, weights))
     return CombinedResult(
         method="bonferroni",
-        n=n,
+        n=arr.size,
         statistic=statistic,
         combined_p=_clamp_p(statistic),
         weights_normalized=normalized,
@@ -157,24 +205,20 @@ def bonferroni_as_max_statistic(p, w, d: HeavyTailDistribution, alpha: float) ->
     """
     arr = _validate_pvalues(p)
     weights = _validate_weights(w, arr.size)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must be in (0,1), got {alpha!r}")
+    _check_alpha(alpha)
     x, _ = _transform(arr, d)
-    kappa = float(np.sum(weights ** d.tail_index))
-    threshold = float(d.inverse_survival(min(alpha / kappa, 1.0)))
-    return bool(np.max(weights * x) > threshold)
+    return bool(np.max(weights * x) > _threshold(d, alpha, _kappa(weights, d)))
 
 
 def fisher(p) -> CombinedResult:
     """Fisher's method: -2 sum log p_i against the chi-square(2n) upper tail."""
     arr = _validate_pvalues(p)
-    statistic = float(-2.0 * np.sum(np.log(arr)))
-    raw = special._poisson_tail(arr.size, statistic / 2.0)
+    statistic = float(_fisher_statistic(arr))
     return CombinedResult(
         method="fisher",
         n=arr.size,
         statistic=statistic,
-        combined_p=_clamp_p(raw),
+        combined_p=_clamp_p(special._poisson_tail(arr.size, statistic / 2.0)),
     )
 
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import special
-from .combine import _transform
+from . import combine, special
 from .distributions import HeavyTailDistribution, StudentT, parse_distribution
-from .errors import ConfigError, DomainError, InsufficientEventsError, ShapeError
+from .errors import ConfigError, DomainError, InsufficientEventsError, MethodMisuseError, ShapeError
 from .special import RootBracket, find_root
 
 BLOCK_SIZE = 32768
@@ -193,58 +192,41 @@ def chi_square_upper_quantile(dof_pairs: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class _CompiledMethod:
+    """Per-alpha thresholds: Bonferroni and minP reject below, the rest above."""
+
     label: str
     kind: str
+    thresholds: tuple[float, ...]
     dist: HeavyTailDistribution | None = None
-    weights: tuple[float, ...] | None = None
-    thresholds: tuple[float, ...] = ()
-    cutoff: float | None = None
+    weights: np.ndarray | None = None
 
 
 def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
     compiled = []
     for spec in methods:
-        label = spec.resolved_label()
-        kind = spec.kind
+        label, kind, dist, w = spec.resolved_label(), spec.kind, None, None
         if kind in ("standard", "average", "weighted"):
             if not spec.distribution:
                 raise ConfigError(f"method {label}: transform kinds need a distribution")
             dist = parse_distribution(spec.distribution)
-            if kind == "standard":
-                thr = tuple(float(dist.inverse_survival(a / n)) for a in alphas)
-                compiled.append(_CompiledMethod(label, kind, dist, None, thr))
-            elif kind == "average":
-                if abs(dist.tail_index - 1.0) > 1e-12:
-                    raise ConfigError(f"method {label}: average kind needs tail index 1")
-                thr = tuple(float(dist.inverse_survival(a)) for a in alphas)
-                compiled.append(_CompiledMethod(label, kind, dist, None, thr))
+        try:
+            if dist is not None:
+                w = combine._sum_weights(kind, n, dist, spec.weights)
+                kappa = combine._kappa(w, dist)
+                thr = tuple(combine._threshold(dist, a, kappa) for a in alphas)
+            elif kind == "bonferroni":
+                w, thr = combine._bonferroni_weights(spec.weights, n)[0], tuple(alphas)
+            elif kind == "fisher":
+                thr = tuple(chi_square_upper_quantile(float(n), a) for a in alphas)
+            elif kind == "minp":
+                if spec.cutoff is None:
+                    raise ConfigError(f"method {label}: minp needs a calibrated cutoff")
+                thr = (float(spec.cutoff),) * len(alphas)
             else:
-                if spec.weights is None or len(spec.weights) != n:
-                    raise ConfigError(f"method {label}: weighted kind needs {n} weights")
-                w = np.asarray(spec.weights, dtype=np.float64)
-                if (w <= 0).any():
-                    raise ConfigError(f"method {label}: weights must be positive")
-                kappa = float(np.sum(w ** dist.tail_index))
-                thr = tuple(float(dist.inverse_survival(min(a / kappa, 1.0))) for a in alphas)
-                compiled.append(_CompiledMethod(label, kind, dist, tuple(w), thr))
-        elif kind == "bonferroni":
-            if spec.weights is not None:
-                w = np.asarray(spec.weights, dtype=np.float64)
-                if len(w) != n or (w <= 0).any():
-                    raise ConfigError(f"method {label}: bad bonferroni weights")
-                w = w / w.sum()
-                compiled.append(_CompiledMethod(label, kind, None, tuple(w)))
-            else:
-                compiled.append(_CompiledMethod(label, kind))
-        elif kind == "fisher":
-            thr = tuple(chi_square_upper_quantile(float(n), a) for a in alphas)
-            compiled.append(_CompiledMethod(label, kind, thresholds=thr))
-        elif kind == "minp":
-            if spec.cutoff is None:
-                raise ConfigError(f"method {label}: minp needs a calibrated cutoff")
-            compiled.append(_CompiledMethod(label, kind, cutoff=float(spec.cutoff)))
-        else:
-            raise ConfigError(f"unknown method kind {kind!r}")
+                raise ConfigError(f"unknown method kind {kind!r}")
+        except (DomainError, ShapeError, MethodMisuseError) as exc:
+            raise ConfigError(f"method {label}: {exc}") from exc
+        compiled.append(_CompiledMethod(label, kind, thr, dist, w))
     return tuple(compiled)
 
 
@@ -277,38 +259,25 @@ def _run_blocks(model, seed, replications, workers, reduce_p, *args, block_size=
 
 def _rate_counts(p, plan, alphas):
     counts = np.zeros((len(plan), len(alphas)), dtype=np.int64)
-    cache: dict[str, np.ndarray] = {}
-    logs = None
+    scores: dict[str, np.ndarray] = {}
+    fisher = None
     for mi, method in enumerate(plan):
-        if method.kind in ("standard", "average", "weighted"):
+        if method.dist is not None:
             key = method.dist.spec_string()
-            x = cache.get(key)
-            if x is None:
-                x = cache[key] = _transform(p, method.dist)[0]
-            if method.kind == "standard":
-                stat = x.sum(axis=1)
-            elif method.kind == "average":
-                stat = x.mean(axis=1)
-            else:
-                stat = x @ np.asarray(method.weights)
-            for ai, thr in enumerate(method.thresholds):
-                counts[mi, ai] = int(np.count_nonzero(stat > thr))
-        elif method.kind == "bonferroni":
-            if method.weights is None:
-                stat = p.min(axis=1) * p.shape[1]
-            else:
-                stat = (p / np.asarray(method.weights)).min(axis=1)
-            for ai, a in enumerate(alphas):
-                counts[mi, ai] = int(np.count_nonzero(stat < a))
+            if key not in scores:
+                scores[key] = combine._transform(p, method.dist)[0]
+            stat = combine._weighted_sum(scores[key], method.weights)
         elif method.kind == "fisher":
-            if logs is None:
-                logs = -2.0 * np.log(p).sum(axis=1)
-            for ai, thr in enumerate(method.thresholds):
-                counts[mi, ai] = int(np.count_nonzero(logs > thr))
+            if fisher is None:
+                fisher = combine._fisher_statistic(p)
+            stat = fisher
+        elif method.kind == "bonferroni":
+            stat = combine._bonferroni_statistic(p, method.weights)
         else:  # minp
             stat = p.min(axis=1)
-            for ai in range(len(alphas)):
-                counts[mi, ai] = int(np.count_nonzero(stat < method.cutoff))
+        below = method.kind in ("bonferroni", "minp")
+        for ai, thr in enumerate(method.thresholds):
+            counts[mi, ai] = np.count_nonzero(stat < thr if below else stat > thr)
     return counts
 
 
@@ -365,20 +334,13 @@ class EquivalenceReport:
 
 
 def _equivalence_tallies(p, dist, weights, mapped, thresholds, alphas):
-    stat = _transform(p, dist)[0] @ weights
-    bon_stat = (p / mapped).min(axis=1)
+    stat = combine._weighted_sum(combine._transform(p, dist)[0], weights)
+    bon_stat = combine._bonferroni_statistic(p, mapped)
     tallies = np.zeros((len(alphas), 5), dtype=np.int64)
     for ai, alpha in enumerate(alphas):
-        wgt = stat > thresholds[ai]
-        bon = bon_stat < alpha
+        wgt, bon = stat > thresholds[ai], bon_stat < alpha
         dis = wgt != bon
-        tallies[ai] = (
-            int(wgt.sum()),
-            int(bon.sum()),
-            int(dis.sum()),
-            int((dis & wgt).sum()),
-            int((dis & bon).sum()),
-        )
+        tallies[ai] = (wgt.sum(), bon.sum(), dis.sum(), (dis & wgt).sum(), (dis & bon).sum())
     return tallies
 
 
@@ -394,13 +356,10 @@ def estimate_equivalence_ratio(
     """
     start = time.perf_counter()
     n = config.model.n
-    weights = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
-    if weights.size != n or (weights <= 0).any():
-        raise ShapeError(f"need {n} positive weights")
-    gamma = d.tail_index
-    kappa = float(np.sum(weights ** gamma))
-    mapped = weights ** gamma / kappa
-    thresholds = tuple(float(d.inverse_survival(min(a / kappa, 1.0))) for a in config.alphas)
+    weights = combine._sum_weights("standard" if w is None else "weighted", n, d, w)
+    kappa = combine._kappa(weights, d)
+    mapped = combine._mapped_weights(weights, d)
+    thresholds = tuple(combine._threshold(d, a, kappa) for a in config.alphas)
     tallies = sum(_run_blocks(config.model, config.seed, config.replications, config.workers,
                               _equivalence_tallies, d, weights, mapped, thresholds, config.alphas))
     r = config.replications
@@ -467,8 +426,7 @@ def calibrate_minp(
     alpha/n; values above 1 quantify how conservative Bonferroni is for
     the model's dependence.  Flagged unstable when alpha*replications < 50.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must be in (0,1), got {alpha!r}")
+    combine._check_alpha(alpha)
     if any(model.mean):
         raise ConfigError("minP calibration requires the null model (zero mean)")
     # np.min(p, 1): the smallest p-value of each replication

@@ -79,12 +79,17 @@ class TestCombineCommand:
             assert float(row["statistic"]) == ref.statistic
             assert float(row["combined_p"]) == ref.combined_p
 
-    def test_weighted_requires_equal_lengths(self, tmp_path):
+    def test_weighted_requires_equal_lengths(self, tmp_path, capsys):
+        # the library's ShapeError, named by line; earlier rows are kept
         inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
         write_groups(inp, [("g1", [0.1, 0.2]), ("g2", [0.3])])
         rc = main(["combine", "-i", str(inp), "--method", "weighted",
-                   "--dist", "cauchy", "--weights", "1,2"])
+                   "--dist", "cauchy", "--weights", "1,2", "-o", str(out)])
         assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: weight vector has length 2, expected 1\n")
+        assert [row["group_id"] for row in read_csv(out)] == ["g1"]
 
     def test_weighted_matches_library(self, tmp_path):
         inp = tmp_path / "in.csv"
@@ -387,6 +392,29 @@ class TestOtherCommands:
             outs.append(tmp_path / f"eq{len(outs)}.csv")
             assert main(["equiv-ratio", "--config", str(path), "-o", str(outs[-1])] + flag) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestWeightRule:
+    """The engine checks weights by the library's rule: positive and finite."""
+
+    @pytest.mark.parametrize("method", [
+        {"kind": "bonferroni", "weights": [1, float("inf")]},
+        {"kind": "weighted", "distribution": "cauchy", "weights": [1, float("nan")]},
+    ], ids=["bonferroni-inf", "weighted-nan"])
+    def test_simulate_config_rejects_weights(self, tmp_path, capsys, method):
+        cfg = {"model": {"n": 2, "rho": 0.0}, "methods": [method], "alphas": [0.05],
+               "replications": 2000, "seed": 3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))  # writes Infinity and NaN literals
+        rc = main(["simulate", "--config", str(path), "-o", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert "weights must be positive and finite" in capsys.readouterr().err
+
+    def test_equiv_ratio_rejects_infinite_weight(self, tmp_path, capsys):
+        rc = main(["equiv-ratio", "--n", "3", "--rho", "0.4", "--weights", "1,inf,1",
+                   "--reps", "2000", "-o", str(tmp_path / "eq.csv")])
+        assert rc == 1
+        assert "weights must be positive and finite" in capsys.readouterr().err
 
 
 class TestPresets:

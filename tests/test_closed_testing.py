@@ -3,7 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heavycomb import closed_testing
 from heavycomb.closed_testing import closed_test_bruteforce, closed_test_shortcut
 from heavycomb.combine import combine_standard
 from heavycomb.distributions import Cauchy, Levy, Pareto, TruncatedT, parse_distribution
@@ -50,6 +52,13 @@ class TestExamples:
         assert a.adjusted_p[0] == b.adjusted_p[0]
         assert a.rejected.tolist() == b.rejected.tolist()
 
+    def test_p_equal_to_alpha_is_rejected_by_both(self):
+        # t:2's sf(isf(0.01)) rounds above 0.01; a singleton's p is exact
+        d = parse_distribution("t:2")
+        for res in (closed_test_shortcut([0.01], d, 0.01), closed_test_bruteforce([0.01], d, 0.01)):
+            assert res.adjusted_p[0] == 0.01
+            assert res.rejected.tolist() == [True]
+
 
 class TestShortcutEqualsBruteForce:
     DISTS = [Cauchy(), Pareto(1.0), TruncatedT(1.0, 0.9), Levy()]
@@ -83,6 +92,82 @@ class TestShortcutEqualsBruteForce:
         b = closed_test_bruteforce(p, Cauchy(), 0.05)
         assert a.rejected.tolist() == b.rejected.tolist()
         assert np.max(np.abs(a.adjusted_p - b.adjusted_p)) <= 1e-12
+
+
+# p-values from (0, 1]: exact 1, the smallest subnormal, and repeats drawn
+# from a small pool so that groups hold ties
+_SPECIAL_P = st.sampled_from([1.0, 5e-324, 1e-300, 1e-8, 0.5])
+_ANY_P = st.floats(min_value=5e-324, max_value=1.0, allow_subnormal=True)
+
+
+@st.composite
+def _groups(draw):
+    pool = draw(st.lists(st.one_of(_SPECIAL_P, _ANY_P), min_size=1, max_size=12))
+    n = draw(st.integers(1, 12))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=_groups(),
+       spec=st.sampled_from(["cauchy", "levy", "t:2", "trunc_t:1:0.9", "pareto:1"]),
+       alpha=st.sampled_from([0.01, 0.05, 0.2]))
+def test_shortcut_equals_bruteforce_property(p, spec, alpha):
+    d = parse_distribution(spec)
+    a = closed_test_shortcut(p, d, alpha)
+    b = closed_test_bruteforce(p, d, alpha)
+    assert a.rejected.tolist() == b.rejected.tolist()
+    assert a.rejection_cut == b.rejection_cut
+    assert np.max(np.abs(a.adjusted_p - b.adjusted_p)) <= 1e-12
+
+
+def _adjusted_one_at_a_time(p, d):
+    """The shortcut's adjusted p-values, one hypothesis per survival call."""
+    order = np.argsort(p, kind="stable")
+    ps = p[order]
+    n = ps.size
+    x = np.asarray(d.inverse_survival(ps), dtype=np.float64)
+    k = np.arange(2, n + 1)
+    out = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        suffix = np.concatenate(([0.0], np.cumsum(x[::-1])))
+        suffix[np.isnan(suffix)] = np.inf
+        for j in range(n):
+            s = np.maximum(x[j], x[n - k]) + suffix[k - 1]
+            s[np.isnan(s)] = np.inf
+            p_jk = np.minimum(k * np.asarray(d.survival(s), dtype=np.float64), 1.0)
+            out[order[j]] = max(ps[j], float(p_jk.max(initial=0.0)))
+    return out
+
+
+class TestChunkedAdjustedP:
+    """The adjusted p-values are formed in blocks of at most ``_CHUNK`` elements."""
+
+    @staticmethod
+    def _group(n, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(1e-6, 1.0, n)
+        p[rng.integers(n, size=n // 10)] = 1e-300
+        p[rng.integers(n, size=3)] = 1.0
+        p[rng.integers(n)] = 5e-324
+        return p
+
+    def test_group_spanning_several_chunks(self):
+        p = self._group(1500, 15)  # 1500 * 1499 elements: three blocks of rows
+        assert p.size * (p.size - 1) > 2 * closed_testing._CHUNK
+        d = Cauchy()
+        res = closed_test_shortcut(p, d, 0.05)
+        np.testing.assert_array_equal(res.adjusted_p, _adjusted_one_at_a_time(p, d))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 39, 40, 41, 1000])
+    def test_any_chunk_size(self, monkeypatch, chunk):
+        # below n - 1 a block is part of one hypothesis's row
+        p = self._group(41, 16)
+        d = Levy()
+        whole = closed_test_shortcut(p, d, 0.05)
+        monkeypatch.setattr(closed_testing, "_CHUNK", chunk)
+        res = closed_test_shortcut(p, d, 0.05)
+        np.testing.assert_array_equal(res.adjusted_p, whole.adjusted_p)
+        np.testing.assert_array_equal(res.adjusted_p, _adjusted_one_at_a_time(p, d))
 
 
 class TestOverflowedTransform:
