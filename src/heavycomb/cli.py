@@ -16,8 +16,8 @@ import time
 
 import numpy as np
 
-from . import __version__, combine as comb, presets
-from .closed_testing import closed_test_shortcut
+from . import __version__, closed_testing, combine as comb, presets
+from .closed_testing import closed_test_shortcut  # noqa: F401  (perfbench/tracing.py patches it)
 from .distributions import parse_distribution
 from .errors import (
     BracketError,
@@ -42,10 +42,18 @@ from .simulate import (
 
 _ENV_WORKERS = "HEAVYCOMB_WORKERS"
 _DEFAULT_SEED = 20240501
+_CHUNK_GROUPS = 256  # groups a file command reads, buckets by length and computes at once
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    kind = type(value)  # by exact type first: nearly every field is one of these four
+    if kind is float:
+        return f"{value:.17g}"
+    if kind is str:
+        return value
+    if kind is int:
+        return str(value)
+    if kind is bool or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
@@ -65,7 +73,7 @@ class _Writer:
 
     def write(self, values):
         if self.fmt == "csv":
-            self.stream.write(",".join(_fmt(v) for v in values) + "\n")
+            self.stream.write(",".join(map(_fmt, values)) + "\n")
         else:
             self.rows.append({k: v for k, v in zip(self.header, values)})
 
@@ -148,6 +156,65 @@ def _iter_groups(path):
             yield line_no, group_id, values
 
 
+def _chunks(path):
+    """Lists of at most ``_CHUNK_GROUPS`` groups from ``_iter_groups``.
+
+    A parse error ends the chunk it falls in: that chunk is yielded first,
+    and the error is raised when the next one is asked for.
+    """
+    chunk = []
+    try:
+        for group in _iter_groups(path):
+            chunk.append(group)
+            if len(chunk) == _CHUNK_GROUPS:
+                yield chunk
+                chunk = []
+    except ValidationError:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _batched_rows(path, compute, to_rows):
+    """Output rows of a file command, in input order, computed a chunk at a time.
+
+    Each chunk is bucketed by group length, and ``compute`` maps a bucket's
+    ``(groups, n)`` block to one result per group; ``to_rows(group_id, values,
+    result)`` yields a group's rows.  When a block fails, its groups are
+    computed one at a time, so the error belongs to the first group that
+    fails alone: every row before that group's line is yielded, then the
+    error is raised, named by the line when it is a p-value or shape error.
+    """
+    for chunk in _chunks(path):
+        buckets: dict[int, list[int]] = {}
+        for i, (_, _, values) in enumerate(chunk):
+            buckets.setdefault(len(values), []).append(i)
+        results = [None] * len(chunk)
+        stop, error = len(chunk), None
+        for members in buckets.values():
+            block = np.array([chunk[i][2] for i in members])
+            try:
+                for i, res in zip(members, compute(block)):
+                    results[i] = res
+            except HeavyCombError:
+                for row, i in enumerate(members):
+                    if i >= stop:
+                        break
+                    try:
+                        results[i] = compute(block[row:row + 1])[0]
+                    except HeavyCombError as exc:
+                        stop, error = i, exc
+                        break
+        for (_, group_id, values), res in zip(chunk[:stop], results):
+            yield from to_rows(group_id, values, res)
+        if isinstance(error, (DomainError, ShapeError)):
+            raise ValidationError(f"line {chunk[stop][0]}: {error}") from error
+        if error is not None:
+            raise error
+
+
 def _dist_from_arg(spec: str):
     try:
         return parse_distribution(spec)
@@ -181,55 +248,48 @@ def cmd_combine(args) -> int:
                     f"method 'average' needs a tail-index-1 distribution, got {args.dist!r}"
                 ) from None
     weights = _parse_weights_arg(args.weights) if args.weights else None
+    if weights is not None and method in ("weighted", "bonferroni"):
+        try:  # the values once, before any output; the count is per group
+            comb._validate_weights(weights, len(weights))
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
     header = ["group_id", "n", "statistic", "combined_p"]
     if args.alpha is not None:
         header.append("reject")
 
-    def rows():
-        for line_no, group_id, values in _iter_groups(args.input):
-            try:
-                if method == "standard":
-                    res = comb.combine_standard(values, dist)
-                elif method == "average":
-                    res = comb.combine_average(values, dist)
-                elif method == "weighted":
-                    if weights is None:
-                        raise ConfigError("method 'weighted' requires --weights")
-                    res = comb.combine_weighted(values, weights, dist)
-                elif method == "bonferroni":
-                    res = comb.bonferroni(values, weights)
-                else:
-                    res = comb.fisher(values)
-            except (DomainError, ShapeError) as exc:
-                raise ValidationError(f"line {line_no}: {exc}") from exc
-            out = [group_id, res.n, res.statistic, res.combined_p]
-            if args.alpha is not None:
-                out.append(res.combined_p < args.alpha)
-            yield out
+    def compute(block):
+        if method == "weighted" and weights is None:
+            raise ConfigError("method 'weighted' requires --weights")
+        res = comb._combine_rows(method, block, dist, weights)
+        return list(zip(res.statistic.tolist(), res.combined_p.tolist()))
+
+    def to_rows(group_id, values, res):
+        row = [group_id, len(values), *res]  # statistic, combined p
+        if args.alpha is not None:
+            row.append(res[1] < args.alpha)
+        yield row
 
     echo = {"input": args.input, "method": method, "dist": args.dist,
             "weights": args.weights, "alpha": args.alpha}
-    return _emit(args, header, rows(), start, echo)
+    return _emit(args, header, _batched_rows(args.input, compute, to_rows), start, echo)
 
 
 def cmd_closed_test(args) -> int:
     start = time.perf_counter()
     dist = _dist_from_arg(args.dist)
 
-    def rows():
-        for line_no, group_id, values in _iter_groups(args.input):
-            try:
-                res = closed_test_shortcut(values, dist, args.alpha)
-            except (DomainError, ShapeError) as exc:
-                raise ValidationError(f"line {line_no}: {exc}") from exc
-            for idx, (p, adj, rej) in enumerate(
-                zip(values, res.adjusted_p, res.rejected), start=1
-            ):
-                yield [group_id, idx, p, float(adj), bool(rej)]
+    def compute(block):
+        alpha = comb._check_alpha(args.alpha)
+        adjusted, rejected, _ = closed_testing._shortcut_rows(block, dist, alpha)
+        return list(zip(adjusted.tolist(), rejected.tolist()))
+
+    def to_rows(group_id, values, res):
+        for idx, (p, adj, rej) in enumerate(zip(values, *res), start=1):
+            yield [group_id, idx, p, adj, rej]
 
     header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
     echo = {"input": args.input, "dist": args.dist, "alpha": args.alpha}
-    return _emit(args, header, rows(), start, echo)
+    return _emit(args, header, _batched_rows(args.input, compute, to_rows), start, echo)
 
 
 def cmd_adjust_bh(args) -> int:

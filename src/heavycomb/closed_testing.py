@@ -18,7 +18,7 @@ from .distributions import HeavyTailDistribution
 from .errors import CapacityError
 
 _BRUTE_FORCE_MAX_N = 20
-_CHUNK = 1 << 20  # elements per block of the shortcut's adjusted p-values
+_CHUNK = 1 << 14  # elements per block of the shortcut's adjusted p-values
 
 
 @dataclass(frozen=True)
@@ -42,49 +42,67 @@ def closed_test_shortcut(p, d: HeavyTailDistribution, alpha: float) -> ClosedTes
     """
     alpha = _check_alpha(alpha)
     arr = _validate_pvalues(p)
-    n = arr.size
-    order = np.argsort(arr, kind="stable")
-    ps = arr[order]
+    adjusted, rejected, cut = _shortcut_rows(arr[None, :], d, alpha)
+    return ClosedTestingResult(adjusted[0], rejected[0], int(cut[0]), alpha)
+
+
+def _shortcut_rows(p: np.ndarray, d: HeavyTailDistribution, alpha: float):
+    """The shortcut on each row of a validated ``(rows, n)`` block.
+
+    Returns the adjusted p-values and decisions (``(rows, n)``, input order)
+    and the 1-based cut of each row.  Every row gets the bits of a one-row
+    call.
+    """
+    g, n = p.shape
+    rows = np.arange(g)[:, None]
+    order = p.argsort(axis=1, kind="stable")
+    ps = p[rows, order]
     x = np.asarray(d.inverse_survival(ps), dtype=np.float64)
     # Sums may overflow, and only an overflowed transform (+inf, always at
-    # x[0]) can meet a -inf (p = 1); that NaN sum reads as +inf.
-    overflowed = x[0] == np.inf
+    # x[:, 0]) can meet a -inf (p = 1); that NaN sum reads as +inf.
+    overflowed = x[:, 0].max() == np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        # tail_sums[k] = sum of x over the k largest p-values (k = 0..n-1 used as k-1)
-        suffix = np.concatenate(([0.0], np.cumsum(x[::-1])))
+        # suffix[:, k] = sum of x over the k largest p-values (k = 0..n-1 used as k-1)
+        suffix = np.zeros((g, n + 1))
+        x[:, ::-1].cumsum(axis=1, out=suffix[:, 1:])
         if overflowed:
             suffix[np.isnan(suffix)] = np.inf
 
         ks = np.arange(1, n + 1)
         h_alpha = np.asarray(d.inverse_survival(alpha / ks), dtype=np.float64)
-        c = h_alpha - suffix[ks - 1]  # c_k = H(alpha/k) - sum_{j=n-k+2}^{n} x_j
-        cmax = np.maximum.accumulate(c)
-
-        limits = cmax[::-1]  # limits[i-1] = max(c_1, ..., c_{n-i+1})
-        fails = x < limits
-        cut = int(np.argmax(fails)) + 1 if fails.any() else n + 1
-
-        rejected = np.empty(n, dtype=bool)
-        rejected[order] = ks < cut
+        c = h_alpha - suffix[:, :n]  # c_k = H(alpha/k) - sum_{j=n-k+2}^{n} x_j
+        limits = np.maximum.accumulate(c, axis=1)[:, ::-1]  # max(c_1, ..., c_{n-i+1})
+        fails = np.ones((g, n + 1), dtype=bool)  # no failing rank: the cut is n + 1
+        np.less(x, limits, out=fails[:, :n])
+        cut = fails.argmax(axis=1) + 1
 
         # adjusted p of sorted rank j: the largest k * F_bar(max(x_j, x_(n-k+1))
-        # + tail sum) over k = 2..n, in blocks of at most _CHUNK elements
+        # + tail sum) over k = 2..n, in blocks of at most _CHUNK elements of the
+        # (rows, n, n - 1) array of (row, rank j, k)
         best = ps.copy()
         k_hi = ks[1:]
-        tail = suffix[1:n]               # sum of the (k-1) largest p-values' x
-        x_ref = x[n - k_hi]              # x at sorted rank n-k+1
-        rows = max(1, _CHUNK // max(n - 1, 1))
-        for i in range(0, n, rows):
-            for j in range(0, n - 1, _CHUNK):
-                sizes = slice(j, j + _CHUNK)
-                s = np.maximum(x[i:i + rows, None], x_ref[sizes]) + tail[sizes]
-                if overflowed:
-                    s[np.isnan(s)] = np.inf
-                p_ik = np.minimum(k_hi[sizes] * d.survival(s), 1.0)
-                np.maximum(best[i:i + rows], p_ik.max(axis=1), out=best[i:i + rows])
-        adjusted = np.empty(n)
-        adjusted[order] = best
-    return ClosedTestingResult(adjusted, rejected, cut, alpha)
+        tail = suffix[:, None, 1:n]    # sum of the (k-1) largest p-values' x
+        x_ref = x[:, None, ::-1][:, :, 1:]  # x at sorted rank n-k+1
+        x_j = x[:, :, None]
+        width = max(n - 1, 1)
+        g_step = max(1, _CHUNK // (n * width))
+        j_step = max(1, _CHUNK // width)
+        for i in range(0, g, g_step):
+            grp = slice(i, i + g_step)
+            for j in range(0, n, j_step):
+                ranks = slice(j, j + j_step)
+                for k in range(0, n - 1, _CHUNK):
+                    sizes = slice(k, k + _CHUNK)
+                    s = np.maximum(x_j[grp, ranks], x_ref[grp, :, sizes]) + tail[grp, :, sizes]
+                    if overflowed:
+                        s[np.isnan(s)] = np.inf
+                    p_ik = np.minimum(k_hi[sizes] * d.survival(s), 1.0)
+                    np.maximum(best[grp, ranks], p_ik.max(axis=2), out=best[grp, ranks])
+    adjusted = np.empty((g, n))
+    adjusted[rows, order] = best
+    rejected = np.empty((g, n), dtype=bool)
+    rejected[rows, order] = ks < cut[:, None]
+    return adjusted, rejected, cut
 
 
 def closed_test_bruteforce(p, d: HeavyTailDistribution, alpha: float) -> ClosedTestingResult:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def _validate_pvalues(p) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ShapeError("p-values must form a nonempty 1-D vector")
-    if np.isnan(arr).any() or (arr <= 0.0).any() or (arr > 1.0).any():
+    if not ((arr > 0.0) & (arr <= 1.0)).all():  # NaN fails both
         raise DomainError("p-values must lie in (0, 1]")
     return arr
 
@@ -58,10 +59,10 @@ def _validate_weights(w, n: int) -> np.ndarray:
     return arr
 
 
-def _clamp_p(raw: float) -> float:
-    if math.isnan(raw):
+def _clamp_p(raw: np.ndarray) -> np.ndarray:
+    if np.isnan(raw).any():
         raise DomainError("combined p-value is NaN")
-    return min(1.0, max(raw, _MIN_P))
+    return np.minimum(1.0, np.maximum(raw, _MIN_P))
 
 
 # The decision rule shared by the library and the Monte Carlo engine: the
@@ -90,7 +91,7 @@ def _sum_weights(kind: str, n: int, d: HeavyTailDistribution, w=None) -> np.ndar
 
 
 def _kappa(weights: np.ndarray, d: HeavyTailDistribution) -> float:
-    return float(np.sum(weights ** d.tail_index))
+    return float((weights ** d.tail_index).sum())
 
 
 def _threshold(d: HeavyTailDistribution, alpha: float, kappa: float) -> float:
@@ -98,10 +99,15 @@ def _threshold(d: HeavyTailDistribution, alpha: float, kappa: float) -> float:
     return float(d.inverse_survival(min(alpha / kappa, 1.0)))
 
 
-def _weighted_sum(x: np.ndarray, weights: np.ndarray):
-    """Sum of w_i x_i over the last axis; a NaN (+inf meeting -inf) reads as +inf."""
+def _weighted_sum(x: np.ndarray, weights: np.ndarray, by_row: bool = False):
+    """Sum of w_i x_i over the last axis; a NaN (+inf meeting -inf) reads as +inf.
+
+    ``by_row`` sums each row of a block on its own (ddot), so that a row has
+    the bits of a one-vector call: the block product (gemv) can differ from
+    it in the last bit.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        s = x @ weights
+        s = np.array([row @ weights for row in x]) if by_row else x @ weights
     return np.where(np.isnan(s), np.inf, s)
 
 
@@ -122,11 +128,11 @@ def _mapped_weights(weights: np.ndarray, d: HeavyTailDistribution) -> np.ndarray
 
 
 def _bonferroni_statistic(p: np.ndarray, weights: np.ndarray):
-    return np.min(p / weights, axis=-1)
+    return (p / weights).min(axis=-1)
 
 
 def _fisher_statistic(p: np.ndarray):
-    return -2.0 * np.sum(np.log(p), axis=-1)
+    return -2.0 * np.log(p).sum(axis=-1)
 
 
 def transform(p, d: HeavyTailDistribution) -> np.ndarray:
@@ -139,27 +145,62 @@ def transform(p, d: HeavyTailDistribution) -> np.ndarray:
     return _transform(_validate_pvalues(p), d)[0]
 
 
-def _transform(arr: np.ndarray, d: HeavyTailDistribution) -> tuple[np.ndarray, bool]:
+def _transform(arr: np.ndarray, d: HeavyTailDistribution):
+    """Scores, with -inf replaced by the most negative double, and where that
+    was done (None when nowhere)."""
     x = np.asarray(d.inverse_survival(arr), dtype=np.float64)
-    saturated = bool(np.isneginf(x).any())
-    if saturated:
-        x = np.where(np.isneginf(x), -_MAX_FLOAT, x)
-    return x, saturated
+    low = np.isneginf(x)
+    if not low.any():
+        return x, None
+    return np.where(low, -_MAX_FLOAT, x), low
 
 
-def _combine(kind: str, p, d: HeavyTailDistribution, w=None) -> CombinedResult:
-    arr = _validate_pvalues(p)
-    weights = _sum_weights(kind, arr.size, d, w)
-    x, saturated = _transform(arr, d)
-    statistic = float(_weighted_sum(x, weights))
+class _Rows(NamedTuple):
+    """Per-row outcome of a global test on a ``(rows, n)`` block."""
+
+    statistic: np.ndarray
+    combined_p: np.ndarray
+    kappa: float | None = None
+    saturated: np.ndarray | None = None  # sum tests: rows where a p = 1 met a -inf bound
+    weights_normalized: bool = False
+
+
+def _combine_rows(kind: str, p: np.ndarray, d: HeavyTailDistribution | None = None,
+                  w=None) -> _Rows:
+    """The statistic and clamped combined p-value of each row of a validated
+    ``(rows, n)`` block, for every kind of ``combine`` and ``bonferroni``/``fisher``.
+
+    Every row gets the bits of a one-row call, so the library and the CLI's
+    length-bucketed blocks agree exactly.
+    """
+    n = p.shape[1]
+    if kind == "bonferroni":
+        weights, normalized = _bonferroni_weights(w, n)
+        statistic = _bonferroni_statistic(p, weights)
+        return _Rows(statistic, _clamp_p(statistic), weights_normalized=normalized)
+    if kind == "fisher":
+        statistic = _fisher_statistic(p)
+        tail = [special._poisson_tail(n, s / 2.0) for s in statistic.tolist()]
+        return _Rows(statistic, _clamp_p(np.array(tail)))
+    weights = _sum_weights(kind, n, d, w)
+    x, low = _transform(p, d)
+    statistic = _weighted_sum(x, weights, by_row=True)
     kappa = _kappa(weights, d)
+    saturated = None if low is None else low.any(axis=1)
+    return _Rows(statistic, _clamp_p(kappa * d.survival(statistic)), kappa, saturated)
+
+
+def _combine(kind: str, p, d: HeavyTailDistribution | None = None, w=None) -> CombinedResult:
+    arr = _validate_pvalues(p)
+    rows = _combine_rows(kind, arr[None, :], d, w)
     return CombinedResult(
         method=kind,
         n=arr.size,
-        statistic=statistic,
-        combined_p=_clamp_p(kappa * float(d.survival(statistic))),
-        kappa=kappa,
-        saturated=saturated,
+        statistic=float(rows.statistic[0]),
+        combined_p=float(rows.combined_p[0]),
+        kappa=rows.kappa,
+        saturated=rows.saturated is not None and bool(rows.saturated[0]),
+        weights_normalized=rows.weights_normalized,
     )
 
 
@@ -184,16 +225,7 @@ def bonferroni(p, w=None) -> CombinedResult:
     Weights are normalized to sum to one; the result records whether
     normalization actually changed them.
     """
-    arr = _validate_pvalues(p)
-    weights, normalized = _bonferroni_weights(w, arr.size)
-    statistic = float(_bonferroni_statistic(arr, weights))
-    return CombinedResult(
-        method="bonferroni",
-        n=arr.size,
-        statistic=statistic,
-        combined_p=_clamp_p(statistic),
-        weights_normalized=normalized,
-    )
+    return _combine("bonferroni", p, w=w)
 
 
 def bonferroni_as_max_statistic(p, w, d: HeavyTailDistribution, alpha: float) -> bool:
@@ -212,14 +244,7 @@ def bonferroni_as_max_statistic(p, w, d: HeavyTailDistribution, alpha: float) ->
 
 def fisher(p) -> CombinedResult:
     """Fisher's method: -2 sum log p_i against the chi-square(2n) upper tail."""
-    arr = _validate_pvalues(p)
-    statistic = float(_fisher_statistic(arr))
-    return CombinedResult(
-        method="fisher",
-        n=arr.size,
-        statistic=statistic,
-        combined_p=_clamp_p(special._poisson_tail(arr.size, statistic / 2.0)),
-    )
+    return _combine("fisher", p)
 
 
 def bh_adjust(p) -> np.ndarray:

@@ -86,9 +86,10 @@ class HeavyTailDistribution:
     def inverse_survival(self, q: ArrayLike) -> ArrayLike:
         """x with survival(x) = q.  q = 1 maps to the lower support bound."""
         arr, scalar = _as_float_array(q)
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
+        if not ((arr > 0.0) & (arr <= 1.0)).all():
             raise DomainError(f"{self.name}: inverse_survival argument outside (0, 1]")
-        out = np.where(arr == 1.0, self.support_lower, self._isf(np.where(arr == 1.0, 0.5, arr)))
+        one = arr == 1.0
+        out = np.where(one, self.support_lower, self._isf(np.where(one, 0.5, arr)))
         return _maybe_scalar(np.asarray(out, dtype=np.float64), scalar)
 
     def _sf(self, x: np.ndarray) -> np.ndarray:
@@ -195,15 +196,23 @@ class Levy(HeavyTailDistribution):
     def support_lower(self) -> float:
         return 0.0
 
+    @staticmethod
+    def _t(x):
+        """1 / sqrt(2x) above 0, else 0.  Beyond max/2, where 2x overflows, it
+        is 0.5 / sqrt(x/2): the same value, with the same roundings."""
+        ax = np.abs(x)
+        with np.errstate(divide="ignore", over="ignore"):
+            t = np.where(x > 0, 1.0 / np.sqrt(2.0 * ax), 0.0)
+        big = ax > 0.5 * _MAX
+        if big.any():
+            t[big] = 0.5 / np.sqrt(0.5 * ax[big])
+        return t
+
     def _sf(self, x):
-        with np.errstate(divide="ignore"):
-            t = np.where(x > 0, 1.0 / np.sqrt(2.0 * np.abs(x)), 0.0)
-        return np.where(x > 0, special.erf_array(t), 1.0)
+        return np.where(x > 0, special.erf_array(self._t(x)), 1.0)
 
     def _cdf(self, x):
-        with np.errstate(divide="ignore"):
-            t = np.where(x > 0, 1.0 / np.sqrt(2.0 * np.abs(x)), 0.0)
-        return np.where(x > 0, special.erfc_array(t), 0.0)
+        return np.where(x > 0, special.erfc_array(self._t(x)), 0.0)
 
     # Q = Phi^-1(1/2 + h)^-2.  The offset h and the tail mass are passed
     # separately, so a q or u near 0 is not rounded away by forming 1/2 + h.
@@ -431,8 +440,10 @@ class StudentT(HeavyTailDistribution):
 
         With w = nu / (x^2 + nu), the power w^(nu/2) (1 - w)^(1/2) is formed
         from w directly (rounding amplified by nu/2), or, where x^2 overflows,
-        from sqrt(w) = sqrt(nu) / hypot(sqrt(nu), x).  Integer nu up to 100 uses
-        the finite sums of A&S 26.7.3-4 where they give sf >= 1/20, so that their
+        from sqrt(w) = sqrt(nu) / hypot(sqrt(nu), x).  Above nu = 100, where
+        x^2 < nu, it is formed from log w = -log1p(x^2 / nu), and the tail there
+        is ``special._beta_large_a``'s expansion in log w.  Integer nu up to 100
+        uses the finite sums of A&S 26.7.3-4 where they give sf >= 1/20, so that their
         cancellation costs at most a factor 10; the tail beyond, where it
         would cost everything, is left to the continued fraction.
         """
@@ -448,7 +459,23 @@ class StudentT(HeavyTailDistribution):
         huge = ax > 1e150
         if huge.any():
             power[huge] = s[huge] ** nu * cs[huge]
-        if nu != int(nu) or nu > _MAX_FINITE_SUM_NU:
+        if nu > _MAX_FINITE_SUM_NU:
+            # w rounds, and near 1 it has lost the digits of 1 - w that both
+            # the power and the continued fraction need: there, use log w
+            near = np.flatnonzero(ax < root)
+            log_w = -np.log1p((ax[near] / root) ** 2)
+            power[near] = np.exp(0.5 * nu * log_w) * cs[near]
+            tail = -(0.5 * nu - 0.25) * log_w >= 0.25  # sf below about 1/4
+            rest = np.ones(ax.size, dtype=bool)
+            rest[near[tail]] = False
+            i_w, i_y = np.empty_like(w), np.empty_like(w)
+            i_w[rest], i_y[rest], _ = special._reg_beta_array(
+                w[rest], y[rest], 0.5 * nu, 0.5, power[rest])
+            i_w[~rest] = special._beta_large_a(0.5 * nu, log_w[tail])
+            i_y[~rest] = 1.0 - i_w[~rest]
+            dens = power * math.exp(special._log_gamma_half_ratio(0.5 * nu) - math.lgamma(0.5))
+            return 0.5 * i_w, 0.5 * i_y, dens, y
+        if nu != int(nu):
             i_w, i_y, dens = special._reg_beta_array(w, y, 0.5 * nu, 0.5, power)
             return 0.5 * i_w, 0.5 * i_y, dens, y
         # a finite series in w = cos^2(theta), theta = arctan(x / sqrt(nu))
@@ -464,8 +491,7 @@ class StudentT(HeavyTailDistribution):
         else:  # 1 - 2 sf = sin(theta) total
             mid = 0.5 * cs * total
             sf = 0.5 - mid
-        dens = power * math.exp(
-            math.lgamma(0.5 * nu + 0.5) - math.lgamma(0.5 * nu) - 0.5 * math.log(math.pi))
+        dens = power * math.exp(special._log_gamma_half_ratio(0.5 * nu) - 0.5 * math.log(math.pi))
         tail = sf < 0.05
         if tail.any():
             i_w, _, _ = special._reg_beta_array(w[tail], y[tail], 0.5 * nu, 0.5, power[tail])
@@ -520,7 +546,7 @@ class StudentT(HeavyTailDistribution):
         nu = self.gamma
         flat = tail.ravel()
         out = np.zeros_like(flat)
-        lgam = math.lgamma(0.5 * nu + 0.5) - math.lgamma(0.5 * nu) - 0.5 * math.log(math.pi)
+        lgam = special._log_gamma_half_ratio(0.5 * nu) - 0.5 * math.log(math.pi)
         log_c = lgam + (0.5 * nu - 1.0) * math.log(nu)  # sf(x) ~ C x^-nu
         sf_max = math.exp(log_c - nu * math.log(_MAX))  # exact to rounding that far out
         out[flat < sf_max] = np.inf

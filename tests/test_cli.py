@@ -5,18 +5,20 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.stats as st
 
 from heavycomb import (
     bh_adjust,
     bonferroni,
     closed_test_bruteforce,
+    closed_test_shortcut,
     combine_average,
     combine_standard,
     combine_weighted,
     fisher,
     parse_distribution,
 )
-from heavycomb.cli import main
+from heavycomb.cli import _CHUNK_GROUPS, _fmt, main
 
 
 def write_groups(path, groups, header=None):
@@ -118,6 +120,19 @@ class TestCombineCommand:
         rows = read_csv(out)
         assert rows[0]["reject"] == "true"
         assert rows[1]["reject"] == "false"
+
+    def test_levy_sum_beyond_half_max(self, tmp_path):
+        # two isf(1e-154) = 6.4e307 sum past max/2, where the Levy sf formed
+        # 2x and overflowed: the combined p was the 2.2e-308 floor
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        inp.write_text("g1,1e-154,1e-154\n")
+        assert main(["combine", "-i", str(inp), "--method", "standard", "--dist", "levy",
+                     "-o", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert float(row["combined_p"]) == pytest.approx(
+            2.0 * st.levy.sf(float(row["statistic"])), rel=1e-15)
+        assert float(row["combined_p"]) == pytest.approx(1.4142135623730951e-154, rel=1e-14)
 
 
 class TestValidation:
@@ -415,6 +430,134 @@ class TestWeightRule:
                    "--reps", "2000", "-o", str(tmp_path / "eq.csv")])
         assert rc == 1
         assert "weights must be positive and finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "weighted", "--dist", "cauchy", "--weights", "1,inf"],
+        ["--method", "bonferroni", "--weights", "1,-1"],
+    ], ids=["weighted-inf", "bonferroni-negative"])
+    def test_combine_checks_weight_values_before_output(self, tmp_path, capsys, argv):
+        # a usage error, as in simulate, with no partial file; the count
+        # stays a per-group check named by its line
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_groups(inp, [("g1", [0.1, 0.2])])
+        assert main(["combine", "-i", str(inp), "-o", str(out)] + argv) == 2
+        assert capsys.readouterr().err == "config error: weights must be positive and finite\n"
+        assert not out.exists()
+
+
+class TestBatchedFileCommands:
+    """combine and closed-test read files in chunks bucketed by group length.
+
+    Every field must be ``_fmt`` of the per-group library result, over a
+    file that spans two chunks, and an error must leave the rows of the file
+    cut before its line.
+    """
+
+    GROUPS = _CHUNK_GROUPS + 44
+    DISTS = ["cauchy", "levy", "trunc_t:1:0.9", "pareto:1"]
+    WEIGHTS = [1.0, 2.0, 0.5, 3.0, 1.0, 0.25]
+
+    @staticmethod
+    def groups(sizes, seed):
+        """Seeded groups with p = 1, 5e-324, ties, and sums that overflow."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for i, n in enumerate(sizes):
+            p = 1.0 - rng.random(n)
+            kind = i % 7
+            if kind == 1:
+                p[rng.integers(n)] = 1.0
+            elif kind == 2:
+                p[rng.integers(n)] = 5e-324
+            elif kind == 3 and n > 1:
+                p[: n // 2] = p[-1]  # ties
+            elif kind == 4:
+                p[:] = 1.0  # the Cauchy sum overflows to -inf (p = 1 maps to -max)
+            elif kind == 5 and n > 1:
+                p[0], p[1] = 5e-324, 1.0  # +inf meets -inf
+            elif kind == 6:
+                p = 10.0 ** -rng.uniform(0, 300, n)
+            out.append((f"g{i:04d}", [float(v) for v in p]))
+        return out
+
+    @pytest.fixture(scope="class")
+    def ragged(self):
+        rng = np.random.default_rng(61)
+        return self.groups(rng.integers(1, 26, self.GROUPS), 62)
+
+    @pytest.fixture(scope="class")
+    def fixed(self):
+        return self.groups([len(self.WEIGHTS)] * self.GROUPS, 63)
+
+    @staticmethod
+    def run(tmp_path, groups, argv):
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_groups(inp, groups)
+        assert main(argv[:1] + ["-i", str(inp), "-o", str(out)] + argv[1:]) == 0
+        return out.read_text().splitlines()[1:]
+
+    CASES = ([("standard", d) for d in DISTS] + [("average", d) for d in DISTS if d != "levy"]
+             + [("weighted", d) for d in DISTS]
+             + [("bonferroni", None), ("bonferroni-weights", None), ("fisher", None)])
+
+    @pytest.mark.parametrize("method,dist", CASES)
+    def test_combine_fields_match_library(self, tmp_path, ragged, fixed, method, dist):
+        d = parse_distribution(dist) if dist else None
+        fn = {"standard": lambda p: combine_standard(p, d),
+              "average": lambda p: combine_average(p, d),
+              "weighted": lambda p: combine_weighted(p, self.WEIGHTS, d),
+              "bonferroni": bonferroni,
+              "bonferroni-weights": lambda p: bonferroni(p, self.WEIGHTS),
+              "fisher": fisher}[method]
+        weighted = method in ("weighted", "bonferroni-weights")
+        groups = fixed if weighted else ragged
+        argv = ["combine", "--method", method.split("-")[0], "--alpha", "0.05"]
+        argv += ["--dist", dist] if dist else []
+        argv += ["--weights", ",".join(map(repr, self.WEIGHTS))] if weighted else []
+        lines = self.run(tmp_path, groups, argv)
+        assert len(lines) == len(groups)
+        for line, (gid, ps) in zip(lines, groups):
+            ref = fn(ps)
+            fields = [gid, ref.n, ref.statistic, ref.combined_p, ref.combined_p < 0.05]
+            assert line == ",".join(map(_fmt, fields)), gid
+
+    @pytest.mark.parametrize("dist", DISTS)
+    def test_closed_test_fields_match_library(self, tmp_path, ragged, dist):
+        d = parse_distribution(dist)
+        lines = self.run(tmp_path, ragged, ["closed-test", "--dist", dist, "--alpha", "0.05"])
+        expected = []
+        for gid, ps in ragged:
+            ref = closed_test_shortcut(ps, d, 0.05)
+            for idx, (p, adj, rej) in enumerate(zip(ps, ref.adjusted_p, ref.rejected), start=1):
+                expected.append(",".join(map(_fmt, [gid, idx, p, float(adj), bool(rej)])))
+        assert lines == expected
+
+    @pytest.mark.parametrize("command,bad", [
+        (["combine", "--method", "fisher"], "p"),
+        (["combine", "--method", "weighted", "--dist", "cauchy", "--weights", "1,2,3"], "n"),
+        (["closed-test", "--dist", "levy", "--alpha", "0.05"], "p"),
+    ], ids=["combine-parse", "combine-weight-count", "closed-test-parse"])
+    def test_error_past_first_chunk_leaves_rows_before_its_line(
+            self, tmp_path, capsys, command, bad):
+        groups = self.groups([3] * self.GROUPS, 64)
+        line = _CHUNK_GROUPS + 20
+        head = tmp_path / "head.csv"
+        write_groups(head, groups[: line - 1])
+        want = tmp_path / "want.csv"
+        assert main(command[:1] + ["-i", str(head), "-o", str(want)] + command[1:]) == 0
+        # a bad line, then groups of other lengths in the same chunk
+        groups[line - 1] = ("bad", [0.5, 1.5, 0.2] if bad == "p" else [0.5, 0.2])
+        groups[line:] = [(gid, ps[: 1 + i % 3]) for i, (gid, ps) in enumerate(groups[line:])]
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_groups(inp, groups)
+        capsys.readouterr()
+        assert main(command[:1] + ["-i", str(inp), "-o", str(out)] + command[1:]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestPresets:

@@ -305,6 +305,15 @@ class TestLevyOracle:
         assert z[0] < -38.0 < 8.0 < z[1]
 
 
+    def test_survival_and_cdf_beyond_half_max(self):
+        # 2x overflowed beyond max/2, so the sf (about 1e-154 there) read 0
+        x = np.geomspace(1e307, 1.79e308, 401)
+        x = np.concatenate([x, [8.99e307, 0.5 * MAX_DOUBLE, MAX_DOUBLE]])
+        sf = np.asarray(Levy().survival(x))
+        assert np.all(np.abs(sf / st.levy.sf(x) - 1.0) <= 1e-15)
+        assert np.array_equal(Levy().cdf(x), st.levy.cdf(x))
+        assert Levy().survival(1e308) == pytest.approx(st.levy.sf(1e308), rel=1e-15)
+
 class TestParseGrammar:
     def test_roundtrip(self):
         for spec in ("cauchy", "log_cauchy", "levy", "pareto:1", "frechet:0.5",
@@ -398,6 +407,17 @@ class TestGeneralNuOracle:
             for nu in (7.0, 20.0):
                 for xi, cdf in zip(x, StudentT(nu).cdf(x)):
                     assert abs(cdf / (1 - self.t_sf(nu, xi)) - 1) <= 1e-15, (nu, xi)
+
+    @pytest.mark.parametrize("nu", [1000.5, 1e6 + 0.5, 1e12, 1e20])
+    def test_large_nu_against_scipy(self, nu):
+        # lgamma(nu/2 + 1/2) - lgamma(nu/2) cancelled and w = nu / (nu + x^2)
+        # rounded towards 1: 4.5e-13 off at nu = 1000.5, 2e-4 at 1e12, and
+        # t:1e20 gave 0.5 at x = 2
+        x = np.linspace(-5.0, 8.0, 261)
+        d = StudentT(nu)
+        assert np.allclose(d.survival(x), st.t.sf(x, nu), rtol=5e-14, atol=0)
+        q = np.logspace(-15, math.log10(0.45), 40)
+        assert np.allclose(d.inverse_survival(q), st.t.isf(q, nu), rtol=1e-14, atol=0)
 
     def test_deep_tail_isf_is_finite_where_the_true_one_is(self):
         # t:1.5 at 1e-295 sits near 1e196; t:0.5 and inv_gamma:0.5 overflow

@@ -327,6 +327,28 @@ class TestIncompleteArrays:
             special._solve_decreasing(x0, x0 / 2.0, x0 * 2.0, creeping)
 
 
+    def test_log_gamma_half_ratio_against_mpmath(self):
+        # the asymptotic series from a = 15; lgamma's difference below
+        with mpmath.workdps(40):
+            for a in (0.5, 3.0, 14.9, 15.0, 50.0, 500.25, 5e5, 5e11, 5e19):
+                exact = mpmath.loggamma(mpmath.mpf(a) + 0.5) - mpmath.loggamma(a)
+                got = special._log_gamma_half_ratio(a)
+                tol = 1e-15 if a >= 15.0 else 6e-15
+                assert abs(mpmath.exp(got - exact) - 1) <= tol, a
+
+    def test_beta_large_a_against_mpmath(self):
+        # z = -(a - 1/4) log x from 1/4 to past 700, where J_0 is a series,
+        # with x >= 1/2; e^-z carries z's rounding, z eps relative
+        with mpmath.workdps(30):
+            for a in (15.0, 50.0, 500.25, 5e5):
+                z = np.array([0.25, 1.0, 8.0, 32.0, 200.0, 699.0, 702.0])
+                z = z[z <= (a - 0.25) * math.log(2.0)]
+                got = special._beta_large_a(a, -z / (a - 0.25))
+                for zi, gi in zip(z, got):
+                    x = mpmath.exp(-mpmath.mpf(zi) / (mpmath.mpf(a) - 0.25))
+                    exact = mpmath.betainc(a, 0.5, 0, x, regularized=True)
+                    assert abs(gi / exact - 1) <= 4e-16 * max(zi, 8.0), (a, zi)
+
 class TestPoissonTail:
     """Q(k, y) for k and y beyond Fisher's test grid: large k, and y >= 708 on
     both sides of k - 1 = y, where the scale is one exponential of a
