@@ -46,63 +46,31 @@ _CHUNK_GROUPS = 256  # groups a file command reads, buckets by length and comput
 
 
 def _fmt(value) -> str:
-    kind = type(value)  # by exact type first: nearly every field is one of these four
+    kind = type(value)  # rows hold only str, int, float and bool
     if kind is float:
         return f"{value:.17g}"
-    if kind is str:
-        return value
-    if kind is int:
-        return str(value)
-    if kind is bool or isinstance(value, np.bool_):
+    if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
     return str(value)
-
-
-class _Writer:
-    """Streams rows to CSV or collects them for a JSON document."""
-
-    def __init__(self, stream, fmt: str, header: list[str]):
-        self.fmt = fmt
-        self.header = header
-        self.stream = stream
-        self.rows: list[dict] = []
-        if fmt == "csv":
-            self.stream.write(",".join(header) + "\n")
-
-    def write(self, values):
-        if self.fmt == "csv":
-            self.stream.write(",".join(map(_fmt, values)) + "\n")
-        else:
-            self.rows.append({k: v for k, v in zip(self.header, values)})
-
-    def finish(self, manifest: dict):
-        if self.fmt == "json":
-            doc = {"rows": self.rows, "manifest": manifest}
-            json.dump(doc, self.stream, indent=2, default=_json_default)
-            self.stream.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _emit(args, header, rows, start, config_echo, seed=None, workers=None) -> int:
     """Write ``rows`` and the run's manifest to ``--output`` (default stdout).
 
-    Rows are written as they are produced, so an error part-way leaves the
-    rows so far and no manifest.  An output file gets its manifest beside
-    it, as ``<stem>.manifest.json``.
+    CSV rows are written as they are produced, so an error part-way leaves
+    the rows so far and no manifest; a JSON document is written only once
+    complete.  An output file gets its manifest beside it, as
+    ``<stem>.manifest.json``.
     """
     to_file = args.output not in (None, "-")
     stream = open(args.output, "w", newline="") if to_file else sys.stdout
-    writer = _Writer(stream, args.format, header)
     try:
-        for row in rows:
-            writer.write(row)
+        if args.format == "csv":
+            stream.write(",".join(header) + "\n")
+            for row in rows:
+                stream.write(",".join(map(_fmt, row)) + "\n")
+        else:
+            records = [dict(zip(header, row)) for row in rows]
         manifest = {
             "command": " ".join(args.argv),
             "config": config_echo,
@@ -111,22 +79,17 @@ def _emit(args, header, rows, start, config_echo, seed=None, workers=None) -> in
             "version": __version__,
             "runtime_seconds": time.perf_counter() - start,
         }
-        writer.finish(manifest)
+        if args.format == "json":
+            json.dump({"rows": records, "manifest": manifest}, stream, indent=2)
+            stream.write("\n")
     finally:
         if to_file:
             stream.close()
     if to_file:
         with open(os.path.splitext(args.output)[0] + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, default=_json_default)
+            json.dump(manifest, fh, indent=2)
             fh.write("\n")
     return 0
-
-
-def _parse_float(token: str, line_no: int, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ValidationError(f"line {line_no}: unparseable {what}: {token!r}") from None
 
 
 def _iter_groups(path):
@@ -147,72 +110,57 @@ def _iter_groups(path):
             group_id = fields[0]
             if len(fields) < 2:
                 raise ValidationError(f"line {line_no}: group {group_id!r} has no p-values")
-            values = [_parse_float(tok, line_no, "p-value") for tok in fields[1:]]
+            values = []
+            for tok in fields[1:]:  # every token parses before any range is checked
+                try:
+                    values.append(float(tok))
+                except ValueError:
+                    raise ValidationError(f"line {line_no}: unparseable p-value: {tok!r}") from None
             for v in values:
                 if not (0.0 < v <= 1.0):
-                    raise ValidationError(
-                        f"line {line_no}: p-value {v!r} outside (0, 1]"
-                    )
+                    raise ValidationError(f"line {line_no}: p-value {v!r} outside (0, 1]")
             yield line_no, group_id, values
-
-
-def _chunks(path):
-    """Lists of at most ``_CHUNK_GROUPS`` groups from ``_iter_groups``.
-
-    A parse error ends the chunk it falls in: that chunk is yielded first,
-    and the error is raised when the next one is asked for.
-    """
-    chunk = []
-    try:
-        for group in _iter_groups(path):
-            chunk.append(group)
-            if len(chunk) == _CHUNK_GROUPS:
-                yield chunk
-                chunk = []
-    except ValidationError:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
-        yield chunk
 
 
 def _batched_rows(path, compute, to_rows):
     """Output rows of a file command, in input order, computed a chunk at a time.
 
-    Each chunk is bucketed by group length, and ``compute`` maps a bucket's
-    ``(groups, n)`` block to one result per group; ``to_rows(group_id, values,
-    result)`` yields a group's rows.  When a block fails, its groups are
-    computed one at a time, so the error belongs to the first group that
-    fails alone: every row before that group's line is yielded, then the
-    error is raised, named by the line when it is a p-value or shape error.
+    A chunk is up to ``_CHUNK_GROUPS`` groups, cut short by a read error, and
+    bucketed by group length; ``compute`` maps a bucket's ``(groups, n)`` block
+    to one result per group and ``to_rows(group_id, values, result)`` yields a
+    group's rows.  A block fails only for its length and the flags, so buckets
+    run in the order of their first group, to which a failed bucket's error
+    belongs: every row before that group's line is yielded, then the error is
+    raised, named by the line for a p-value or shape error.
     """
-    for chunk in _chunks(path):
+    groups = _iter_groups(path)
+    while True:
+        chunk, error = [], None
+        try:
+            for group in groups:
+                chunk.append(group)
+                if len(chunk) == _CHUNK_GROUPS:
+                    break
+        except ValidationError as exc:
+            error = exc
         buckets: dict[int, list[int]] = {}
         for i, (_, _, values) in enumerate(chunk):
             buckets.setdefault(len(values), []).append(i)
-        results = [None] * len(chunk)
-        stop, error = len(chunk), None
+        results, stop = {}, len(chunk)
         for members in buckets.values():
-            block = np.array([chunk[i][2] for i in members])
             try:
-                for i, res in zip(members, compute(block)):
-                    results[i] = res
-            except HeavyCombError:
-                for row, i in enumerate(members):
-                    if i >= stop:
-                        break
-                    try:
-                        results[i] = compute(block[row:row + 1])[0]
-                    except HeavyCombError as exc:
-                        stop, error = i, exc
-                        break
-        for (_, group_id, values), res in zip(chunk[:stop], results):
-            yield from to_rows(group_id, values, res)
+                results.update(zip(members, compute(np.array([chunk[i][2] for i in members]))))
+            except HeavyCombError as exc:
+                stop, error = members[0], exc
+                break
+        for i in range(stop):
+            yield from to_rows(chunk[i][1], chunk[i][2], results[i])
         if isinstance(error, (DomainError, ShapeError)):
             raise ValidationError(f"line {chunk[stop][0]}: {error}") from error
         if error is not None:
             raise error
+        if len(chunk) < _CHUNK_GROUPS:
+            return
 
 
 def _dist_from_arg(spec: str):
@@ -220,6 +168,11 @@ def _dist_from_arg(spec: str):
         return parse_distribution(spec)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_level(flag: str, value: float | None) -> None:
+    if value is not None and not (0.0 < value < 1.0):
+        raise ConfigError(f"{flag} must be in (0,1), got {value!r}")
 
 
 def _parse_weights_arg(text):
@@ -247,6 +200,7 @@ def cmd_combine(args) -> int:
                 raise ConfigError(
                     f"method 'average' needs a tail-index-1 distribution, got {args.dist!r}"
                 ) from None
+    _check_level("--alpha", args.alpha)
     weights = _parse_weights_arg(args.weights) if args.weights else None
     if weights is not None and method in ("weighted", "bonferroni"):
         try:  # the values once, before any output; the count is per group
@@ -277,10 +231,10 @@ def cmd_combine(args) -> int:
 def cmd_closed_test(args) -> int:
     start = time.perf_counter()
     dist = _dist_from_arg(args.dist)
+    _check_level("--alpha", args.alpha)
 
     def compute(block):
-        alpha = comb._check_alpha(args.alpha)
-        adjusted, rejected, _ = closed_testing._shortcut_rows(block, dist, alpha)
+        adjusted, rejected, _ = closed_testing._shortcut_rows(block, dist, args.alpha)
         return list(zip(adjusted.tolist(), rejected.tolist()))
 
     def to_rows(group_id, values, res):
@@ -294,6 +248,7 @@ def cmd_closed_test(args) -> int:
 
 def cmd_adjust_bh(args) -> int:
     start = time.perf_counter()
+    _check_level("--q", args.q)
     ids, pvals = [], []
     for line_no, group_id, values in _iter_groups(args.input):
         if len(values) != 1:
@@ -303,7 +258,7 @@ def cmd_adjust_bh(args) -> int:
             )
         ids.append(group_id)
         pvals.append(values[0])
-    adjusted = comb.bh_adjust(pvals)
+    adjusted = comb.bh_adjust(pvals) if pvals else []
     rows = ([gid, p, float(adj), bool(adj <= args.q)]
             for gid, p, adj in zip(ids, pvals, adjusted))
     header = ["group_id", "p_value", "adjusted_p", "discovery"]

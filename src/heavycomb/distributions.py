@@ -527,8 +527,10 @@ class StudentT(HeavyTailDistribution):
         if g == 1.0:
             return Cauchy()._isf(q)
         if g == 2.0:
+            # below 2^-1022, 2 / (4q(1 - q)) overflows, and 1 - 2q and 1 - q are 1
             with np.errstate(over="ignore"):
-                return (1.0 - 2.0 * q) * np.sqrt(2.0 / (4.0 * q * (1.0 - q)))
+                x = (1.0 - 2.0 * q) * np.sqrt(2.0 / (4.0 * q * (1.0 - q)))
+            return np.where(q < _TINY_NORMAL, 1.0 / np.sqrt(2.0 * q), x)
         x = self._upper_isf(np.where(q < 0.5, q, 1.0 - q))
         return np.where(q > 0.5, -x, x)
 
@@ -641,7 +643,10 @@ class TruncatedT(HeavyTailDistribution):
         return np.where(x < self.c, 0.0, np.maximum((self._denom - parent) / self._denom, 0.0))
 
     def _isf(self, q):
-        return self.parent._isf(q * self._denom)
+        # q * denom rounds to 0 for a subnormal q once denom <= 1/2: +inf there,
+        # as where the parent's isf overflows
+        t = q * self._denom
+        return np.where(t > 0.0, self.parent._isf(np.where(t > 0.0, t, 0.5)), np.inf)
 
     def spec_string(self):
         return f"trunc_t:{self.gamma:g}:{self.p0:g}"

@@ -629,16 +629,26 @@ def reg_beta(x: float, a: float, b: float) -> float:
 def _poisson_tail(k: int, y: float) -> float:
     """Q(k, y) = e^-y sum_{j<k} y^j / j!, the chi-square(2k) survival at 2y (k >= 1, y >= 0).
 
-    Below y = 708 the terms are summed by recursion from e^-y.  Beyond, where
-    e^-y underflows, Q is the array kernel's, whose front factor there is one
-    exponential of summed logarithms (relative error about y * eps).
+    The terms are summed by recursion from e^-y.  Beyond y = 708, where e^-y
+    underflows, it is taken as m = 2^i factors e^(-y/m), each exponent exact:
+    the sum starts from one factor, takes in another whenever it passes 1e280,
+    and the rest at the end.
     """
-    if y >= 708.0:
-        return float(_reg_gamma_array(float(k), np.array([y]))[1][0])
-    term = total = math.exp(-y)
+    m = 1
+    while y / m >= 708.0:
+        m *= 2
+    factor = math.exp(-y / m)
+    term = total = factor
+    left = m - 1
     for j in range(1, k):
         term *= y / j
         total += term
+        if left and total > 1e280:
+            term *= factor
+            total *= factor
+            left -= 1
         if j > y and term < 1e-20 * total:  # past the largest term they fall geometrically
             break
+    for _ in range(left):
+        total *= factor
     return total

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import subprocess
 import sys
@@ -174,6 +175,20 @@ class TestValidation:
         assert main(["combine", "-i", str(inp), "--method", "average",
                      "--dist", "pareto:2"]) == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["closed-test", "--dist", "cauchy", "--alpha", "1.5"], "--alpha must be in (0,1), got 1.5"),
+        (["combine", "--method", "fisher", "--alpha", "1.5"], "--alpha must be in (0,1), got 1.5"),
+        (["adjust-bh", "--q", "7"], "--q must be in (0,1), got 7.0"),
+        (["adjust-bh", "--q", "-1"], "--q must be in (0,1), got -1.0"),
+    ], ids=["closed-test-alpha", "combine-alpha", "adjust-bh-q-above", "adjust-bh-q-below"])
+    def test_level_flag_checked_before_output(self, tmp_path, capsys, argv, message):
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_groups(inp, [("g1", [0.1])])
+        assert main(argv[:1] + ["-i", str(inp), "-o", str(out)] + argv[1:]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
 
 class TestClosedTestCommand:
     def test_single_p(self, tmp_path):
@@ -273,6 +288,15 @@ class TestAdjustBhCommand:
         ref = bh_adjust(ps)
         got = [float(r["adjusted_p"]) for r in read_csv(out)]
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("text", ["", "group_id,p\n"], ids=["empty", "header-only"])
+    def test_no_groups_writes_header(self, tmp_path, text):
+        # as combine and closed-test do
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        inp.write_text(text)
+        assert main(["adjust-bh", "-i", str(inp), "-o", str(out)]) == 0
+        assert out.read_text() == "group_id,p_value,adjusted_p,discovery\n"
 
 
 class TestSimulateCommand:
@@ -535,22 +559,37 @@ class TestBatchedFileCommands:
                 expected.append(",".join(map(_fmt, [gid, idx, p, float(adj), bool(rej)])))
         assert lines == expected
 
-    @pytest.mark.parametrize("command,bad", [
-        (["combine", "--method", "fisher"], "p"),
-        (["combine", "--method", "weighted", "--dist", "cauchy", "--weights", "1,2,3"], "n"),
-        (["closed-test", "--dist", "levy", "--alpha", "0.05"], "p"),
-    ], ids=["combine-parse", "combine-weight-count", "closed-test-parse"])
+    WEIGHTED = ["combine", "--method", "weighted", "--dist", "cauchy", "--weights", "1,2,3"]
+    ERROR_COMMANDS = {
+        "combine-parse": (["combine", "--method", "fisher"], "p"),
+        "combine-weight-count": (WEIGHTED, "n"),
+        "closed-test-parse": (["closed-test", "--dist", "levy", "--alpha", "0.05"], "p"),
+    }
+    # each command with one bad line at each chunk edge (line 276 keeps the
+    # command's plain id), then a bad p-value and a wrong length in one chunk
+    ERROR_CASES = [
+        pytest.param(command, {line: bad},
+                     id=name if line == _CHUNK_GROUPS + 20 else f"{name}-line{line}")
+        for (name, (command, bad)), line in itertools.product(
+            ERROR_COMMANDS.items(),
+            [1, 2, _CHUNK_GROUPS, _CHUNK_GROUPS + 1, _CHUNK_GROUPS + 20, GROUPS])
+    ] + [pytest.param(WEIGHTED, {20: "p", 40: "n"}, id="parse-then-weight-count"),
+         pytest.param(WEIGHTED, {20: "n", 40: "p"}, id="weight-count-then-parse")]
+
+    @pytest.mark.parametrize("command,bad", ERROR_CASES)
     def test_error_past_first_chunk_leaves_rows_before_its_line(
             self, tmp_path, capsys, command, bad):
         groups = self.groups([3] * self.GROUPS, 64)
-        line = _CHUNK_GROUPS + 20
+        line = min(bad)
         head = tmp_path / "head.csv"
         write_groups(head, groups[: line - 1])
         want = tmp_path / "want.csv"
         assert main(command[:1] + ["-i", str(head), "-o", str(want)] + command[1:]) == 0
-        # a bad line, then groups of other lengths in the same chunk
-        groups[line - 1] = ("bad", [0.5, 1.5, 0.2] if bad == "p" else [0.5, 0.2])
+        # the bad lines (a p-value out of range or a wrong length), and groups
+        # of other lengths after the first
         groups[line:] = [(gid, ps[: 1 + i % 3]) for i, (gid, ps) in enumerate(groups[line:])]
+        for at, kind in bad.items():
+            groups[at - 1] = ("bad", [0.5, 1.5, 0.2] if kind == "p" else [0.5, 0.2])
         inp = tmp_path / "in.csv"
         out = tmp_path / "out.csv"
         write_groups(inp, groups)

@@ -109,7 +109,8 @@ def _groups(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(p=_groups(),
-       spec=st.sampled_from(["cauchy", "levy", "t:2", "trunc_t:1:0.9", "pareto:1"]),
+       spec=st.sampled_from(["cauchy", "levy", "t:2", "trunc_t:1:0.9", "trunc_t:2:0.5",
+                             "trunc_t:3:0.1", "pareto:1"]),
        alpha=st.sampled_from([0.01, 0.05, 0.2]))
 def test_shortcut_equals_bruteforce_property(p, spec, alpha):
     d = parse_distribution(spec)

@@ -108,8 +108,11 @@ class TestSaturationIsQuiet:
             res = combine_standard(p, Cauchy())
             assert res.statistic == math.inf
             assert res.combined_p == np.finfo(float).tiny
-        for spec in ("cauchy", "frechet:1", "trunc_t:1:0.9", "t:2"):
+        # trunc_t with p0 <= 1/2 takes q * p0, which rounds to 0, as +inf
+        for spec in ("cauchy", "frechet:1", "trunc_t:1:0.9", "trunc_t:2:0.5", "trunc_t:3:0.1"):
             assert parse_distribution(spec).inverse_survival(5e-324) == math.inf
+        # t:2 stays finite: 1 / sqrt(2q)
+        assert parse_distribution("t:2").inverse_survival(5e-324) == 1.0 / math.sqrt(1e-323)
 
 
 class TestCombineAverage:

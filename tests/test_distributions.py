@@ -428,6 +428,16 @@ class TestGeneralNuOracle:
         assert StudentT(0.5).inverse_survival(1e-200) == math.inf
         assert InverseGamma(0.5).inverse_survival(1e-200) == math.inf
 
+    def test_t2_isf_at_subnormal_targets(self):
+        # 2 / (4q(1 - q)) overflows below q = 2.8e-309; the isf is 7.07e154 at 1e-310
+        q = np.array([5e-324, 1e-320, 1e-310, 2.5e-309, 2.0 ** -1022, 1e-300])
+        got = StudentT(2.0).inverse_survival(q)
+        with mpmath.workdps(40):
+            for qi, xi in zip(q.tolist(), got.tolist()):
+                m = mpmath.mpf(qi)
+                exact = (1 - 2 * m) / mpmath.sqrt(2 * m * (1 - m))
+                assert abs(xi - exact) <= 2 * math.ulp(float(exact)), qi
+
     @pytest.mark.filterwarnings("error")
     def test_extremes_are_quiet(self):
         q = np.array([5e-324, 1e-320, 1e-300, 1e-200, 1e-100, 1e-10, 0.25, 0.5, 0.75, 1.0])

@@ -351,13 +351,24 @@ class TestIncompleteArrays:
 
 class TestPoissonTail:
     """Q(k, y) for k and y beyond Fisher's test grid: large k, and y >= 708 on
-    both sides of k - 1 = y, where the scale is one exponential of a
-    logarithm near k log y (relative error up to about 1e-12 here)."""
+    both sides of k - 1 = y, where e^-y is taken as 2^i exact factors."""
 
     @pytest.mark.parametrize("k, y", [(1, 708.0), (740, 750.0), (751, 750.0), (800, 750.0),
                                       (2000, 713.0), (5000, 300.0)])
     def test_against_mpmath(self, k, y):
         with mpmath.workdps(30):
             exact = mpmath.gammainc(k, y, mpmath.inf, regularized=True)
-            assert abs(special._poisson_tail(k, y) / exact - 1) <= 2e-12
+            assert abs(special._poisson_tail(k, y) / exact - 1) <= 1e-14
+
+    def test_beyond_708_against_mpmath(self):
+        # Fisher statistics from 1416 to 10000; Q below 1e-300 may underflow
+        with mpmath.workdps(30):
+            for k in (1, 2, 7, 50, 120, 199):
+                for y in np.linspace(708.0, 5000.0, 12).tolist():
+                    exact = mpmath.gammainc(k, y, mpmath.inf, regularized=True)
+                    got = special._poisson_tail(k, y)
+                    if exact < 1e-300:
+                        assert got < 1e-300, (k, y)
+                    else:
+                        assert abs(got / exact - 1) <= 1e-14, (k, y)
 
