@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import __version__, closed_testing, combine as comb, presets
+from . import __version__, closed_testing, combine as comb, presets, simulate as sim
 from .closed_testing import closed_test_shortcut  # noqa: F401  (perfbench/tracing.py patches it)
 from .distributions import parse_distribution
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .simulate import (
+from .simulate import (  # noqa: F401  (perfbench/tracing.py patches the public engine names)
     ExchangeableModel,
     ExperimentConfig,
     MethodSpec,
@@ -336,6 +336,8 @@ def _models_from_config(cfg: dict) -> list[ExchangeableModel]:
     rhos = mc.pop("rho", 0.0)
     if not isinstance(rhos, (list, tuple)):
         rhos = [rhos]
+    if not rhos:
+        raise ConfigError("config lists no rho")
     n = int(mc.get("n", 0))
     mean = _build_mean(n, mc.pop("mean", None))
     models = []
@@ -384,12 +386,11 @@ def cmd_simulate(args) -> int:
     methods = _method_specs(cfg)
     alphas = tuple(float(a) for a in cfg.get("alphas", [0.05]))
     replications = int(cfg.get("replications", 0))
+    # checks the levels and counts before any output
+    configs = [ExperimentConfig(m, methods, alphas, replications, seed, workers) for m in models]
 
     def rows():
-        for model in models:
-            report = estimate_rejection_rate(
-                ExperimentConfig(model, methods, alphas, replications, seed, workers)
-            )
+        for model, report in zip(models, sim._rejection_reports(configs)):
             for row in report.rows:
                 yield _model_cols(model) + [
                     row.method, row.alpha, row.estimate, row.std_error,
@@ -412,11 +413,12 @@ def cmd_calibrate_minp(args) -> int:
     cfg, seed, workers = _load_config(args, "calibrate-minp", flags)
     models = _models_from_config(cfg)
     alpha = float(cfg.get("alpha", 0.05))
+    _check_level("alpha", alpha)
     replications = int(cfg.get("replications", 100_000))
+    calibrations = sim._minp_calibrations(models, alpha, replications, seed, workers)
 
     def rows():
-        for model in models:
-            cal = calibrate_minp(model, alpha, replications, seed, workers)
+        for model, cal in zip(models, calibrations):
             yield _model_cols(model) + [cal.alpha, cal.cutoff, cal.cutoff_ratio,
                                         cal.replications, cal.seed, cal.unstable]
 
@@ -427,7 +429,10 @@ def cmd_calibrate_minp(args) -> int:
 
 def cmd_tail_dep(args) -> int:
     start = time.perf_counter()
-    rows = ([args.nu, rho, tail_dependence_t(args.nu, rho)] for rho in args.rho)
+    try:  # every value before any output
+        rows = [[args.nu, rho, tail_dependence_t(args.nu, rho)] for rho in args.rho]
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     echo = {"nu": args.nu, "rho": args.rho}
     return _emit(args, ["nu", "rho", "tail_dependence"], rows, start, echo)
 
@@ -445,11 +450,11 @@ def cmd_equiv_ratio(args) -> int:
     replications = int(cfg.get("replications", 100_000))
     weights = tuple(cfg["weights"]) if cfg.get("weights") else None
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
+    # checks the levels and counts before any output
+    configs = [ExperimentConfig(m, (), alphas, replications, seed, workers) for m in models]
 
     def rows():
-        for model in models:
-            config = ExperimentConfig(model, (), alphas, replications, seed, workers)
-            report = estimate_equivalence_ratio(config, dist, weights)
+        for model, report in zip(models, sim._equivalence_reports(configs, dist, weights)):
             for row in report.rows:
                 yield _model_cols(model) + [
                     dist.spec_string(), row.alpha, row.ratio, row.std_error,

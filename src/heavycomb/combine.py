@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -99,16 +100,16 @@ def _threshold(d: HeavyTailDistribution, alpha: float, kappa: float) -> float:
     return float(d.inverse_survival(min(alpha / kappa, 1.0)))
 
 
-def _weighted_sum(x: np.ndarray, weights: np.ndarray, by_row: bool = False):
-    """Sum of w_i x_i over the last axis; a NaN (+inf meeting -inf) reads as +inf.
-
-    ``by_row`` sums each row of a block on its own (ddot), so that a row has
-    the bits of a one-vector call: the block product (gemv) can differ from
-    it in the last bit.
-    """
+def _weighted_sum(x: np.ndarray, weights: np.ndarray):
+    """Sum of w_i x_i over the last axis, one column at a time (``s = s + w_i x_i``,
+    the same bits in any block and under any BLAS kernel); a NaN (+inf meeting
+    -inf) reads as +inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.array([row @ weights for row in x]) if by_row else x @ weights
-    return np.where(np.isnan(s), np.inf, s)
+        s = x[..., 0] * weights[0]
+        for i in range(1, x.shape[-1]):
+            s += x[..., i] * weights[i]
+    nan = np.isnan(s)
+    return np.where(nan, np.inf, s) if nan.any() else s
 
 
 def _bonferroni_weights(w, n: int) -> tuple[np.ndarray, bool]:
@@ -127,8 +128,11 @@ def _mapped_weights(weights: np.ndarray, d: HeavyTailDistribution) -> np.ndarray
     return _bonferroni_weights(weights ** d.tail_index, weights.size)[0]
 
 
-def _bonferroni_statistic(p: np.ndarray, weights: np.ndarray):
-    return (p / weights).min(axis=-1)
+def _bonferroni_statistic(p: np.ndarray, weights: np.ndarray | None = None):
+    """min_i p_i / w_i over the last axis (min_i p_i without weights), a column
+    at a time: ``np.minimum`` is exact, so this has the bits of a row minimum."""
+    return reduce(np.minimum, (p[..., i] if weights is None else p[..., i] / weights[i]
+                               for i in range(p.shape[-1])))
 
 
 def _fisher_statistic(p: np.ndarray):
@@ -184,7 +188,7 @@ def _combine_rows(kind: str, p: np.ndarray, d: HeavyTailDistribution | None = No
         return _Rows(statistic, _clamp_p(np.array(tail)))
     weights = _sum_weights(kind, n, d, w)
     x, low = _transform(p, d)
-    statistic = _weighted_sum(x, weights, by_row=True)
+    statistic = _weighted_sum(x, weights)
     kappa = _kappa(weights, d)
     saturated = None if low is None else low.any(axis=1)
     return _Rows(statistic, _clamp_p(kappa * d.survival(statistic)), kappa, saturated)

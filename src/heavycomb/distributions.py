@@ -89,7 +89,10 @@ class HeavyTailDistribution:
         if not ((arr > 0.0) & (arr <= 1.0)).all():
             raise DomainError(f"{self.name}: inverse_survival argument outside (0, 1]")
         one = arr == 1.0
-        out = np.where(one, self.support_lower, self._isf(np.where(one, 0.5, arr)))
+        if one.any():
+            out = np.where(one, self.support_lower, self._isf(np.where(one, 0.5, arr)))
+        else:
+            out = self._isf(arr)
         return _maybe_scalar(np.asarray(out, dtype=np.float64), scalar)
 
     def _sf(self, x: np.ndarray) -> np.ndarray:
@@ -140,10 +143,10 @@ class Cauchy(HeavyTailDistribution):
         return self._sf(-x)
 
     def _isf(self, q):
+        # sign(1/2 - q) / tan(pi r) on the nearer tail r = min(q, 1 - q): one
+        # tan, no masked select, and 0 at q = 1/2 (1 - q is exact above 1/2)
         with np.errstate(divide="ignore", over="ignore"):
-            lowq = 1.0 / np.tan(np.pi * np.where(q <= 0.5, q, 0.25))
-            highq = -1.0 / np.tan(np.pi * np.where(q > 0.5, 1.0 - q, 0.25))
-        return np.where(q == 0.5, 0.0, np.where(q <= 0.5, lowq, highq))
+            return np.sign(0.5 - q) / np.tan(np.pi * np.minimum(q, 1.0 - q))
 
     def _quantile(self, u):
         return -self._isf(u)

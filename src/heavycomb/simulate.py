@@ -9,7 +9,9 @@ Reproducibility contract: replications are split into fixed-size blocks,
 each driven by its own counter-based Philox stream keyed by
 ``(seed, block index)``.  Workers process whole blocks and partial
 results are reduced in block order, so results are bit-identical for any
-worker count.
+worker count.  The scenarios of one command (its values of ``rho``) share
+each block's draws and one pass over the blocks, so a scenario gets the
+bits it would get on its own.
 """
 
 from __future__ import annotations
@@ -142,6 +144,26 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _draw(model: ExchangeableModel, rng: np.random.Generator, rows: int):
+    """A block's draws, shared by every rho: centred normals, row means, t scale sqrt(s/nu)."""
+    z = rng.standard_normal((rows, model.n))
+    zbar = z.mean(axis=1, keepdims=True)
+    t_family = model.family == "student_t"
+    scale = np.sqrt(rng.chisquare(model.nu, size=(rows, 1)) / model.nu) if t_family else None
+    return z - zbar, zbar, scale
+
+
+def _shape(model: ExchangeableModel, draw) -> np.ndarray:
+    """The statistics of ``model`` from a block's draws (see sample_statistics)."""
+    centred, zbar, scale = draw
+    x = math.sqrt(max(1.0 - model.rho, 0.0)) * centred
+    x += math.sqrt(max(1.0 + (model.n - 1) * model.rho, 0.0)) * zbar
+    if scale is not None:
+        x /= scale
+    x += model.mean_vector()
+    return x
+
+
 def sample_statistics(model: ExchangeableModel, rng: np.random.Generator, size: int | None = None):
     """Draw test statistics with exchangeable covariance.
 
@@ -151,31 +173,21 @@ def sample_statistics(model: ExchangeableModel, rng: np.random.Generator, size: 
     coordinates, then the mean shift is applied.
     """
     rows = 1 if size is None else int(size)
-    n = model.n
-    z = rng.standard_normal((rows, n))
-    zbar = z.mean(axis=1, keepdims=True)
-    lam1 = max(1.0 + (n - 1) * model.rho, 0.0)
-    lam2 = max(1.0 - model.rho, 0.0)
-    x = math.sqrt(lam2) * (z - zbar) + math.sqrt(lam1) * zbar
-    if model.family == "student_t":
-        s = rng.chisquare(model.nu, size=(rows, 1))
-        x = x / np.sqrt(s / model.nu)
-    t = x + model.mean_vector()
+    t = _shape(model, _draw(model, rng, rows))
     return t[0] if size is None else t
 
 
 def statistics_to_pvalues(t, model: ExchangeableModel) -> np.ndarray:
-    """Marginal p-values (exactly uniform under the zero-mean null)."""
+    """Marginal p-values (exactly uniform under the zero-mean null).
+
+    A tail probability that underflows to 0 is floored at the smallest
+    positive double, so a strong signal still yields p-values in (0, 1].
+    """
     arr = np.asarray(t, dtype=np.float64)
-    if model.family == "normal":
-        if model.sided == "one_sided":
-            return special.normal_sf_array(arr)
-        return 2.0 * special.normal_sf_array(np.abs(arr))
     # the draws are finite, so the NaN check of StudentT.survival is skipped
-    sf = StudentT(model.nu)._sf
-    if model.sided == "one_sided":
-        return sf(arr)
-    return 2.0 * sf(np.abs(arr))
+    sf = special.normal_sf_array if model.family == "normal" else StudentT(model.nu)._sf
+    p = sf(arr) if model.sided == "one_sided" else 2.0 * sf(np.abs(arr))
+    return np.maximum(p, 5e-324)
 
 
 def chi_square_upper_quantile(dof_pairs: float, alpha: float) -> float:
@@ -231,30 +243,42 @@ def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
 
 
 def _block(payload):
-    model, seed, index, rows, reduce_p, args = payload
-    t = sample_statistics(model, replication_rng(seed, index), rows)
-    return reduce_p(statistics_to_pvalues(t, model), *args)
+    """``reduce_p(p, *args)`` of one block for every model, from one draw."""
+    models, seed, index, rows, reduce_p, args = payload
+    draw = _draw(models[0], replication_rng(seed, index), rows)
+    out = []
+    for model in models:
+        p = statistics_to_pvalues(_shape(model, draw), model)
+        if not (p <= 1.0).all():  # a NaN fails too; the floor keeps p > 0
+            raise DomainError(f"rho={model.rho}: p-values outside (0, 1] in block {index}")
+        out.append(reduce_p(p, *args))
+    return out
 
 
-def _run_blocks(model, seed, replications, workers, reduce_p, *args, block_size=BLOCK_SIZE):
-    """``reduce_p(p, *args)`` of each block's p-values, in block order.
+def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size=BLOCK_SIZE):
+    """``reduce_p(p, *args)`` of each block's p-values, one list per model in
+    block order, for models that share ``family``, ``n`` and ``nu``.
 
-    Block ``i`` holds the next ``block_size`` replications, drawn from
-    ``replication_rng(seed, i)``; blocks run serially or on a fork pool.
+    Block ``i`` holds the next ``block_size`` replications, drawn once from
+    ``replication_rng(seed, i)`` and shaped for every model; blocks run
+    serially or on one fork pool.
     """
     payloads = [
-        (model, seed, index, min(block_size, replications - start), reduce_p, args)
+        (models, seed, index, min(block_size, replications - start), reduce_p, args)
         for index, start in enumerate(range(0, replications, block_size))
     ]
     if workers <= 1 or len(payloads) <= 1:
-        return [_block(p) for p in payloads]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # platforms without fork
-        ctx = multiprocessing.get_context()
-    max_workers = min(workers, len(payloads))
-    with ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx) as pool:
-        return list(pool.map(_block, payloads, chunksize=max(1, len(payloads) // max_workers)))
+        blocks = [_block(p) for p in payloads]
+    else:
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # platforms without fork
+            ctx = multiprocessing.get_context()
+        max_workers = min(workers, len(payloads))
+        with ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx) as pool:
+            chunksize = max(1, len(payloads) // max_workers)
+            blocks = list(pool.map(_block, payloads, chunksize=chunksize))
+    return [[block[m] for block in blocks] for m in range(len(models))]
 
 
 def _rate_counts(p, plan, alphas):
@@ -274,11 +298,36 @@ def _rate_counts(p, plan, alphas):
         elif method.kind == "bonferroni":
             stat = combine._bonferroni_statistic(p, method.weights)
         else:  # minp
-            stat = p.min(axis=1)
+            stat = combine._bonferroni_statistic(p)
         below = method.kind in ("bonferroni", "minp")
         for ai, thr in enumerate(method.thresholds):
             counts[mi, ai] = np.count_nonzero(stat < thr if below else stat > thr)
     return counts
+
+
+def _rejection_reports(configs):
+    """Each config's ExperimentReport, in order, from one block pass over
+    configs that differ only in their model's ``rho``; each report is made
+    when it is asked for."""
+    start = time.perf_counter()
+    first = configs[0]
+    if not first.methods:
+        raise ConfigError("at least one method is required")
+    plan = _compile_methods(first.methods, first.alphas, first.model.n)
+    per_model = _run_blocks([c.model for c in configs], first.seed, first.replications,
+                            first.workers, _rate_counts, plan, first.alphas)
+    runtime = time.perf_counter() - start
+    r = first.replications
+    for blocks in per_model:
+        counts = sum(blocks)
+        rows = []
+        for mi, method in enumerate(plan):
+            for ai, alpha in enumerate(first.alphas):
+                k = int(counts[mi, ai])
+                est = k / r
+                se = math.sqrt(est * (1.0 - est) / r)
+                rows.append(RateEstimate(method.label, alpha, est, se, k))
+        yield ExperimentReport(tuple(rows), r, first.seed, first.workers, runtime)
 
 
 def estimate_rejection_rate(config: ExperimentConfig) -> ExperimentReport:
@@ -288,26 +337,7 @@ def estimate_rejection_rate(config: ExperimentConfig) -> ExperimentReport:
     signal in the mean it is power.  Deterministic for fixed
     (seed, replications) regardless of ``workers``.
     """
-    start = time.perf_counter()
-    if not config.methods:
-        raise ConfigError("at least one method is required")
-    plan = _compile_methods(config.methods, config.alphas, config.model.n)
-    counts = sum(_run_blocks(config.model, config.seed, config.replications, config.workers,
-                             _rate_counts, plan, config.alphas))
-    r = config.replications
-    rows = []
-    for mi, method in enumerate(plan):
-        for ai, alpha in enumerate(config.alphas):
-            k = int(counts[mi, ai])
-            est = k / r
-            rows.append(RateEstimate(method.label, alpha, est, math.sqrt(est * (1.0 - est) / r), k))
-    return ExperimentReport(
-        rows=tuple(rows),
-        replications=r,
-        seed=config.seed,
-        workers=config.workers,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return next(_rejection_reports([config]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +374,42 @@ def _equivalence_tallies(p, dist, weights, mapped, thresholds, alphas):
     return tallies
 
 
+def _equivalence_reports(configs, d: HeavyTailDistribution, w=None):
+    """Each config's EquivalenceReport, as ``_rejection_reports`` makes its reports."""
+    start = time.perf_counter()
+    first = configs[0]
+    weights = combine._sum_weights("standard" if w is None else "weighted", first.model.n, d, w)
+    kappa = combine._kappa(weights, d)
+    mapped = combine._mapped_weights(weights, d)
+    thresholds = tuple(combine._threshold(d, a, kappa) for a in first.alphas)
+    per_model = _run_blocks([c.model for c in configs], first.seed, first.replications,
+                            first.workers, _equivalence_tallies, d, weights, mapped,
+                            thresholds, first.alphas)
+    runtime = time.perf_counter() - start
+    r = first.replications
+    for blocks in per_model:
+        tallies = sum(blocks)
+        rows = []
+        for ai, alpha in enumerate(first.alphas):
+            n_wgt, n_bon, n_dis, n_dis_wgt, n_dis_bon = (int(v) for v in tallies[ai])
+            n_min = min(n_wgt, n_bon)
+            if n_min == 0:
+                raise InsufficientEventsError(
+                    f"no rejections at alpha={alpha}; increase replications",
+                    counts={"weighted": n_wgt, "bonferroni": n_bon, "disagree": n_dis},
+                )
+            a_hat = n_dis / r
+            b_hat = n_min / r
+            joint = (n_dis_wgt if n_wgt <= n_bon else n_dis_bon) / r
+            var_a, var_b = a_hat * (1.0 - a_hat), b_hat * (1.0 - b_hat)
+            cov_ab = joint - a_hat * b_hat
+            var_ratio = (var_a / b_hat**2 + a_hat**2 * var_b / b_hat**4
+                         - 2.0 * a_hat * cov_ab / b_hat**3) / r
+            rows.append(EquivalenceEstimate(alpha, a_hat / b_hat, math.sqrt(max(var_ratio, 0.0)),
+                                            n_dis, n_wgt, n_bon))
+        yield EquivalenceReport(tuple(rows), r, first.seed, first.workers, runtime)
+
+
 def estimate_equivalence_ratio(
     config: ExperimentConfig, d: HeavyTailDistribution, w=None
 ) -> EquivalenceReport:
@@ -354,52 +420,7 @@ def estimate_equivalence_ratio(
     w*_i = w_i^gamma / kappa so the two tests are asymptotically paired.
     Standard errors come from the delta method on the shared sample.
     """
-    start = time.perf_counter()
-    n = config.model.n
-    weights = combine._sum_weights("standard" if w is None else "weighted", n, d, w)
-    kappa = combine._kappa(weights, d)
-    mapped = combine._mapped_weights(weights, d)
-    thresholds = tuple(combine._threshold(d, a, kappa) for a in config.alphas)
-    tallies = sum(_run_blocks(config.model, config.seed, config.replications, config.workers,
-                              _equivalence_tallies, d, weights, mapped, thresholds, config.alphas))
-    r = config.replications
-    rows = []
-    for ai, alpha in enumerate(config.alphas):
-        n_wgt, n_bon, n_dis, n_dis_wgt, n_dis_bon = (int(v) for v in tallies[ai])
-        n_min = min(n_wgt, n_bon)
-        if n_min == 0:
-            raise InsufficientEventsError(
-                f"no rejections at alpha={alpha}; increase replications",
-                counts={"weighted": n_wgt, "bonferroni": n_bon, "disagree": n_dis},
-            )
-        a_hat = n_dis / r
-        b_hat = n_min / r
-        joint = (n_dis_wgt if n_wgt <= n_bon else n_dis_bon) / r
-        var_a = a_hat * (1.0 - a_hat)
-        var_b = b_hat * (1.0 - b_hat)
-        cov_ab = joint - a_hat * b_hat
-        var_ratio = (
-            var_a / b_hat**2
-            + a_hat**2 * var_b / b_hat**4
-            - 2.0 * a_hat * cov_ab / b_hat**3
-        ) / r
-        rows.append(
-            EquivalenceEstimate(
-                alpha=alpha,
-                ratio=a_hat / b_hat,
-                std_error=math.sqrt(max(var_ratio, 0.0)),
-                disagreements=n_dis,
-                weighted_rejections=n_wgt,
-                bonferroni_rejections=n_bon,
-            )
-        )
-    return EquivalenceReport(
-        rows=tuple(rows),
-        replications=r,
-        seed=config.seed,
-        workers=config.workers,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return next(_equivalence_reports([config], d, w))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +438,20 @@ class MinPCalibration:
     unstable: bool
 
 
+def _minp_calibrations(models, alpha: float, replications: int, seed: int, workers: int):
+    """Each model's MinPCalibration, as ``_rejection_reports`` makes its reports."""
+    combine._check_alpha(alpha)
+    if any(any(model.mean) for model in models):
+        raise ConfigError("minP calibration requires the null model (zero mean)")
+    # the smallest p-value of each replication
+    per_model = _run_blocks(models, seed, replications, workers, combine._bonferroni_statistic)
+    k = max(1, int(math.floor(alpha * replications)))
+    for model, blocks in zip(models, per_model):
+        cutoff = float(np.partition(np.concatenate(blocks), k - 1)[k - 1])
+        yield MinPCalibration(cutoff, cutoff / (alpha / model.n), alpha, model.n, replications,
+                              seed, alpha * replications < 50.0)
+
+
 def calibrate_minp(
     model: ExchangeableModel, alpha: float, replications: int, seed: int, workers: int = 1
 ) -> MinPCalibration:
@@ -426,22 +461,7 @@ def calibrate_minp(
     alpha/n; values above 1 quantify how conservative Bonferroni is for
     the model's dependence.  Flagged unstable when alpha*replications < 50.
     """
-    combine._check_alpha(alpha)
-    if any(model.mean):
-        raise ConfigError("minP calibration requires the null model (zero mean)")
-    # np.min(p, 1): the smallest p-value of each replication
-    mins = np.concatenate(_run_blocks(model, seed, replications, workers, np.min, 1))
-    k = max(1, int(math.floor(alpha * replications)))
-    cutoff = float(np.partition(mins, k - 1)[k - 1])
-    return MinPCalibration(
-        cutoff=cutoff,
-        cutoff_ratio=cutoff / (alpha / model.n),
-        alpha=alpha,
-        n=model.n,
-        replications=replications,
-        seed=seed,
-        unstable=alpha * replications < 50.0,
-    )
+    return next(_minp_calibrations([model], alpha, replications, seed, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +500,8 @@ def pvalue_covariance(
     if model.n != 2:
         raise DomainError("pvalue_covariance requires an n=2 model")
     block_size = min(BLOCK_SIZE, max(1, replications // 16)) if replications >= 32 else 1
-    stats = np.vstack(_run_blocks(model, seed, replications, workers, _cov_moments,
-                                  block_size=block_size))
+    stats = np.vstack(_run_blocks([model], seed, replications, workers, _cov_moments,
+                                  block_size=block_size)[0])
     total = stats.sum(axis=0)
 
     def cov_from(m):

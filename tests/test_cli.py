@@ -433,6 +433,78 @@ class TestOtherCommands:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+class TestEngineCommandsBeforeOutput:
+    """An engine command checks its levels and rho before it writes anything."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["calibrate-minp", "--n", "2", "--rho", "0", "--reps", "1000", "--alpha", "1.5"],
+         "alpha must be in (0,1), got 1.5"),
+        (["equiv-ratio", "--n", "2", "--rho", "0", "--reps", "1000", "--alphas", "0.05,1.5"],
+         "alpha must be in (0,1), got 1.5"),
+        (["tail-dep", "--nu", "2", "--rho", "0.5,1.5"], "rho must be in (-1, 1], got 1.5"),
+        (["tail-dep", "--nu", "0", "--rho", "0.5"], "nu must be positive, got 0.0"),
+    ], ids=["calibrate-minp-alpha", "equiv-ratio-alphas", "tail-dep-rho", "tail-dep-nu"])
+    def test_flags(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_empty_rho_list(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"n": 2, "rho": []}, "replications": 1000}))
+        out = tmp_path / "out.csv"
+        assert main(["calibrate-minp", "--config", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: config lists no rho\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("simulate", "alphas", [0.05, 0.0]),
+        ("calibrate-minp", "alpha", -0.1),
+        ("equiv-ratio", "alphas", [1.0]),
+    ])
+    def test_config(self, tmp_path, capsys, command, field, value):
+        cfg = {"command": command, "model": {"n": 2, "rho": [0.0, 0.5]},
+               "methods": [{"kind": "fisher"}], "replications": 1000, field: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(path), "-o", str(out)]) == 2
+        bad = value[-1] if isinstance(value, list) else value
+        assert capsys.readouterr().err == f"config error: alpha must be in (0,1), got {bad!r}\n"
+        assert not out.exists()
+
+
+class TestOnePassCommands:
+    """A command over several rho writes the rows of one run per rho."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["calibrate-minp", "--alpha", "0.1"],
+        ["equiv-ratio", "--dist", "pareto:1", "--weights", "1,2,3", "--alphas", "0.05,0.01"],
+    ], ids=["simulate", "calibrate-minp", "equiv-ratio"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rows_match_one_rho_at_a_time(self, tmp_path, argv, workers):
+        rhos = [0.0, 0.7, -0.3]
+
+        def run(rho_values, name):
+            cfg = {"command": argv[0],
+                   "model": {"family": "student_t", "nu": 3, "n": 3, "rho": rho_values},
+                   "methods": [{"kind": "standard", "distribution": "cauchy"},
+                               {"kind": "bonferroni"}, {"kind": "fisher"}],
+                   "replications": 40_000, "seed": 47}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"{name}.csv"
+            assert main(argv + ["--config", str(path), "--workers", workers,
+                                "-o", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        shared = run(rhos, "all")
+        alone = [run(rho, f"rho{i}") for i, rho in enumerate(rhos)]
+        assert shared == alone[0][:1] + [line for lines in alone for line in lines[1:]]
+
+
 class TestWeightRule:
     """The engine checks weights by the library's rule: positive and finite."""
 

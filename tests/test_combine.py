@@ -8,6 +8,8 @@ import pytest
 import scipy.stats as st
 
 from heavycomb.combine import (
+    _bonferroni_statistic,
+    _weighted_sum,
     bh_adjust,
     bonferroni,
     bonferroni_as_max_statistic,
@@ -197,6 +199,37 @@ class TestBonferroni:
         res = bonferroni([0.1, 0.2], [2.0, 2.0])
         assert res.weights_normalized
         assert res.combined_p == pytest.approx(0.2, rel=1e-13)
+
+
+class TestColumnReductions:
+    """The block sum and minimum of a row keep its bits in any block."""
+
+    @pytest.fixture
+    def block(self):
+        rng = np.random.default_rng(48)
+        x = rng.standard_cauchy((300, 7)) * 10.0 ** rng.integers(-5, 300, (300, 7))
+        x[5, 2], x[9, 0], x[9, 4], x[11, 1] = np.inf, np.inf, -np.inf, -np.inf
+        return x
+
+    def test_weighted_sum_is_the_left_to_right_row_sum(self, block):
+        w = np.array([0.5, 2.0, 1.0, 3.0, 0.25, 1.5, 7.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            loop = [float(row[0] * w[0]) for row in block]
+            for r, row in enumerate(block):
+                for i in range(1, row.size):
+                    loop[r] = loop[r] + float(row[i] * w[i])
+        expected = np.array([math.inf if math.isnan(v) else v for v in loop])
+        got = _weighted_sum(block, w)
+        assert got.tobytes() == expected.tobytes()
+        assert got[9] == math.inf  # +inf meeting -inf reads as +inf
+        assert all(_weighted_sum(block[r:r + 1], w)[0] == got[r] for r in range(0, 300, 7))
+
+    def test_bonferroni_statistic_is_the_row_minimum(self):
+        p = 1.0 - np.random.default_rng(49).random((300, 7))
+        w = np.linspace(0.05, 0.3, 7)
+        assert _bonferroni_statistic(p, w).tobytes() == (p / w).min(axis=-1).tobytes()
+        assert _bonferroni_statistic(p).tobytes() == p.min(axis=-1).tobytes()
+        assert _bonferroni_statistic(p[3], w) == (p[3] / w).min()
 
 
 class TestBonferroniMaxStatistic:

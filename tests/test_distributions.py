@@ -145,6 +145,44 @@ class TestQuantile:
         d = TruncatedT(1.0, 0.9)
         assert d.inverse_survival(1.0) == d.c
 
+    @pytest.mark.parametrize("spec", [
+        "cauchy", "log_cauchy", "levy", "pareto:1", "pareto:2.5", "frechet:1", "frechet:0.5",
+        "inv_gamma:1", "inv_gamma:2.5", "log_gamma:1", "t:1", "t:2", "t:3", "t:2.5",
+        "trunc_t:1:0.9", "trunc_t:3:0.9",
+    ])
+    def test_inverse_survival_only_masks_when_a_q_is_one(self, spec):
+        # q = 1 maps to the support bound with the bits of the masked form;
+        # without a q = 1 the transform is the family's _isf itself
+        d = parse_distribution(spec)
+        q = np.array([1.0, 0.3, 1e-300, 1.0, 0.5, 1.0 - 2.0**-53, 5e-324])
+        one = q == 1.0
+        masked = np.where(one, d.support_lower, d._isf(np.where(one, 0.5, q)))
+        assert np.asarray(d.inverse_survival(q)).tobytes() == masked.tobytes()
+        assert d.inverse_survival(1.0) == d.support_lower
+        assert isinstance(d.inverse_survival(1.0), float)
+        rest = q[~one]
+        assert np.asarray(d.inverse_survival(rest)).tobytes() == np.asarray(d._isf(rest)).tobytes()
+        for v in rest.tolist():
+            got = d.inverse_survival(v)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == masked[q == v][0].tobytes()
+
+    def test_cauchy_one_tan_matches_two_tan_formula(self):
+        def two_tan(q):
+            with np.errstate(divide="ignore", over="ignore"):
+                low = 1.0 / np.tan(np.pi * np.where(q <= 0.5, q, 0.25))
+                high = -1.0 / np.tan(np.pi * np.where(q > 0.5, 1.0 - q, 0.25))
+            return np.where(q == 0.5, 0.0, np.where(q <= 0.5, low, high))
+
+        rng = np.random.default_rng(46)
+        edges = [5e-324, 1e-310, sys.float_info.min, 0.25, 0.5, np.nextafter(0.5, 0.0),
+                 np.nextafter(0.5, 1.0), 0.75, 1.0 - 2.0**-53, 1.0]
+        q = np.concatenate([rng.random(1_000_000), 10.0 ** -rng.uniform(0.0, 323.0, 800_000),
+                            1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 200_000), edges])
+        q = q[q > 0.0]
+        assert q.size >= 2_000_000
+        assert Cauchy()._isf(q).tobytes() == two_tan(q).tobytes()
+
 
 class TestTruncationPoint:
     def test_median(self):

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -30,6 +31,7 @@ from heavycomb import cli, presets
 from heavycomb.simulate import ExchangeableModel, pvalue_covariance
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 GROUPS = """group,p1,p2,p3,p4,p5
 g01,0.012,0.5,0.73
@@ -261,6 +263,19 @@ def test_cli_golden(golden_dir, name):
 def test_pvalue_covariance_golden():
     expected = json.loads((GOLDEN / "pvalue_covariance.json").read_text())
     assert covariance_golden() == expected
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_goldens_under_other_blas_kernels(coretype):
+    # OpenBLAS picks its kernel from the CPU at load time; forcing another one
+    # for a child process must not move a golden byte
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "not other_blas_kernels"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:]
 
 
 def _regenerate():

@@ -16,6 +16,9 @@ from heavycomb.simulate import (
     estimate_equivalence_ratio,
     estimate_rejection_rate,
     pvalue_covariance,
+    _equivalence_reports,
+    _minp_calibrations,
+    _rejection_reports,
     replication_rng,
     sample_statistics,
     statistics_to_pvalues,
@@ -80,6 +83,26 @@ class TestSampler:
         model = ExchangeableModel("normal", 3, 0.5)
         t = sample_statistics(model, replication_rng(5, 0))
         assert t.shape == (3,)
+
+
+    @pytest.mark.parametrize("model", [
+        ExchangeableModel("normal", 4, -0.2),
+        ExchangeableModel("normal", 3, 1.0, mean=(0.0, 1.5, -2.0)),
+        ExchangeableModel("student_t", 5, 0.7, nu=2, sided="two_sided"),
+        ExchangeableModel("student_t", 2, 0.3, nu=3.5, mean=(1.0, 0.0)),
+    ], ids=["normal", "normal-rho1-mean", "t2", "t3.5-mean"])
+    def test_bits_of_the_spectral_form(self, model):
+        # the formula the block pass splits into a shared draw and a per-rho shape
+        rng = replication_rng(41, 3)
+        z = rng.standard_normal((5000, model.n))
+        zbar = z.mean(axis=1, keepdims=True)
+        lam1 = max(1.0 + (model.n - 1) * model.rho, 0.0)
+        x = math.sqrt(max(1.0 - model.rho, 0.0)) * (z - zbar) + math.sqrt(lam1) * zbar
+        if model.family == "student_t":
+            x = x / np.sqrt(rng.chisquare(model.nu, size=(5000, 1)) / model.nu)
+        expected = x + model.mean_vector()
+        got = sample_statistics(model, replication_rng(41, 3), 5000)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPValues:
@@ -223,6 +246,98 @@ class TestRejectionRates:
         report = estimate_rejection_rate(config)
         minp_row = next(r for r in report.rows if r.method == "minp")
         assert abs(minp_row.estimate - 0.05) < 0.006
+
+
+_ALL_KINDS = (
+    MethodSpec("standard", "cauchy"),
+    MethodSpec("standard", "levy"),
+    MethodSpec("standard", "t:3"),
+    MethodSpec("average", "pareto:1"),
+    MethodSpec("weighted", "trunc_t:1:0.9", weights=(1.0, 2.0, 0.5, 3.0)),
+    MethodSpec("bonferroni", weights=(1.0, 2.0, 0.5, 3.0), label="wbonf"),
+    MethodSpec("bonferroni"),
+    MethodSpec("fisher"),
+    MethodSpec("minp", cutoff=0.02),
+)
+_ONE_PASS_MODELS = {
+    "normal": dict(family="normal"),
+    "t2": dict(family="student_t", nu=2.0, sided="two_sided"),
+    "t3": dict(family="student_t", nu=3.0),
+}
+_ONE_PASS_RHOS = (0.0, 0.6, -0.25, 0.99)
+
+
+def _scenarios(kind, **fields):
+    return [ExchangeableModel(n=4, rho=rho, **_ONE_PASS_MODELS[kind], **fields)
+            for rho in _ONE_PASS_RHOS]
+
+
+class TestOnePass:
+    """Every rho of a command shares one block pass, and gets the bits of a
+    run of its own."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("replications", [BLOCK_SIZE + 4321, 3000])
+    @pytest.mark.parametrize("kind", sorted(_ONE_PASS_MODELS))
+    def test_rejection_rates(self, kind, replications, workers):
+        configs = [ExperimentConfig(m, _ALL_KINDS, (0.05, 0.01), replications, 42, workers)
+                   for m in _scenarios(kind, mean=(0.0, 0.5, 0.0, 1.0))]
+        shared = list(_rejection_reports(configs))
+        assert len(shared) == len(configs)
+        for config, report in zip(configs, shared):
+            alone = estimate_rejection_rate(config)
+            assert report.rows == alone.rows
+            assert (report.replications, report.seed, report.workers) == (
+                alone.replications, alone.seed, alone.workers)
+        # the pass's time is every report's
+        assert len({report.runtime_seconds for report in shared}) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("replications", [BLOCK_SIZE + 4321, 3000])
+    @pytest.mark.parametrize("kind", sorted(_ONE_PASS_MODELS))
+    def test_minp_calibrations(self, kind, replications, workers):
+        models = _scenarios(kind)
+        shared = list(_minp_calibrations(models, 0.05, replications, 43, workers))
+        assert shared == [calibrate_minp(m, 0.05, replications, 43, workers) for m in models]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("replications", [BLOCK_SIZE + 4321, 3000])
+    @pytest.mark.parametrize("kind", sorted(_ONE_PASS_MODELS))
+    def test_equivalence_ratios(self, kind, replications, workers):
+        configs = [ExperimentConfig(m, (), (0.05, 0.02), replications, 44, workers)
+                   for m in _scenarios(kind)]
+        weights = (1.0, 2.0, 3.0, 0.5)
+        shared = list(_equivalence_reports(configs, Cauchy(), weights))
+        for config, report in zip(configs, shared):
+            assert report.rows == estimate_equivalence_ratio(config, Cauchy(), weights).rows
+
+    def test_later_scenario_fails_after_earlier_reports(self):
+        # a rho without rejections raises at its own report, not before
+        configs = [ExperimentConfig(ExchangeableModel("normal", 2, rho), (), (5e-4,), 2000, 4)
+                   for rho in (0.9, 0.0)]
+        reports = _equivalence_reports(configs, Cauchy())
+        assert next(reports).rows[0].bonferroni_rejections == 1
+        with pytest.raises(InsufficientEventsError):
+            next(reports)
+
+
+class TestStrongSignal:
+    @pytest.mark.parametrize("sided", ["one_sided", "two_sided"])
+    def test_rate_one_for_every_method(self, sided):
+        # normal_sf underflows to 0 beyond x = 39; the p-values are floored
+        # at the smallest positive double instead
+        model = ExchangeableModel("normal", 4, 0.5, mean=(45.0,) * 4, sided=sided)
+        methods = _ALL_KINDS + tuple(
+            MethodSpec("standard", spec)
+            for spec in ("pareto:1", "frechet:1", "t:2", "t:2.5", "inv_gamma:1", "log_cauchy"))
+        report = estimate_rejection_rate(
+            ExperimentConfig(model, methods, (0.05, 0.01), 2000, seed=45))
+        assert [row.rejections for row in report.rows] == [2000] * len(report.rows)
+
+    def test_pvalues_floored_not_zero(self):
+        model = ExchangeableModel("normal", 1, 0.0)
+        p = statistics_to_pvalues(np.array([[45.0], [1e300], [np.inf]]), model)
+        assert p.ravel().tolist() == [5e-324] * 3
 
 
 class TestEquivalenceRatio:
