@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from heavycomb import cli, presets
-from heavycomb.simulate import ExchangeableModel, pvalue_covariance
+from heavycomb.simulate import BLOCK_SIZE, ExchangeableModel, pvalue_covariance
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +104,15 @@ CONFIGS = {
         "replications": 3000,
         "seed": 12,
     },
+    # more than one block, each of several row tiles
+    "tiles.json": {
+        "command": "simulate",
+        "model": {"family": "student_t", "n": 4, "nu": 2, "rho": [0.0, 0.5, 0.9, -0.2]},
+        "methods": _ALL_KINDS + [{"kind": "standard", "distribution": "levy"}],
+        "alphas": [0.05, 0.01],
+        "replications": BLOCK_SIZE + 4321,
+        "seed": 13,
+    },
 }
 
 # (format, output file or None for stdout, workers or None)
@@ -111,6 +120,7 @@ ENGINE_MODES = [("csv", "out.csv", 1), ("json", None, 1), ("csv", None, 2), ("js
 PLAIN_MODES = [("csv", "out.csv", None), ("json", None, None),
                ("csv", None, None), ("json", "out.json", None)]
 ONE_FILE = [("csv", "out.csv", None)]
+TWO_WORKERS = [("csv", "out.csv", 1), ("csv", None, 2)]
 
 RUNS = {
     "combine_standard_cauchy": (
@@ -147,6 +157,7 @@ RUNS = {
     "simulate_tableS2": (["simulate", "--config", "tableS2.json"], ENGINE_MODES),
     "simulate_dense": (["simulate", "--config", "dense.json", "--seed", "99"], ENGINE_MODES),
     "simulate_sparse": (["simulate", "--config", "sparse.json"], ENGINE_MODES),
+    "simulate_tiles": (["simulate", "--config", "tiles.json"], TWO_WORKERS),
     "minp_tableS3": (["calibrate-minp", "--config", "tableS3.json"], ENGINE_MODES),
     "minp_preset": (["calibrate-minp", "--preset", "tableS3", "--seed", "5"],
                     [("csv", "out.csv", 2)]),
@@ -156,6 +167,9 @@ RUNS = {
         ["calibrate-minp", "--family", "student_t", "--nu", "3", "--sided", "two_sided",
          "--n", "3", "--rho", "0.2", "--reps", "1500", "--alpha", "0.1", "--seed", "8"],
         ENGINE_MODES),
+    "minp_tiles": (
+        ["calibrate-minp", "--n", "5", "--rho", "0,0.5,0.95", "--reps", str(BLOCK_SIZE + 999),
+         "--seed", "9"], TWO_WORKERS),
     "equiv_fig3": (["equiv-ratio", "--config", "fig3.json"], ENGINE_MODES),
     "equiv_flags": (
         ["equiv-ratio", "--n", "3", "--rho", "0.4,0.8", "--dist", "pareto:1",
@@ -236,10 +250,10 @@ def run_golden(name):
 def covariance_golden():
     model = ExchangeableModel("normal", 2, -0.6)
     out = {}
-    for replications in (20, 5000):
-        for workers in (1, 3):
-            est = pvalue_covariance(model, replications, seed=17, workers=workers)
-            out[f"R{replications}_w{workers}"] = [repr(est.covariance), repr(est.std_error)]
+    for replications, workers in [(20, 1), (20, 3), (5000, 1), (5000, 3),
+                                  (600_000, 1), (600_000, 2)]:
+        est = pvalue_covariance(model, replications, seed=17, workers=workers)
+        out[f"R{replications}_w{workers}"] = [repr(est.covariance), repr(est.std_error)]
     return out
 
 
