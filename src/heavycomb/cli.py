@@ -450,7 +450,12 @@ def cmd_equiv_ratio(args) -> int:
     replications = int(cfg.get("replications", 100_000))
     weights = tuple(cfg["weights"]) if cfg.get("weights") else None
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
-    # checks the levels and counts before any output
+    # checks the weights, levels and counts before any output
+    if weights is not None:
+        try:
+            comb._validate_weights(weights, models[0].n)
+        except (DomainError, ShapeError) as exc:
+            raise ConfigError(str(exc)) from None
     configs = [ExperimentConfig(m, (), alphas, replications, seed, workers) for m in models]
 
     def rows():

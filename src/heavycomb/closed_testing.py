@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import _check_alpha, _validate_pvalues
+from .combine import _CHUNK, _check_alpha, _validate_pvalues
 from .distributions import HeavyTailDistribution
 from .errors import CapacityError
 
 _BRUTE_FORCE_MAX_N = 20
-_CHUNK = 1 << 14  # elements per block of the shortcut's adjusted p-values
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .errors import DomainError, MethodMisuseError, ShapeError
 
 _MAX_FLOAT = sys.float_info.max
 _MIN_P = sys.float_info.min  # combined p-values are clamped into (0, 1]
+_CHUNK = 1 << 14  # elements in one working set: engine row tiles, closed-testing blocks
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ each driven by its own counter-based Philox stream keyed by
 results are reduced in block order, so results are bit-identical for any
 worker count.  The scenarios of one command (its values of ``rho``) share
 each block's draws and one pass over the blocks, so a scenario gets the
-bits it would get on its own.
+bits it would get on its own.  A block is computed in row tiles of about
+``combine._CHUNK`` elements; reductions are per row or counts (see README).
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ def _draw(model: ExchangeableModel, rng: np.random.Generator, rows: int):
     """A block's draws, shared by every rho: centred normals, row means, t scale sqrt(s/nu)."""
     z = rng.standard_normal((rows, model.n))
     zbar = z.mean(axis=1, keepdims=True)
+    z -= zbar
     t_family = model.family == "student_t"
     scale = np.sqrt(rng.chisquare(model.nu, size=(rows, 1)) / model.nu) if t_family else None
-    return z - zbar, zbar, scale
+    return z, zbar, scale
 
 
 def _shape(model: ExchangeableModel, draw) -> np.ndarray:
@@ -211,12 +213,13 @@ class _CompiledMethod:
     thresholds: tuple[float, ...]
     dist: HeavyTailDistribution | None = None
     weights: np.ndarray | None = None
+    kappa: float | None = None
 
 
 def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
     compiled = []
     for spec in methods:
-        label, kind, dist, w = spec.resolved_label(), spec.kind, None, None
+        label, kind, dist, w, kappa = spec.resolved_label(), spec.kind, None, None, None
         if kind in ("standard", "average", "weighted"):
             if not spec.distribution:
                 raise ConfigError(f"method {label}: transform kinds need a distribution")
@@ -238,33 +241,37 @@ def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
                 raise ConfigError(f"unknown method kind {kind!r}")
         except (DomainError, ShapeError, MethodMisuseError) as exc:
             raise ConfigError(f"method {label}: {exc}") from exc
-        compiled.append(_CompiledMethod(label, kind, thr, dist, w))
+        compiled.append(_CompiledMethod(label, kind, thr, dist, w, kappa))
     return tuple(compiled)
 
 
 def _block(payload):
-    """``reduce_p(p, *args)`` of one block for every model, from one draw."""
-    models, seed, index, rows, reduce_p, args = payload
+    """``reduce_p(p, *args)`` of each row tile of one block, for every model."""
+    models, seed, index, rows, tile_rows, reduce_p, args = payload
     draw = _draw(models[0], replication_rng(seed, index), rows)
-    out = []
-    for model in models:
-        p = statistics_to_pvalues(_shape(model, draw), model)
-        if not (p <= 1.0).all():  # a NaN fails too; the floor keeps p > 0
-            raise DomainError(f"rho={model.rho}: p-values outside (0, 1] in block {index}")
-        out.append(reduce_p(p, *args))
+    out = [[] for _ in models]
+    for lo in range(0, rows, tile_rows):
+        tile = tuple(None if a is None else a[lo:lo + tile_rows] for a in draw)
+        for model, parts in zip(models, out):
+            p = statistics_to_pvalues(_shape(model, tile), model)
+            if not (p <= 1.0).all():  # a NaN fails too; the floor keeps p > 0
+                raise DomainError(f"rho={model.rho}: p-values outside (0, 1] in block {index}")
+            parts.append(reduce_p(p, *args))
     return out
 
 
-def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size=BLOCK_SIZE):
-    """``reduce_p(p, *args)`` of each block's p-values, one list per model in
-    block order, for models that share ``family``, ``n`` and ``nu``.
+def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size=BLOCK_SIZE,
+                tile_rows=None):
+    """``reduce_p(p, *args)`` of each row tile's p-values, one list per model in
+    row order, for models that share ``family``, ``n`` and ``nu``.
 
     Block ``i`` holds the next ``block_size`` replications, drawn once from
-    ``replication_rng(seed, i)`` and shaped for every model; blocks run
-    serially or on one fork pool.
+    ``replication_rng(seed, i)`` and shaped for every model ``tile_rows`` rows
+    (default ``combine._CHUNK // n``) at a time; blocks run serially or on one pool.
     """
+    tile_rows = tile_rows or max(1, combine._CHUNK // models[0].n)
     payloads = [
-        (models, seed, index, min(block_size, replications - start), reduce_p, args)
+        (models, seed, index, min(block_size, replications - start), tile_rows, reduce_p, args)
         for index, start in enumerate(range(0, replications, block_size))
     ]
     if workers <= 1 or len(payloads) <= 1:
@@ -278,7 +285,14 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
         with ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx) as pool:
             chunksize = max(1, len(payloads) // max_workers)
             blocks = list(pool.map(_block, payloads, chunksize=chunksize))
-    return [[block[m] for block in blocks] for m in range(len(models))]
+    return [[tile for block in blocks for tile in block[m]] for m in range(len(models))]
+
+
+def _sum_rejects(stat, thr, method, alpha):
+    """Above the threshold or, where that overflowed to +inf, the clamped
+    kappa * sf(stat) < alpha of ``CombinedResult.reject``."""
+    return stat > thr if thr < math.inf else (
+        combine._clamp_p(method.kappa * method.dist.survival(stat)) < alpha)
 
 
 def _rate_counts(p, plan, alphas):
@@ -300,8 +314,9 @@ def _rate_counts(p, plan, alphas):
         else:  # minp
             stat = combine._bonferroni_statistic(p)
         below = method.kind in ("bonferroni", "minp")
-        for ai, thr in enumerate(method.thresholds):
-            counts[mi, ai] = np.count_nonzero(stat < thr if below else stat > thr)
+        for ai, (thr, alpha) in enumerate(zip(method.thresholds, alphas)):
+            reject = stat < thr if below else _sum_rejects(stat, thr, method, alpha)
+            counts[mi, ai] = np.count_nonzero(reject)
     return counts
 
 
@@ -363,12 +378,12 @@ class EquivalenceReport:
     runtime_seconds: float
 
 
-def _equivalence_tallies(p, dist, weights, mapped, thresholds, alphas):
-    stat = combine._weighted_sum(combine._transform(p, dist)[0], weights)
+def _equivalence_tallies(p, method, mapped, alphas):
+    stat = combine._weighted_sum(combine._transform(p, method.dist)[0], method.weights)
     bon_stat = combine._bonferroni_statistic(p, mapped)
     tallies = np.zeros((len(alphas), 5), dtype=np.int64)
-    for ai, alpha in enumerate(alphas):
-        wgt, bon = stat > thresholds[ai], bon_stat < alpha
+    for ai, (thr, alpha) in enumerate(zip(method.thresholds, alphas)):
+        wgt, bon = _sum_rejects(stat, thr, method, alpha), bon_stat < alpha
         dis = wgt != bon
         tallies[ai] = (wgt.sum(), bon.sum(), dis.sum(), (dis & wgt).sum(), (dis & bon).sum())
     return tallies
@@ -382,9 +397,9 @@ def _equivalence_reports(configs, d: HeavyTailDistribution, w=None):
     kappa = combine._kappa(weights, d)
     mapped = combine._mapped_weights(weights, d)
     thresholds = tuple(combine._threshold(d, a, kappa) for a in first.alphas)
+    method = _CompiledMethod("weighted", "weighted", thresholds, d, weights, kappa)
     per_model = _run_blocks([c.model for c in configs], first.seed, first.replications,
-                            first.workers, _equivalence_tallies, d, weights, mapped,
-                            thresholds, first.alphas)
+                            first.workers, _equivalence_tallies, method, mapped, first.alphas)
     runtime = time.perf_counter() - start
     r = first.replications
     for blocks in per_model:
@@ -496,12 +511,12 @@ def _cov_moments(p):
 def pvalue_covariance(
     model: ExchangeableModel, replications: int, seed: int, workers: int = 1
 ) -> CovarianceEstimate:
-    """Empirical covariance of the two p-values with a block-jackknife SE."""
+    """Empirical covariance of the two p-values, block-jackknife SE; a block is one tile."""
     if model.n != 2:
         raise DomainError("pvalue_covariance requires an n=2 model")
     block_size = min(BLOCK_SIZE, max(1, replications // 16)) if replications >= 32 else 1
     stats = np.vstack(_run_blocks([model], seed, replications, workers, _cov_moments,
-                                  block_size=block_size)[0])
+                                  block_size=block_size, tile_rows=block_size)[0])
     total = stats.sum(axis=0)
 
     def cov_from(m):

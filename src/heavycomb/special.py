@@ -315,16 +315,17 @@ _MAX_ITER_SOLVE = 100
 _HALLEY_DONE = 1e-5  # a Halley step this small leaves an error of order its cube
 
 
-def _retire(done, out, idx, result, *lanes):
-    """Scatter ``result`` of the finished lanes into ``out``; compress the rest.
-
-    The series and continued fractions call it only once a quarter of their
-    lanes are done: compressing costs a pass over every lane array, and a
-    finished lane left in place only converges further.  The solver, whose
-    every step costs an evaluation, retires lanes as they finish.
-    """
-    out[idx[done]] = result[done]
-    live = ~done
+def _retire(done, out, idx, result, *lanes, quarter=False):
+    """Scatter ``result`` of the lanes first done now into ``out`` (so a lane's
+    bits never depend on the lanes beside it) and compress the finished lanes
+    away; with ``quarter`` (the cheap steps of the series and continued
+    fractions) they stay, at index -1, until they are a quarter of all."""
+    first = done & (idx >= 0)
+    out[idx[first]] = result[first]
+    idx[first] = -1
+    live = idx >= 0
+    if quarter and 4 * np.count_nonzero(~live) < idx.size:
+        return (idx, result) + lanes
     return (idx[live], result[live]) + tuple(a[live] for a in lanes)
 
 
@@ -355,8 +356,7 @@ def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
             h *= t
         t -= 1.0
         done = np.abs(t, out=t) <= _ITER_TOL
-        if 4 * np.count_nonzero(done) >= idx.size:
-            idx, h, x, c, d, t = _retire(done, out, idx, h, x, c, d, t)
+        idx, h, x, c, d, t = _retire(done, out, idx, h, x, c, d, t, quarter=True)
     raise ConvergenceError(f"incomplete beta: no convergence for a={a}, b={b}")
 
 
@@ -418,13 +418,15 @@ def _beta_large_a(a: float, log_x: np.ndarray) -> np.ndarray:
     t2 = 0.25 * log_x * log_x
     total = j.copy()
     t = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)  # each lane stops at its own last term
     for n, d_n in enumerate(_BGRAT_HALF, start=1):
         bp2n = 2.0 * n - 1.5  # b + 2(n - 1)
         j = (bp2n * (bp2n + 1.0) * j + (z + bp2n + 1.0) * t) * v
         t *= t2
         dj = d_n * j
-        total += dj
-        if (np.abs(dj) <= _ITER_TOL * total).all():
+        total += np.where(live, dj, 0.0)
+        live &= np.abs(dj) > _ITER_TOL * total
+        if not live.any():
             break
     else:
         raise ConvergenceError(f"incomplete beta: no convergence of the expansion at a={a}")
@@ -478,8 +480,7 @@ def _gamma_series_array(s: float, y: np.ndarray) -> np.ndarray:
         term /= s + n
         total += term
         done = term <= total * _ITER_TOL
-        if 4 * np.count_nonzero(done) >= idx.size:
-            idx, total, y, term = _retire(done, out, idx, total, y, term)
+        idx, total, y, term = _retire(done, out, idx, total, y, term, quarter=True)
     raise ConvergenceError(f"incomplete gamma: series failed for s={s}")
 
 
@@ -501,8 +502,7 @@ def _gamma_cf_array(s: float, y: np.ndarray) -> np.ndarray:
         delta = d * c
         h *= delta
         done = np.abs(delta - 1.0) <= _ITER_TOL
-        if 4 * np.count_nonzero(done) >= idx.size:
-            idx, h, b, c, d = _retire(done, out, idx, h, b, c, d)
+        idx, h, b, c, d = _retire(done, out, idx, h, b, c, d, quarter=True)
     raise ConvergenceError(f"incomplete gamma: continued fraction failed for s={s}")
 
 

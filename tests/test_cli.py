@@ -522,10 +522,20 @@ class TestWeightRule:
         assert "weights must be positive and finite" in capsys.readouterr().err
 
     def test_equiv_ratio_rejects_infinite_weight(self, tmp_path, capsys):
+        # a usage error before any output, as in combine
         rc = main(["equiv-ratio", "--n", "3", "--rho", "0.4", "--weights", "1,inf,1",
                    "--reps", "2000", "-o", str(tmp_path / "eq.csv")])
-        assert rc == 1
+        assert rc == 2
         assert "weights must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "eq.csv").exists()
+
+    def test_equiv_ratio_checks_weight_count_before_output(self, tmp_path, capsys):
+        rc = main(["equiv-ratio", "--n", "3", "--rho", "0.4", "--weights", "1,2",
+                   "--reps", "2000", "-o", str(tmp_path / "eq.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: weight vector has length 2, expected 3\n")
+        assert not (tmp_path / "eq.csv").exists()
 
 
     @pytest.mark.parametrize("argv", [

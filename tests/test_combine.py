@@ -9,6 +9,7 @@ import scipy.stats as st
 
 from heavycomb.combine import (
     _bonferroni_statistic,
+    _combine_rows,
     _weighted_sum,
     bh_adjust,
     bonferroni,
@@ -230,6 +231,19 @@ class TestColumnReductions:
         assert _bonferroni_statistic(p, w).tobytes() == (p / w).min(axis=-1).tobytes()
         assert _bonferroni_statistic(p).tobytes() == p.min(axis=-1).tobytes()
         assert _bonferroni_statistic(p[3], w) == (p[3] / w).min()
+
+
+    @pytest.mark.parametrize("spec", ["t:2.5", "t:3", "t:150", "trunc_t:3:0.9", "inv_gamma:1"])
+    def test_block_rows_match_one_row_calls(self, spec):
+        # the file commands' batched core; its transforms iterate per lane
+        d = parse_distribution(spec)
+        rng = np.random.default_rng(52)
+        p = rng.uniform(size=(256, 6))
+        p[::7, 0] = 10.0 ** rng.uniform(-300.0, -2.0, p[::7, 0].size)
+        rows = _combine_rows("standard", p, d)
+        one = [combine_standard(row, d) for row in p]
+        assert rows.statistic.tolist() == [r.statistic for r in one]
+        assert rows.combined_p.tolist() == [r.combined_p for r in one]
 
 
 class TestBonferroniMaxStatistic:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from heavycomb.distributions import Cauchy, StudentT
+from heavycomb import combine, presets
+from heavycomb.distributions import Cauchy, LogCauchy, StudentT
 from heavycomb.errors import ConfigError, DomainError, InsufficientEventsError
 from heavycomb.simulate import (
     BLOCK_SIZE,
@@ -16,9 +18,13 @@ from heavycomb.simulate import (
     estimate_equivalence_ratio,
     estimate_rejection_rate,
     pvalue_covariance,
+    _compile_methods,
     _equivalence_reports,
+    _equivalence_tallies,
     _minp_calibrations,
+    _rate_counts,
     _rejection_reports,
+    _run_blocks,
     replication_rng,
     sample_statistics,
     statistics_to_pvalues,
@@ -321,6 +327,54 @@ class TestOnePass:
             next(reports)
 
 
+class TestRowTiles:
+    """A block is computed in row tiles; every reduction is per row or a count."""
+
+    @pytest.mark.parametrize("kind", sorted(_ONE_PASS_MODELS))
+    def test_results_do_not_depend_on_tile_size(self, kind):
+        models, alphas = _scenarios(kind, mean=(0.0, 0.5, 0.0, 1.0)), (0.05, 0.01)
+        plan = _compile_methods(_ALL_KINDS, alphas, 4)
+        d, w = Cauchy(), np.array([1.0, 2.0, 3.0, 0.5])
+        weighted = _compile_methods([MethodSpec("weighted", "cauchy", weights=tuple(w))],
+                                    alphas, 4)[0]
+        equiv = (weighted, combine._mapped_weights(w, d), alphas)
+
+        def run(tile_rows):
+            args = (models, 47, 1500, 1)
+            counts = _run_blocks(*args, _rate_counts, plan, alphas, block_size=600,
+                                 tile_rows=tile_rows)
+            minima = _run_blocks(*args, combine._bonferroni_statistic, block_size=600,
+                                 tile_rows=tile_rows)
+            tallies = _run_blocks(*args, _equivalence_tallies, *equiv, block_size=600,
+                                  tile_rows=tile_rows)
+            return ([sum(c).tolist() for c in counts], [np.concatenate(m) for m in minima],
+                    [sum(t).tolist() for t in tallies])
+
+        whole_blocks = run(600)
+        for tile_rows in (13, 250):
+            got = run(tile_rows)
+            assert got[0] == whole_blocks[0] and got[2] == whole_blocks[2]
+            for a, b in zip(got[1], whole_blocks[1]):
+                assert np.array_equal(a, b)
+
+    def test_block_working_set(self):
+        # one block of table2a's plan at its four rho: row tiles keep numpy's
+        # buffers (which tracemalloc sees) to a few MiB; 16.6 MiB untiled
+        cfg = presets.get_preset("table2a")
+        models = [ExchangeableModel("student_t", 5, rho, nu=2) for rho in cfg["model"]["rho"]]
+        specs = tuple(MethodSpec(m["kind"], m.get("distribution"), label=m["label"])
+                      for m in cfg["methods"])
+        plan = _compile_methods(specs, (0.05,), 5)
+        _run_blocks(models, 48, BLOCK_SIZE, 1, _rate_counts, plan, (0.05,))
+        tracemalloc.start()
+        try:
+            _run_blocks(models, 48, BLOCK_SIZE, 1, _rate_counts, plan, (0.05,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
 class TestStrongSignal:
     @pytest.mark.parametrize("sided", ["one_sided", "two_sided"])
     def test_rate_one_for_every_method(self, sided):
@@ -333,6 +387,23 @@ class TestStrongSignal:
         report = estimate_rejection_rate(
             ExperimentConfig(model, methods, (0.05, 0.01), 2000, seed=45))
         assert [row.rejections for row in report.rows] == [2000] * len(report.rows)
+
+    def test_log_cauchy_rejects_where_its_threshold_overflows(self):
+        # exp(cot(pi alpha/n)) is +inf once alpha/n < 4.5e-4; the engine then
+        # decides as CombinedResult.reject does, on kappa * sf(S) < alpha
+        d, alpha, reps = LogCauchy(), 1e-6, 1000
+        assert combine._threshold(d, alpha, 3.0) == math.inf
+        model = ExchangeableModel("normal", 3, 0.5, mean=(45.0,) * 3)
+        methods = (MethodSpec("standard", "log_cauchy"),
+                   MethodSpec("weighted", "log_cauchy", weights=(1.0, 2.0, 3.0)))
+        report = estimate_rejection_rate(
+            ExperimentConfig(model, methods, (alpha, 0.05), reps, seed=46))
+        p = statistics_to_pvalues(sample_statistics(model, replication_rng(46, 0), reps), model)
+        library = sum(combine.combine_standard(row, d).reject(alpha) for row in p)
+        assert library == reps
+        assert [row.rejections for row in report.rows] == [reps] * 4
+        equiv = estimate_equivalence_ratio(ExperimentConfig(model, (), (alpha,), reps, 46), d)
+        assert (equiv.rows[0].weighted_rejections, equiv.rows[0].disagreements) == (reps, 0)
 
     def test_pvalues_floored_not_zero(self):
         model = ExchangeableModel("normal", 1, 0.0)

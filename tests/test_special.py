@@ -6,6 +6,7 @@ import pytest
 import scipy.special as sps
 
 from heavycomb import special
+from heavycomb.distributions import parse_distribution
 from heavycomb.errors import (
     BracketError,
     ConvergenceError,
@@ -256,6 +257,19 @@ class TestFindRoot:
 
 class TestIncompleteArrays:
     """The private array incomplete beta and gamma and the Halley solver."""
+
+    @pytest.mark.parametrize("spec", ["t:2.5", "t:3", "t:150", "trunc_t:3:0.9", "inv_gamma:0.7"])
+    def test_each_lane_as_if_alone(self, spec):
+        # a lane stops at its own convergence, so its bits do not depend on
+        # the lanes beside it (nor on the block or tile they share)
+        d = parse_distribution(spec)
+        rng = np.random.default_rng(51)
+        x = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-3.0, 4.0, 3000)
+        q = 10.0 ** rng.uniform(-300.0, 0.0, 3000)
+        sf, isf = d.survival(x), d.inverse_survival(q)
+        for i in range(0, 3000, 15):
+            assert d.survival(x[i:i + 1])[0] == sf[i], x[i]
+            assert d.inverse_survival(q[i:i + 1])[0] == isf[i], q[i]
 
     def test_beta_against_scipy(self):
         x = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(0.01, 0.99, 99), [1 - 1e-9, 1.0]])
