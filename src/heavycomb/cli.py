@@ -386,11 +386,12 @@ def cmd_simulate(args) -> int:
     methods = _method_specs(cfg)
     alphas = tuple(float(a) for a in cfg.get("alphas", [0.05]))
     replications = int(cfg.get("replications", 0))
-    # checks the levels and counts before any output
     configs = [ExperimentConfig(m, methods, alphas, replications, seed, workers) for m in models]
+    # the whole run, and so every check of the config, before any output
+    reports = list(sim._rejection_reports(configs))
 
     def rows():
-        for model, report in zip(models, sim._rejection_reports(configs)):
+        for model, report in zip(models, reports):
             for row in report.rows:
                 yield _model_cols(model) + [
                     row.method, row.alpha, row.estimate, row.std_error,
@@ -415,7 +416,8 @@ def cmd_calibrate_minp(args) -> int:
     alpha = float(cfg.get("alpha", 0.05))
     _check_level("alpha", alpha)
     replications = int(cfg.get("replications", 100_000))
-    calibrations = sim._minp_calibrations(models, alpha, replications, seed, workers)
+    # the whole run, and so the null-model check, before any output
+    calibrations = list(sim._minp_calibrations(models, alpha, replications, seed, workers))
 
     def rows():
         for model, cal in zip(models, calibrations):

@@ -51,18 +51,23 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr[()]) if scalar and arr.ndim == 0 else arr
 
 
+def _spec_number(v: float) -> str:
+    """``%g`` where it reads back as ``v``, else ``repr``: a spec string names one distribution."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 class HeavyTailDistribution:
-    """Base class; subclasses fill in tail behaviour and closed forms."""
+    """Base class; subclasses set ``name``, ``tail_index`` and ``support_lower``
+    and fill in tail behaviour and closed forms."""
 
     name: str = ""
+    tail_index: float
+    support_lower: float
 
-    @property
-    def tail_index(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def support_lower(self) -> float:
-        raise NotImplementedError
+    def __init__(self):
+        """A family without parameters (``parse_distribution`` reads each
+        family's parameters from its ``__init__``)."""
 
     def survival(self, x: ArrayLike) -> ArrayLike:
         """Upper tail probability P(X > x); 1 below the support."""
@@ -109,7 +114,7 @@ class HeavyTailDistribution:
         return self._isf(np.asarray(1.0 - u, dtype=np.float64))
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        return self.name
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.spec_string()}>"
@@ -125,14 +130,8 @@ class Cauchy(HeavyTailDistribution):
     """Standard Cauchy; survival arctan(1/x)/pi for x > 0, tail index 1."""
 
     name = "cauchy"
-
-    @property
-    def tail_index(self) -> float:
-        return 1.0
-
-    @property
-    def support_lower(self) -> float:
-        return -math.inf
+    tail_index = 1.0
+    support_lower = -math.inf
 
     def _sf(self, x):
         with np.errstate(divide="ignore"):
@@ -151,22 +150,13 @@ class Cauchy(HeavyTailDistribution):
     def _quantile(self, u):
         return -self._isf(u)
 
-    def spec_string(self):
-        return "cauchy"
-
 
 class LogCauchy(HeavyTailDistribution):
     """Log-Cauchy on (0, inf); slowly varying tail (index 0)."""
 
     name = "log_cauchy"
-
-    @property
-    def tail_index(self) -> float:
-        return 0.0
-
-    @property
-    def support_lower(self) -> float:
-        return 0.0
+    tail_index = 0.0
+    support_lower = 0.0
 
     def _sf(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -182,22 +172,13 @@ class LogCauchy(HeavyTailDistribution):
         with np.errstate(over="ignore"):
             return np.exp(Cauchy()._isf(q))
 
-    def spec_string(self):
-        return "log_cauchy"
-
 
 class Levy(HeavyTailDistribution):
     """Standard Levy on (0, inf); survival 2*Phi(x^-1/2) - 1, tail index 1/2."""
 
     name = "levy"
-
-    @property
-    def tail_index(self) -> float:
-        return 0.5
-
-    @property
-    def support_lower(self) -> float:
-        return 0.0
+    tail_index = 0.5
+    support_lower = 0.0
 
     @staticmethod
     def _t(x):
@@ -231,14 +212,9 @@ class Levy(HeavyTailDistribution):
         with np.errstate(divide="ignore", over="ignore"):
             return z ** -2.0
 
-    def spec_string(self):
-        return "levy"
 
-
-class Pareto(HeavyTailDistribution):
-    """Pareto on [1, inf) with survival x^-gamma."""
-
-    name = "pareto"
+class _Shape(HeavyTailDistribution):
+    """A family whose positive shape parameter ``gamma`` is its tail index."""
 
     def __init__(self, gamma: float):
         if not (gamma > 0.0) or not math.isfinite(gamma):
@@ -249,9 +225,15 @@ class Pareto(HeavyTailDistribution):
     def tail_index(self) -> float:
         return self.gamma
 
-    @property
-    def support_lower(self) -> float:
-        return 1.0
+    def spec_string(self):
+        return f"{self.name}:{_spec_number(self.gamma)}"
+
+
+class Pareto(_Shape):
+    """Pareto on [1, inf) with survival x^-gamma."""
+
+    name = "pareto"
+    support_lower = 1.0
 
     def _sf(self, x):
         with np.errstate(invalid="ignore"):
@@ -267,9 +249,6 @@ class Pareto(HeavyTailDistribution):
         with np.errstate(over="ignore"):
             return q ** (-1.0 / self.gamma)
 
-    def spec_string(self):
-        return f"pareto:{self.gamma:g}"
-
 
 class LogGamma(Pareto):
     """Log-gamma with unit shape: survival x^-gamma on [1, inf).
@@ -279,27 +258,12 @@ class LogGamma(Pareto):
 
     name = "log_gamma"
 
-    def spec_string(self):
-        return f"log_gamma:{self.gamma:g}"
 
-
-class Frechet(HeavyTailDistribution):
+class Frechet(_Shape):
     """Frechet on (0, inf) with survival 1 - exp(-x^-gamma)."""
 
     name = "frechet"
-
-    def __init__(self, gamma: float):
-        if not (gamma > 0.0) or not math.isfinite(gamma):
-            raise DomainError(f"{self.name}: tail index must be positive, got {gamma!r}")
-        self.gamma = float(gamma)
-
-    @property
-    def tail_index(self) -> float:
-        return self.gamma
-
-    @property
-    def support_lower(self) -> float:
-        return 0.0
+    support_lower = 0.0
 
     def _sf(self, x):
         with np.errstate(divide="ignore", over="ignore"):
@@ -318,31 +282,19 @@ class Frechet(HeavyTailDistribution):
     def _quantile(self, u):
         return (-np.log(u)) ** (-1.0 / self.gamma)
 
-    def spec_string(self):
-        return f"frechet:{self.gamma:g}"
 
-
-class InverseGamma(HeavyTailDistribution):
+class InverseGamma(_Shape):
     """Inverse gamma on (0, inf); survival P(gamma, 1/x) (lower reg. gamma).
 
     Shape 1 is Frechet with tail index 1, whose closed forms it uses.
     """
 
     name = "inv_gamma"
+    support_lower = 0.0
 
     def __init__(self, gamma: float):
-        if not (gamma > 0.0) or not math.isfinite(gamma):
-            raise DomainError(f"{self.name}: tail index must be positive, got {gamma!r}")
-        self.gamma = float(gamma)
+        super().__init__(gamma)
         self._frechet = Frechet(1.0) if self.gamma == 1.0 else None
-
-    @property
-    def tail_index(self) -> float:
-        return self.gamma
-
-    @property
-    def support_lower(self) -> float:
-        return 0.0
 
     def _tails(self, x):
         """(survival, cdf, y^g e^-y / Gamma(g)) at x, with y = 1/x."""
@@ -416,27 +368,12 @@ class InverseGamma(HeavyTailDistribution):
         out[todo] = special._solve_decreasing(seed, np.full_like(t, _TINY_NORMAL), hi, evaluate)
         return out.reshape(tail.shape)
 
-    def spec_string(self):
-        return f"inv_gamma:{self.gamma:g}"
 
-
-class StudentT(HeavyTailDistribution):
+class StudentT(_Shape):
     """Student t; survival I_{g/(x^2+g)}(g/2, 1/2)/2 for x >= 0, symmetric below."""
 
     name = "t"
-
-    def __init__(self, gamma: float):
-        if not (gamma > 0.0) or not math.isfinite(gamma):
-            raise DomainError(f"{self.name}: tail index must be positive, got {gamma!r}")
-        self.gamma = float(gamma)
-
-    @property
-    def tail_index(self) -> float:
-        return self.gamma
-
-    @property
-    def support_lower(self) -> float:
-        return -math.inf
+    support_lower = -math.inf
 
     def _upper(self, ax):
         """(sf, 1/2 - sf, x f(x), x^2 / (x^2 + nu)) at finite ax >= 0 (1-D, nu not 1 or 2).
@@ -607,11 +544,8 @@ class StudentT(HeavyTailDistribution):
     def _quantile(self, u):
         return -self._isf(u)
 
-    def spec_string(self):
-        return f"t:{self.gamma:g}"
 
-
-class TruncatedT(HeavyTailDistribution):
+class TruncatedT(_Shape):
     """Student t conditioned on [c, inf) with c the (1 - p0) parent quantile."""
 
     name = "trunc_t"
@@ -619,19 +553,12 @@ class TruncatedT(HeavyTailDistribution):
     def __init__(self, gamma: float, p0: float):
         if not (0.0 < p0 < 1.0):
             raise DomainError(f"{self.name}: truncation threshold must be in (0,1), got {p0!r}")
-        self.parent = StudentT(gamma)
-        self.gamma = self.parent.gamma
+        super().__init__(gamma)
+        self.parent = StudentT(self.gamma)
         self.p0 = float(p0)
         self.c = float(self.parent.inverse_survival(p0))
+        self.support_lower = self.c
         self._denom = float(self.parent.survival(self.c))
-
-    @property
-    def tail_index(self) -> float:
-        return self.gamma
-
-    @property
-    def support_lower(self) -> float:
-        return self.c
 
     @property
     def truncation_point(self) -> float:
@@ -652,7 +579,7 @@ class TruncatedT(HeavyTailDistribution):
         return np.where(t > 0.0, self.parent._isf(np.where(t > 0.0, t, 0.5)), np.inf)
 
     def spec_string(self):
-        return f"trunc_t:{self.gamma:g}:{self.p0:g}"
+        return f"{super().spec_string()}:{_spec_number(self.p0)}"
 
 
 def truncation_point(gamma: float, p0: float) -> float:
@@ -664,15 +591,8 @@ def truncation_point(gamma: float, p0: float) -> float:
     return float(StudentT(gamma).inverse_survival(p0))
 
 
-_PARAMETRIC = {
-    "pareto": (Pareto, 1),
-    "frechet": (Frechet, 1),
-    "inv_gamma": (InverseGamma, 1),
-    "log_gamma": (LogGamma, 1),
-    "t": (StudentT, 1),
-    "trunc_t": (TruncatedT, 2),
-}
-_PARAMETER_FREE = {"cauchy": Cauchy, "log_cauchy": LogCauchy, "levy": Levy}
+_FAMILIES = {cls.name: cls for cls in (Cauchy, LogCauchy, Levy, Pareto, LogGamma, Frechet,
+                                        InverseGamma, StudentT, TruncatedT)}
 
 
 def parse_distribution(spec: str) -> HeavyTailDistribution:
@@ -684,17 +604,16 @@ def parse_distribution(spec: str) -> HeavyTailDistribution:
     """
     parts = str(spec).strip().split(":")
     head = parts[0]
-    if head in _PARAMETER_FREE:
-        if len(parts) != 1:
+    if head not in _FAMILIES:
+        raise DomainError(f"unknown distribution spec {spec!r}")
+    cls = _FAMILIES[head]
+    nargs = cls.__init__.__code__.co_argcount - 1  # the constructor's parameters after self
+    if len(parts) != 1 + nargs:
+        if not nargs:
             raise DomainError(f"distribution '{head}' takes no parameters: {spec!r}")
-        return _PARAMETER_FREE[head]()
-    if head in _PARAMETRIC:
-        cls, nargs = _PARAMETRIC[head]
-        if len(parts) != 1 + nargs:
-            raise DomainError(f"distribution '{head}' expects {nargs} parameter(s): {spec!r}")
-        try:
-            params = [float(v) for v in parts[1:]]
-        except ValueError as exc:
-            raise DomainError(f"unparseable distribution parameters in {spec!r}") from exc
-        return cls(*params)
-    raise DomainError(f"unknown distribution spec {spec!r}")
+        raise DomainError(f"distribution '{head}' expects {nargs} parameter(s): {spec!r}")
+    try:
+        params = [float(v) for v in parts[1:]]
+    except ValueError as exc:
+        raise DomainError(f"unparseable distribution parameters in {spec!r}") from exc
+    return cls(*params)

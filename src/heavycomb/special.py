@@ -321,6 +321,8 @@ def _retire(done, out, idx, result, *lanes, quarter=False):
     away; with ``quarter`` (the cheap steps of the series and continued
     fractions) they stay, at index -1, until they are a quarter of all."""
     first = done & (idx >= 0)
+    if not first.any():  # nothing to scatter, and the quarter test reads as last time
+        return (idx, result) + lanes
     out[idx[first]] = result[first]
     idx[first] = -1
     live = idx >= 0

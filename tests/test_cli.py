@@ -474,6 +474,23 @@ class TestEngineCommandsBeforeOutput:
         assert capsys.readouterr().err == f"config error: alpha must be in (0,1), got {bad!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,model,methods,message", [
+        ("simulate", {}, [{"kind": "weighted", "distribution": "cauchy", "weights": [1, 2, 3]}],
+         "method weighted[cauchy]: weight vector has length 3, expected 2"),
+        ("calibrate-minp", {"mean": {"kind": "dense", "value": 1.0}}, [],
+         "minP calibration requires the null model (zero mean)"),
+    ], ids=["simulate-weights", "calibrate-minp-mean"])
+    def test_config_checked_in_the_run(self, tmp_path, capsys, command, model, methods, message):
+        # checks that the engine makes, not the CLI, leave no file either
+        cfg = {"model": {"n": 2, "rho": 0.0, **model}, "methods": methods,
+               "replications": 1000}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
 
 class TestOnePassCommands:
     """A command over several rho writes the rows of one run per rho."""

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 
@@ -5,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings, strategies as hst
 
 from heavycomb import special
 
@@ -18,6 +20,7 @@ from heavycomb.distributions import (
     Pareto,
     StudentT,
     TruncatedT,
+    _FAMILIES,
     parse_distribution,
     truncation_point,
 )
@@ -204,16 +207,69 @@ class TestTruncationPoint:
             truncation_point(1.0, 1.0)
 
 
-class TestTailIndex:
-    def test_fixed_families(self):
-        assert Cauchy().tail_index == 1.0
-        assert Levy().tail_index == 0.5
-        assert LogCauchy().tail_index == 0.0
+# every registered family: constructor arguments, tail index, lower support bound
+FAMILIES = {
+    "cauchy": ((), 1.0, -math.inf),
+    "log_cauchy": ((), 0.0, 0.0),
+    "levy": ((), 0.5, 0.0),
+    "pareto": ((1.0,), 1.0, 1.0),
+    "frechet": ((0.5,), 0.5, 0.0),
+    "inv_gamma": ((2.0,), 2.0, 0.0),
+    "log_gamma": ((1.5,), 1.5, 1.0),
+    "t": ((2.0,), 2.0, -math.inf),
+    "trunc_t": ((1.0, 0.9), 1.0, truncation_point(1.0, 0.9)),
+}
+SHAPE_FAMILIES = sorted(name for name, (params, _, _) in FAMILIES.items() if params)
 
-    def test_parametric(self):
-        assert Pareto(2.5).tail_index == 2.5
-        assert StudentT(3.0).tail_index == 3.0
-        assert TruncatedT(1.0, 0.9).tail_index == 1.0
+
+class TestFamilies:
+    """Each family of the registry, by its name."""
+
+    def test_registry(self):
+        assert set(_FAMILIES) == set(FAMILIES)
+        assert all(cls.name == name for name, cls in _FAMILIES.items())
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family(self, name):
+        cls = _FAMILIES[name]
+        params, tail_index, support_lower = FAMILIES[name]
+        d = cls(*params)
+        assert d.tail_index == tail_index
+        assert d.support_lower == support_lower
+        # the spec string, its round trip, equality and hash
+        spec = ":".join([name] + [f"{v:g}" for v in params])
+        assert d.spec_string() == spec
+        again = parse_distribution(spec)
+        assert again == d and hash(again) == hash(d) and again is not d
+        assert repr(d) == f"<{cls.__name__} {spec}>"
+        assert all(d != _FAMILIES[other](*FAMILIES[other][0]) for other in FAMILIES
+                   if other != name)
+        # the arity and the parse messages
+        nargs = len(params)
+        assert len(inspect.signature(cls).parameters) == nargs
+        for count in {0, 1, 2, 3} - {nargs}:
+            bad = ":".join([name] + ["1"] * count)
+            message = (f"distribution '{name}' takes no parameters: {bad!r}" if not nargs else
+                       f"distribution '{name}' expects {nargs} parameter(s): {bad!r}")
+            with pytest.raises(DomainError) as err:
+                parse_distribution(bad)
+            assert str(err.value) == message
+        if not nargs:
+            return
+        bad = ":".join([name] + ["zero"] * nargs)
+        with pytest.raises(DomainError) as err:
+            parse_distribution(bad)
+        assert str(err.value) == f"unparseable distribution parameters in {bad!r}"
+        # the shape check, through the constructor and the parser
+        assert d.gamma == params[0]
+        for shape in (0.0, -1.0, math.inf, math.nan):
+            message = f"{name}: tail index must be positive, got {shape!r}"
+            with pytest.raises(DomainError) as err:
+                cls(shape, *params[1:])
+            assert str(err.value) == message
+            with pytest.raises(DomainError) as err:
+                parse_distribution(":".join([name, repr(shape)] + [f"{v:g}" for v in params[1:]]))
+            assert str(err.value) == message
 
 
 class TestInvariants:
@@ -353,32 +409,36 @@ class TestLevyOracle:
         assert Levy().survival(1e308) == pytest.approx(st.levy.sf(1e308), rel=1e-15)
 
 class TestParseGrammar:
-    def test_roundtrip(self):
-        for spec in ("cauchy", "log_cauchy", "levy", "pareto:1", "frechet:0.5",
-                     "inv_gamma:2", "log_gamma:1.5", "t:2", "trunc_t:1:0.9"):
-            d = parse_distribution(spec)
-            assert d.spec_string() == spec
-            assert parse_distribution(d.spec_string()) == d
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(name=hst.sampled_from(SHAPE_FAMILIES),
+           gamma=hst.floats(min_value=0.05, max_value=50.0),
+           p0=hst.floats(min_value=0.05, max_value=0.95))
+    def test_spec_names_one_distribution(self, name, gamma, p0):
+        # %g keeps 6 digits: a spec must not merge shapes that differ beyond them
+        cls = _FAMILIES[name]
+        args = (gamma, p0)[:len(FAMILIES[name][0])]
+        d = cls(*args)
+        again = parse_distribution(d.spec_string())
+        assert again == d and hash(again) == hash(d)
+        assert again.gamma == gamma
+        if name == "trunc_t":
+            assert again.p0 == p0
+        shape = float(f"{gamma:g}")
+        near, far = cls(shape * (1.0 + 1e-6), *args[1:]), cls(shape, *args[1:])  # 7th digit
+        assert near != far and near.spec_string() != far.spec_string()
 
     def test_rejects_unknown(self):
-        with pytest.raises(DomainError):
-            parse_distribution("weibull:1")
-
-    def test_rejects_bad_arity(self):
-        with pytest.raises(DomainError):
-            parse_distribution("cauchy:1")
-        with pytest.raises(DomainError):
-            parse_distribution("pareto")
-        with pytest.raises(DomainError):
-            parse_distribution("trunc_t:1")
+        for spec in ("weibull:1", "", "Cauchy", "t 2", ":2"):
+            with pytest.raises(DomainError) as err:
+                parse_distribution(spec)
+            assert str(err.value) == f"unknown distribution spec {spec!r}"
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            parse_distribution("pareto:zero")
-        with pytest.raises(DomainError):
-            parse_distribution("pareto:-1")
-        with pytest.raises(DomainError):
-            parse_distribution("trunc_t:1:1.5")
+        # a bad shape or an unparseable one is TestFamilies' case
+        for p0 in (1.5, 0.0, 1.0):
+            with pytest.raises(DomainError) as err:
+                parse_distribution(f"trunc_t:1:{p0}")
+            assert str(err.value) == f"trunc_t: truncation threshold must be in (0,1), got {p0!r}"
 
 
 class TestGeneralNuOracle:
