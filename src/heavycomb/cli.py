@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 import time
+from array import array
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .simulate import (  # noqa: F401  (perfbench/tracing.py patches the public 
 
 _ENV_WORKERS = "HEAVYCOMB_WORKERS"
 _DEFAULT_SEED = 20240501
-_CHUNK_GROUPS = 256  # groups a file command reads, buckets by length and computes at once
+_FLAGS = {"csv": ("false", "true"), "json": (False, True)}  # a flag column, per --format
 
 
 def _fmt(value) -> str:
@@ -54,21 +57,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, header, rows, start, config_echo, seed=None, workers=None) -> int:
+def _emit(args, header, rows, start, config_echo, seed=None, workers=None, fmt=None) -> int:
     """Write ``rows`` and the run's manifest to ``--output`` (default stdout).
 
-    CSV rows are written as they are produced, so an error part-way leaves
-    the rows so far and no manifest; a JSON document is written only once
-    complete.  An output file gets its manifest beside it, as
-    ``<stem>.manifest.json``.
+    A CSV row is ``fmt % row`` (flags already text, from ``_FLAGS``), or else
+    ``_fmt`` of each field.  CSV rows are written as they are produced, so an
+    error part-way leaves the rows so far and no manifest; a JSON document is
+    written only once complete.  An output file gets its manifest beside it,
+    as ``<stem>.manifest.json``.
     """
     to_file = args.output not in (None, "-")
     stream = open(args.output, "w", newline="") if to_file else sys.stdout
     try:
         if args.format == "csv":
             stream.write(",".join(header) + "\n")
-            for row in rows:
-                stream.write(",".join(map(_fmt, row)) + "\n")
+            line = fmt.__mod__ if fmt else lambda row: ",".join(map(_fmt, row)) + "\n"
+            stream.writelines(map(line, rows))
         else:
             records = [dict(zip(header, row)) for row in rows]
         manifest = {
@@ -96,26 +100,29 @@ def _iter_groups(path):
     """Yield (line_no, group_id, p_values) from a ragged CSV file.
 
     A header line is detected by a non-numeric second field on line 1.
+    ``float`` ignores the whitespace around a token, as ``strip`` would.
     """
     with open(path, newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 raise ValidationError(f"line {line_no}: empty line")
-            fields = [f.strip() for f in row]
-            if line_no == 1 and len(fields) >= 2:
+            if line_no == 1 and len(row) >= 2:
                 try:
-                    float(fields[1])
+                    float(row[1])
                 except ValueError:
                     continue  # header
-            group_id = fields[0]
-            if len(fields) < 2:
+            group_id = row[0].strip()
+            if len(row) < 2:
                 raise ValidationError(f"line {line_no}: group {group_id!r} has no p-values")
-            values = []
-            for tok in fields[1:]:  # every token parses before any range is checked
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise ValidationError(f"line {line_no}: unparseable p-value: {tok!r}") from None
+            try:  # every token parses before any range is checked
+                values = list(map(float, row[1:]))
+            except ValueError:
+                for tok in row[1:]:  # name the first bad token
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise ValidationError(
+                            f"line {line_no}: unparseable p-value: {tok.strip()!r}") from None
             for v in values:
                 if not (0.0 < v <= 1.0):
                     raise ValidationError(f"line {line_no}: p-value {v!r} outside (0, 1]")
@@ -123,43 +130,49 @@ def _iter_groups(path):
 
 
 def _batched_rows(path, compute, to_rows):
-    """Output rows of a file command, in input order, computed a chunk at a time.
+    """The rows of each group of a file command, in input order, computed a
+    chunk at a time (``itertools.chain.from_iterable`` flattens them).
 
-    A chunk is up to ``_CHUNK_GROUPS`` groups, cut short by a read error, and
-    bucketed by group length; ``compute`` maps a bucket's ``(groups, n)`` block
-    to one result per group and ``to_rows(group_id, values, result)`` yields a
-    group's rows.  A block fails only for its length and the flags, so buckets
-    run in the order of their first group, to which a failed bucket's error
-    belongs: every row before that group's line is yielded, then the error is
-    raised, named by the line for a p-value or shape error.
+    A chunk is groups of up to ``combine._CHUNK`` p-values in all (one group
+    at least), cut short by a read error.  It is held as one flat ``array`` of
+    doubles per group length, so its working set is bounded whatever the
+    lengths.  ``compute`` maps a length's ``(groups, n)`` block to one result
+    per group, in order, and ``to_rows(group_id, *result)`` returns a group's
+    rows.  A block fails only for its length and the flags, so blocks run in
+    the order of their first group, to which a failed block's error belongs:
+    every row before that group's line is yielded, then the error is raised,
+    named by the line for a p-value or shape error.
     """
     groups = _iter_groups(path)
     while True:
-        chunk, error = [], None
+        ids, lengths, blocks, results, size, error = [], [], {}, {}, 0, None
         try:
-            for group in groups:
-                chunk.append(group)
-                if len(chunk) == _CHUNK_GROUPS:
+            for line_no, group_id, values in groups:
+                n = len(values)
+                if n not in blocks:
+                    blocks[n] = (line_no, len(ids), array("d"))
+                blocks[n][2].extend(values)
+                ids.append(group_id)
+                lengths.append(n)
+                size += n
+                if size >= comb._CHUNK:
                     break
         except ValidationError as exc:
             error = exc
-        buckets: dict[int, list[int]] = {}
-        for i, (_, _, values) in enumerate(chunk):
-            buckets.setdefault(len(values), []).append(i)
-        results, stop = {}, len(chunk)
-        for members in buckets.values():
+        stop = len(ids)
+        for n, (line_no, first, flat) in blocks.items():
             try:
-                results.update(zip(members, compute(np.array([chunk[i][2] for i in members]))))
+                results[n] = iter(compute(np.frombuffer(flat).reshape(-1, n)))
             except HeavyCombError as exc:
-                stop, error = members[0], exc
+                stop, bad_line, error = first, line_no, exc
                 break
-        for i in range(stop):
-            yield from to_rows(chunk[i][1], chunk[i][2], results[i])
+        for group_id, n in zip(ids[:stop], lengths):
+            yield to_rows(group_id, *next(results[n]))
         if isinstance(error, (DomainError, ShapeError)):
-            raise ValidationError(f"line {chunk[stop][0]}: {error}") from error
+            raise ValidationError(f"line {bad_line}: {error}") from error
         if error is not None:
             raise error
-        if len(chunk) < _CHUNK_GROUPS:
+        if size < comb._CHUNK:
             return
 
 
@@ -208,42 +221,48 @@ def cmd_combine(args) -> int:
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
     header = ["group_id", "n", "statistic", "combined_p"]
+    fmt = "%s,%d,%.17g,%.17g\n"
     if args.alpha is not None:
         header.append("reject")
+        fmt = "%s,%d,%.17g,%.17g,%s\n"
+    flag = _FLAGS[args.format]
 
     def compute(block):
         if method == "weighted" and weights is None:
             raise ConfigError("method 'weighted' requires --weights")
         res = comb._combine_rows(method, block, dist, weights)
-        return list(zip(res.statistic.tolist(), res.combined_p.tolist()))
-
-    def to_rows(group_id, values, res):
-        row = [group_id, len(values), *res]  # statistic, combined p
+        cols = [repeat(block.shape[1]), res.statistic.tolist(), res.combined_p.tolist()]
         if args.alpha is not None:
-            row.append(res[1] < args.alpha)
-        yield row
+            cols.append(map(flag.__getitem__, (res.combined_p < args.alpha).tolist()))
+        return zip(*cols)
+
+    def to_rows(group_id, *result):
+        return ((group_id, *result),)
 
     echo = {"input": args.input, "method": method, "dist": args.dist,
             "weights": args.weights, "alpha": args.alpha}
-    return _emit(args, header, _batched_rows(args.input, compute, to_rows), start, echo)
+    rows = chain.from_iterable(_batched_rows(args.input, compute, to_rows))
+    return _emit(args, header, rows, start, echo, fmt=fmt)
 
 
 def cmd_closed_test(args) -> int:
     start = time.perf_counter()
     dist = _dist_from_arg(args.dist)
     _check_level("--alpha", args.alpha)
+    flag = _FLAGS[args.format]
 
     def compute(block):
         adjusted, rejected, _ = closed_testing._shortcut_rows(block, dist, args.alpha)
-        return list(zip(adjusted.tolist(), rejected.tolist()))
+        return zip(block, adjusted, rejected)
 
-    def to_rows(group_id, values, res):
-        for idx, (p, adj, rej) in enumerate(zip(values, *res), start=1):
-            yield [group_id, idx, p, adj, rej]
+    def to_rows(group_id, p, adjusted, rejected):
+        return zip(repeat(group_id), count(1), p.tolist(), adjusted.tolist(),
+                   map(flag.__getitem__, rejected.tolist()))
 
     header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
     echo = {"input": args.input, "dist": args.dist, "alpha": args.alpha}
-    return _emit(args, header, _batched_rows(args.input, compute, to_rows), start, echo)
+    rows = chain.from_iterable(_batched_rows(args.input, compute, to_rows))
+    return _emit(args, header, rows, start, echo, fmt="%s,%d,%.17g,%.17g,%s\n")
 
 
 def cmd_adjust_bh(args) -> int:
@@ -258,11 +277,12 @@ def cmd_adjust_bh(args) -> int:
             )
         ids.append(group_id)
         pvals.append(values[0])
-    adjusted = comb.bh_adjust(pvals) if pvals else []
-    rows = ([gid, p, float(adj), bool(adj <= args.q)]
-            for gid, p, adj in zip(ids, pvals, adjusted))
+    adjusted = comb.bh_adjust(pvals).tolist() if pvals else []
+    flag = _FLAGS[args.format]
+    rows = ((gid, p, adj, flag[adj <= args.q]) for gid, p, adj in zip(ids, pvals, adjusted))
     header = ["group_id", "p_value", "adjusted_p", "discovery"]
-    return _emit(args, header, rows, start, {"input": args.input, "q": args.q})
+    return _emit(args, header, rows, start, {"input": args.input, "q": args.q},
+                 fmt="%s,%.17g,%.17g,%s\n")
 
 
 def _load_config(args, command: str, from_flags: dict | None = None):
@@ -340,36 +360,19 @@ def _models_from_config(cfg: dict) -> list[ExchangeableModel]:
         raise ConfigError("config lists no rho")
     n = int(mc.get("n", 0))
     mean = _build_mean(n, mc.pop("mean", None))
-    models = []
-    for rho in rhos:
-        models.append(
-            ExchangeableModel(
-                family=mc.get("family", "normal"),
-                n=n,
-                rho=float(rho),
-                nu=mc.get("nu"),
-                mean=mean,
-                sided=mc.get("sided", "one_sided"),
-            )
-        )
-    return models
+    return [ExchangeableModel(family=mc.get("family", "normal"), n=n, rho=float(rho),
+                              nu=mc.get("nu"), mean=mean, sided=mc.get("sided", "one_sided"))
+            for rho in rhos]
 
 
 def _method_specs(cfg: dict) -> tuple[MethodSpec, ...]:
-    out = []
-    for m in cfg.get("methods", []):
-        out.append(
-            MethodSpec(
-                kind=m["kind"],
-                distribution=m.get("distribution"),
-                weights=tuple(m["weights"]) if m.get("weights") else None,
-                cutoff=m.get("cutoff"),
-                label=m.get("label"),
-            )
-        )
+    out = tuple(MethodSpec(kind=m["kind"], distribution=m.get("distribution"),
+                           weights=tuple(m["weights"]) if m.get("weights") else None,
+                           cutoff=m.get("cutoff"), label=m.get("label"))
+                for m in cfg.get("methods", []))
     if not out:
         raise ConfigError("config lists no methods")
-    return tuple(out)
+    return out
 
 
 _MODEL_HEADER = ["family", "n", "rho", "nu", "sided"]
@@ -397,11 +400,8 @@ def cmd_simulate(args) -> int:
                     row.method, row.alpha, row.estimate, row.std_error,
                     row.rejections, report.replications, report.seed,
                 ]
-            print(
-                f"[simulate] rho={model.rho:g}: {report.replications} replications "
-                f"in {report.runtime_seconds:.1f}s",
-                file=sys.stderr,
-            )
+            print(f"[simulate] rho={model.rho:g}: {report.replications} replications "
+                  f"in {report.runtime_seconds:.1f}s", file=sys.stderr)
 
     header = _MODEL_HEADER + ["method", "alpha", "estimate", "std_error", "rejections",
                               "replications", "seed"]
@@ -419,14 +419,11 @@ def cmd_calibrate_minp(args) -> int:
     # the whole run, and so the null-model check, before any output
     calibrations = list(sim._minp_calibrations(models, alpha, replications, seed, workers))
 
-    def rows():
-        for model, cal in zip(models, calibrations):
-            yield _model_cols(model) + [cal.alpha, cal.cutoff, cal.cutoff_ratio,
-                                        cal.replications, cal.seed, cal.unstable]
-
+    rows = (_model_cols(model) + [cal.alpha, cal.cutoff, cal.cutoff_ratio, cal.replications,
+                                  cal.seed, cal.unstable] for model, cal in zip(models, calibrations))
     header = _MODEL_HEADER + ["alpha", "cutoff", "cutoff_ratio", "replications", "seed",
                               "unstable"]
-    return _emit(args, header, rows(), start, cfg, seed, workers)
+    return _emit(args, header, rows, start, cfg, seed, workers)
 
 
 def cmd_tail_dep(args) -> int:
@@ -566,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv-ratio", help="disagreement ratio vs the Bonferroni test")
     _add_config(p, model_flags=True)
     p.add_argument("--dist", default="cauchy")
-    p.add_argument("--alphas", type=_float_list, default=[0.05])
+    p.add_argument("--alphas", type=_float_list, default=(0.05,))
     p.add_argument("--weights")
     _add_common(p)
     p.set_defaults(func=cmd_equiv_ratio)
@@ -574,9 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once, at the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)

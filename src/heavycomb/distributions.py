@@ -559,6 +559,9 @@ class TruncatedT(_Shape):
         self.c = float(self.parent.inverse_survival(p0))
         self.support_lower = self.c
         self._denom = float(self.parent.survival(self.c))
+        if not math.isfinite(self.c) or self._denom == 0.0:
+            raise DomainError(f"{self.name}: truncation point overflows at tail index "
+                              f"{self.gamma!r} and threshold {p0!r}")
 
     @property
     def truncation_point(self) -> float:

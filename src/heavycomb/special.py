@@ -254,29 +254,30 @@ def _ndtri_split(h: np.ndarray, tail: np.ndarray) -> np.ndarray:
     Both are passed so that callers who hold them exactly (a tail mass near 0,
     or an offset near 1/2) lose nothing to forming u.  ``tail`` is read only
     where |h| > 0.425 and must be positive there.
+
+    The central rational runs on every element (it is finite for |h| <= 1/2);
+    the outer branch, then its far part (r > 5), overwrite their elements by
+    index, so each element gets exactly its own branch's operations.
     """
-    out = np.empty_like(h)
-    central = np.abs(h) <= 0.425
-    hc = h[central]
-    r = 0.180625 - hc * hc
-    z = _horner(r, _AS241_A)
-    z /= _horner(r, _AS241_B)
-    z *= hc
-    out[central] = z
-    outer = ~central
-    r = np.sqrt(-np.log(tail[outer]))
-    z = np.empty_like(r)
-    near = r <= 5.0
-    for sel, shift, num, den in ((near, 1.6, _AS241_C, _AS241_D),
-                                 (~near, 5.0, _AS241_E, _AS241_F)):
-        s = r[sel]
-        s -= shift
-        v = _horner(s, num)
-        v /= _horner(s, den)
-        z[sel] = v
-    np.copysign(z, h[outer], out=z)
-    out[outer] = z
-    return out
+    shape = np.shape(h)
+    h = np.ravel(h)  # 1-d, so that put reaches the result of a 0-d call
+    r = 0.180625 - h * h
+    out = _horner(r, _AS241_A)
+    out /= _horner(r, _AS241_B)
+    out *= h
+    outer = np.flatnonzero(np.abs(h) > 0.425)
+    if outer.size:
+        r = np.sqrt(-np.log(np.ravel(tail).take(outer)))
+        z = r - 1.6
+        z = _horner(z, _AS241_C) / _horner(z, _AS241_D)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            s = r.take(far)
+            s -= 5.0
+            z.put(far, _horner(s, _AS241_E) / _horner(s, _AS241_F))
+        np.copysign(z, h.take(outer), out=z)
+        out.put(outer, z)
+    return out.reshape(shape)
 
 
 def normal_quantile_array(u: np.ndarray) -> np.ndarray:

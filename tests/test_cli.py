@@ -19,7 +19,10 @@ from heavycomb import (
     fisher,
     parse_distribution,
 )
-from heavycomb.cli import _CHUNK_GROUPS, _fmt, main
+from heavycomb import cli, combine as combine_module
+from heavycomb.cli import _fmt, main
+
+_CHUNK_GROUPS = 256  # 3-value groups in one chunk of TestBatchedFileCommands
 
 
 def write_groups(path, groups, header=None):
@@ -174,6 +177,22 @@ class TestValidation:
         inp.write_text("g1,0.5,0.1\n")
         assert main(["combine", "-i", str(inp), "--method", "average",
                      "--dist", "pareto:2"]) == 2
+
+    def test_unparseable_token_after_out_of_range_one(self, tmp_path, capsys):
+        # every token of a line parses before any range is checked
+        inp = tmp_path / "in.csv"
+        inp.write_text("g1,0.5\ng2,1.5, oops ,0.2\n")
+        assert main(["combine", "-i", str(inp), "--method", "fisher"]) == 1
+        assert capsys.readouterr().err == "error: line 2: unparseable p-value: 'oops'\n"
+
+    def test_overflowing_truncation_point_is_usage_error(self, tmp_path, capsys):
+        inp = tmp_path / "in.csv"
+        write_groups(inp, [("g1", [0.1, 0.2])])
+        argv = ["combine", "-i", str(inp), "--method", "standard", "--dist", "trunc_t:0.001:0.01"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: trunc_t: truncation point overflows")
 
     @pytest.mark.parametrize("argv,message", [
         (["closed-test", "--dist", "cauchy", "--alpha", "1.5"], "--alpha must be in (0,1), got 1.5"),
@@ -570,17 +589,130 @@ class TestWeightRule:
         assert not out.exists()
 
 
+class TestFileLayout:
+    """Spaces around tokens and CRLF line ends read as the clean file, and a
+    group longer than the chunk budget is one chunk of its own."""
+
+    CLEAN = "group_id,p1,p2\ng1,0.5,0.01\ng2,1e-300,0.25,1\ng3,0.75\n"
+
+    @staticmethod
+    def messy(text):
+        return "".join(",".join(f" {tok}\t" if i % 2 else f"  {tok}" for i, tok in
+                                enumerate(line.split(","))) + " \r\n"
+                       for line in text.splitlines())
+
+    @pytest.mark.parametrize("argv,text", [
+        (["combine", "--method", "standard", "--dist", "cauchy", "--alpha", "0.05"], CLEAN),
+        (["combine", "--method", "fisher", "--format", "json"], CLEAN),
+        (["closed-test", "--dist", "levy", "--alpha", "0.05"], CLEAN),
+        (["adjust-bh"], "group_id,p\ng1,0.01\ng2,0.5\ng3,1e-300\n"),
+    ], ids=["combine", "combine-json", "closed-test", "adjust-bh"])
+    def test_spaces_and_crlf_give_clean_bytes(self, tmp_path, argv, text):
+        got = {}
+        for name, content in (("clean", text), ("messy", self.messy(text))):
+            inp = tmp_path / f"{name}.csv"
+            inp.write_bytes(content.encode())
+            out = tmp_path / f"{name}.out"
+            assert main(argv[:1] + ["-i", str(inp), "-o", str(out)] + argv[1:]) == 0
+            got[name] = out.read_bytes()
+        if "json" in argv:  # the manifest names the input and the runtime
+            got = {k: json.loads(v)["rows"] for k, v in got.items()}
+        assert got["messy"] == got["clean"]
+
+    def test_group_beyond_the_budget_is_one_library_call(self, tmp_path):
+        rng = np.random.default_rng(65)
+        big = [float(v) for v in 1.0 - rng.random(50_000)]
+        assert len(big) > combine_module._CHUNK
+        groups = [("g0", [0.5, 0.25]), ("big", big), ("g2", [0.125, 1e-300])]
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_groups(inp, groups)
+        assert main(["combine", "-i", str(inp), "--method", "standard", "--dist", "cauchy",
+                     "--alpha", "0.05", "-o", str(out)]) == 0
+        expected = ["group_id,n,statistic,combined_p,reject"]
+        for gid, ps in groups:
+            ref = combine_standard(ps, parse_distribution("cauchy"))
+            fields = [gid, ref.n, ref.statistic, ref.combined_p, ref.combined_p < 0.05]
+            expected.append(",".join(map(_fmt, fields)))
+        assert out.read_text().splitlines() == expected
+
+
+class TestParserReuse:
+    """main builds its parser once; calls in one process give the bytes of
+    calls that each build their own, with no flag default carried over."""
+
+    RUNS = [
+        ["combine", "-i", "groups.csv", "--method", "standard", "--dist", "cauchy",
+         "--alpha", "0.05"],
+        ["combine", "-i", "groups.csv", "--method", "fisher"],  # no reject column
+        ["closed-test", "-i", "groups.csv", "--dist", "levy", "--alpha", "0.1",
+         "--format", "json"],
+        ["closed-test", "-i", "groups.csv", "--dist", "cauchy", "--alpha", "0.05"],
+        ["adjust-bh", "-i", "one.csv", "--q", "0.2"],
+        ["adjust-bh", "-i", "one.csv"],  # the default q
+        ["tail-dep", "--nu", "3", "--rho", "0.5,0.9"],
+        ["equiv-ratio", "--n", "3", "--rho", "0.4", "--reps", "2000", "--alphas", "0.01,0.05",
+         "--seed", "3", "--weights", "1,2,3"],
+        ["equiv-ratio", "--n", "3", "--rho", "0.4", "--reps", "2000"],  # default alphas, seed
+        ["calibrate-minp", "--n", "2", "--rho", "0", "--reps", "1000", "--format", "json"],
+    ]
+
+    def outputs(self, tmp_path, fresh):
+        got = []
+        for i, argv in enumerate(self.RUNS):
+            if fresh:
+                cli._parser.cache_clear()
+            out = tmp_path / f"run{i}.out"
+            assert main(argv + ["-o", out.name]) == 0
+            doc = json.loads(out.read_text()) if "json" in argv else {"csv": out.read_text()}
+            manifest = doc.pop("manifest", None) or json.loads(
+                (tmp_path / f"run{i}.manifest.json").read_text())
+            del manifest["runtime_seconds"]
+            got.append((doc, manifest))
+        return got
+
+    def test_back_to_back_calls_match_separate_ones(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("HEAVYCOMB_WORKERS", raising=False)
+        write_groups(tmp_path / "groups.csv", [("g1", [0.5, 0.01, 0.2]), ("g2", [1e-4])])
+        write_groups(tmp_path / "one.csv", [("g1", [0.01]), ("g2", [0.3]), ("g3", [0.04])])
+        reused = self.outputs(tmp_path, fresh=False)
+        assert reused == self.outputs(tmp_path, fresh=True)
+        assert "reject" not in reused[1][0]["csv"].splitlines()[0]
+        assert reused[8][1]["config"]["alphas"] == [0.05]
+
+    def test_usage_help_and_version_unchanged(self, capsys):
+        texts = []
+        for fresh in (True, False):
+            if fresh:
+                cli._parser.cache_clear()
+            for argv in (["--help"], ["combine", "--help"], ["--version"],
+                         ["combine", "--method", "nope"], []):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                texts.append((argv, exc.value.code, capsys.readouterr()))
+        half = len(texts) // 2
+        assert texts[:half] == texts[half:]
+        assert [code for _, code, _ in texts[:half]] == [0, 0, 0, 2, 2]
+
+
 class TestBatchedFileCommands:
     """combine and closed-test read files in chunks bucketed by group length.
 
     Every field must be ``_fmt`` of the per-group library result, over a
-    file that spans two chunks, and an error must leave the rows of the file
-    cut before its line.
+    file that spans several chunks, and an error must leave the rows of the
+    file cut before its line.  The chunk budget is cut to
+    ``3 * _CHUNK_GROUPS`` p-values, so that a chunk of 3-value groups ends at
+    line ``_CHUNK_GROUPS``.
     """
 
     GROUPS = _CHUNK_GROUPS + 44
     DISTS = ["cauchy", "levy", "trunc_t:1:0.9", "pareto:1"]
     WEIGHTS = [1.0, 2.0, 0.5, 3.0, 1.0, 0.25]
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(combine_module, "_CHUNK", 3 * _CHUNK_GROUPS)
 
     @staticmethod
     def groups(sizes, seed):

@@ -206,6 +206,12 @@ class TestTruncationPoint:
         with pytest.raises(DomainError):
             truncation_point(1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma,p0", [(1e-3, 0.01), (1e-3, 0.9), (0.1, 1e-300)])
+    def test_overflowing_truncation_point_rejected(self, gamma, p0):
+        # c = +inf (an empty support, 0/0 in the sf) or -inf: no distribution
+        with pytest.raises(DomainError, match="trunc_t: truncation point overflows"):
+            TruncatedT(gamma, p0)
+
 
 # every registered family: constructor arguments, tail index, lower support bound
 FAMILIES = {
