@@ -154,7 +154,7 @@ def _transform(arr: np.ndarray, d: HeavyTailDistribution):
     """Scores, with -inf replaced by the most negative double, and where that
     was done (None when nowhere)."""
     x = np.asarray(d.inverse_survival(arr), dtype=np.float64)
-    low = np.isneginf(x)
+    low = x == -np.inf
     if not low.any():
         return x, None
     return np.where(low, -_MAX_FLOAT, x), low

@@ -39,11 +39,16 @@ _WIDEN = 1e-9  # relative margin on computed bracket ends
 _MAX_FINITE_SUM_NU = 100  # the t's finite sums have about nu / 2 terms
 
 
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
-    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
-    arr = np.asarray(x, dtype=np.float64)
+def _reject_nan(arr: np.ndarray) -> None:
     if np.isnan(arr).any():
         raise DomainError("distribution argument contains NaN")
+
+
+def _as_float_array(x, nan_check: bool = True) -> tuple[np.ndarray, bool]:
+    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
+    arr = np.asarray(x, dtype=np.float64)
+    if nan_check:
+        _reject_nan(arr)
     return arr, scalar
 
 
@@ -90,8 +95,9 @@ class HeavyTailDistribution:
 
     def inverse_survival(self, q: ArrayLike) -> ArrayLike:
         """x with survival(x) = q.  q = 1 maps to the lower support bound."""
-        arr, scalar = _as_float_array(q)
-        if not ((arr > 0.0) & (arr <= 1.0)).all():
+        arr, scalar = _as_float_array(q, nan_check=False)
+        if not ((arr > 0.0) & (arr <= 1.0)).all():  # one pass; NaN fails it too
+            _reject_nan(arr)  # and keeps its own message
             raise DomainError(f"{self.name}: inverse_survival argument outside (0, 1]")
         one = arr == 1.0
         if one.any():
@@ -545,6 +551,18 @@ class StudentT(_Shape):
         return -self._isf(u)
 
 
+def _truncation(gamma: float, p0: float) -> tuple[StudentT, float, float]:
+    """The parent t, c = Q_t(1 - p0) and the parent's survival at c.
+    ``DomainError`` where c overflows: +inf leaves an empty support."""
+    parent = StudentT(gamma)
+    c = float(parent.inverse_survival(p0))
+    denom = float(parent.survival(c))
+    if not math.isfinite(c) or denom == 0.0:
+        raise DomainError(f"trunc_t: truncation point overflows at tail index "
+                          f"{parent.gamma!r} and threshold {p0!r}")
+    return parent, c, denom
+
+
 class TruncatedT(_Shape):
     """Student t conditioned on [c, inf) with c the (1 - p0) parent quantile."""
 
@@ -554,14 +572,9 @@ class TruncatedT(_Shape):
         if not (0.0 < p0 < 1.0):
             raise DomainError(f"{self.name}: truncation threshold must be in (0,1), got {p0!r}")
         super().__init__(gamma)
-        self.parent = StudentT(self.gamma)
         self.p0 = float(p0)
-        self.c = float(self.parent.inverse_survival(p0))
+        self.parent, self.c, self._denom = _truncation(self.gamma, p0)
         self.support_lower = self.c
-        self._denom = float(self.parent.survival(self.c))
-        if not math.isfinite(self.c) or self._denom == 0.0:
-            raise DomainError(f"{self.name}: truncation point overflows at tail index "
-                              f"{self.gamma!r} and threshold {p0!r}")
 
     @property
     def truncation_point(self) -> float:
@@ -586,12 +599,14 @@ class TruncatedT(_Shape):
 
 
 def truncation_point(gamma: float, p0: float) -> float:
-    """Lower endpoint c = Q_t(1 - p0) of the truncated-t construction."""
+    """Lower endpoint c = Q_t(1 - p0) of the truncated-t construction.
+
+    Raises ``DomainError`` where c overflows, as ``TruncatedT`` does."""
     if not (gamma > 0.0):
         raise DomainError(f"truncation_point: tail index must be positive, got {gamma!r}")
     if not (0.0 < p0 < 1.0):
         raise DomainError(f"truncation_point: threshold must be in (0,1), got {p0!r}")
-    return float(StudentT(gamma).inverse_survival(p0))
+    return _truncation(gamma, p0)[1]
 
 
 _FAMILIES = {cls.name: cls for cls in (Cauchy, LogCauchy, Levy, Pareto, LogGamma, Frechet,

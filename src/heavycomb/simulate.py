@@ -385,7 +385,7 @@ def _equivalence_tallies(p, method, mapped, alphas):
     for ai, (thr, alpha) in enumerate(zip(method.thresholds, alphas)):
         wgt, bon = _sum_rejects(stat, thr, method, alpha), bon_stat < alpha
         dis = wgt != bon
-        tallies[ai] = (wgt.sum(), bon.sum(), dis.sum(), (dis & wgt).sum(), (dis & bon).sum())
+        tallies[ai] = tuple(map(np.count_nonzero, (wgt, bon, dis, dis & wgt, dis & bon)))
     return tallies
 
 

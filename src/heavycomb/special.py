@@ -105,9 +105,11 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Array kernels used by the simulation hot paths.  Each branch of a piecewise
-# approximation runs only on its own elements (boolean compress, in-place
-# Horner, scatter back), so no element pays for a branch it does not take.
+# Array kernels used by the simulation hot paths.  A piecewise approximation
+# runs its central branch on every element, where it is finite and raises no
+# warning (erf clips its argument to [-1, 1] for that), then overwrites the
+# elements of each outer branch by index (flatnonzero, take, put), so each
+# element gets exactly its own branch's operations.
 
 
 def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
@@ -154,50 +156,51 @@ _ERFC_ZERO_AT = 28.0
 
 
 def _erfc_tail(a: np.ndarray) -> np.ndarray:
-    """erfc(a) for a >= 1 (NaN passes through)."""
+    """erfc(a) for a 1-d array of a >= 1 (NaN passes through)."""
     a = np.minimum(a, _ERFC_ZERO_AT)
-    out = np.empty_like(a)
-    mid = a < 8.0
-    for sel, num, den in ((mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
-        x = a[sel]
-        ratio = _horner(x, num)
-        ratio /= _horner(x, den)
-        # exp(-x^2) with the exponent split as m^2 + (2m + f) f, m = x rounded
-        # to 1/128 so m^2 is exact (Cephes expx2).  exp(-m^2 / 2) is applied
-        # twice so that a subnormal result is rounded once, at the end.
-        m = np.floor(x * 128.0 + 0.5)
-        m *= 1.0 / 128.0
-        f = x - m
-        half = np.exp(-0.5 * m * m)
-        f *= m + m + f
-        ratio *= np.exp(np.negative(f, out=f), out=f)
-        ratio *= half
-        ratio *= half
-        out[sel] = ratio
-    return out
+    ratio = _horner(a, _ERFC_P)
+    ratio /= _horner(a, _ERFC_Q)
+    far = np.flatnonzero(~(a < 8.0))  # NaN takes this branch too
+    if far.size:
+        x = a.take(far)
+        ratio.put(far, _horner(x, _ERFC_R) / _horner(x, _ERFC_S))
+    # exp(-a^2) with the exponent split as m^2 + (2m + f) f, m = a rounded to
+    # 1/128 so m^2 is exact (Cephes expx2).  exp(-m^2 / 2) is applied twice
+    # so that a subnormal result is rounded once, at the end.
+    m = np.floor(a * 128.0 + 0.5)
+    m *= 1.0 / 128.0
+    f = a - m
+    half = np.exp(-0.5 * m * m)
+    f *= m + m + f
+    ratio *= np.exp(np.negative(f, out=f), out=f)
+    ratio *= half
+    ratio *= half
+    return ratio
 
 
 def _erf_pair(x, upper: bool) -> np.ndarray:
     """erfc(x) if ``upper`` else erf(x), elementwise over the real line."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1.0
-    xs = x[small]
+    shape = x.shape
+    x = np.ravel(x)  # 1-d, so that put reaches the result of a 0-d call
+    xs = np.clip(x, -1.0, 1.0)  # exact below |x| = 1; the rest is overwritten
     z = xs * xs
-    e = _horner(z, _ERF_T)
-    e /= _horner(z, _ERF_U)
-    e *= xs
-    out[small] = 1.0 - e if upper else e
-    large = ~small
-    xl = x[large]
-    c = _erfc_tail(np.abs(xl))
-    if upper:  # erfc(-a) = 2 - erfc(a)
-        neg = xl < 0.0
-        c[neg] = 2.0 - c[neg]
-    else:  # erf(a) = 1 - erfc(a), odd in a
-        c = np.copysign(1.0 - c, xl)
-    out[large] = c
-    return out
+    out = _horner(z, _ERF_T)
+    out /= _horner(z, _ERF_U)
+    out *= xs
+    if upper:
+        np.subtract(1.0, out, out=out)
+    tail = np.flatnonzero(~(np.abs(x) < 1.0))
+    if tail.size:
+        xl = x.take(tail)
+        c = _erfc_tail(np.abs(xl))
+        if upper:  # erfc(-a) = 2 - erfc(a)
+            neg = np.flatnonzero(xl < 0.0)
+            c.put(neg, 2.0 - c.take(neg))
+        else:  # erf(a) = 1 - erfc(a), odd in a
+            c = np.copysign(1.0 - c, xl)
+        out.put(tail, c)
+    return out.reshape(shape)
 
 
 def erfc_array(x: np.ndarray) -> np.ndarray:

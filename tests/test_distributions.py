@@ -170,6 +170,19 @@ class TestQuantile:
             assert isinstance(got, float)
             assert np.float64(got).tobytes() == masked[q == v][0].tobytes()
 
+    @pytest.mark.parametrize("q, message", [
+        (math.nan, "distribution argument contains NaN"),
+        (0.0, "cauchy: inverse_survival argument outside (0, 1]"),
+        (1.5, "cauchy: inverse_survival argument outside (0, 1]"),
+        ([math.nan, 2.0], "distribution argument contains NaN"),
+        ([2.0, math.nan], "distribution argument contains NaN"),
+    ])
+    def test_inverse_survival_messages(self, q, message):
+        # a NaN anywhere names the NaN, whatever else is out of range
+        with pytest.raises(DomainError) as err:
+            Cauchy().inverse_survival(q)
+        assert str(err.value) == message
+
     def test_cauchy_one_tan_matches_two_tan_formula(self):
         def two_tan(q):
             with np.errstate(divide="ignore", over="ignore"):
@@ -208,9 +221,12 @@ class TestTruncationPoint:
 
     @pytest.mark.parametrize("gamma,p0", [(1e-3, 0.01), (1e-3, 0.9), (0.1, 1e-300)])
     def test_overflowing_truncation_point_rejected(self, gamma, p0):
-        # c = +inf (an empty support, 0/0 in the sf) or -inf: no distribution
+        # c = +inf (an empty support, 0/0 in the sf) or -inf: no distribution,
+        # and no point from the public helper either
         with pytest.raises(DomainError, match="trunc_t: truncation point overflows"):
             TruncatedT(gamma, p0)
+        with pytest.raises(DomainError, match="trunc_t: truncation point overflows"):
+            truncation_point(gamma, p0)
 
 
 # every registered family: constructor arguments, tail index, lower support bound

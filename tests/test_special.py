@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from heavycomb.errors import (
 )
 from heavycomb.special import (
     RootBracket,
+    erf_array,
     erfc_array,
     find_root,
     normal_quantile_array,
@@ -133,6 +135,34 @@ class TestArrayKernels:
         assert normal_sf_array(grid).shape == (3, 4)
         assert normal_quantile_array(normal_sf_array(grid)).shape == (3, 4)
         assert np.isnan(erfc_array(np.array([np.nan]))[0])
+
+    @pytest.mark.parametrize("kernel, points", [
+        (erf_array, [1.0, 8.0]),
+        (erfc_array, [1.0, 8.0]),
+        (normal_sf_array, [1.0, 8.0, math.sqrt(2), 8 * math.sqrt(2)]),
+    ])
+    def test_each_element_as_if_alone(self, kernel, points):
+        # branch points and their neighbours on both sides, signed zeros,
+        # infinities, NaN and the largest magnitudes, mixed with ordinary values
+        pts = np.asarray(points)
+        xs = np.concatenate([_with_neighbours(np.concatenate([pts, -pts])),
+                             [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 0.3, -27.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kernel(xs)
+            alone = np.array([kernel(np.array([x]))[0] for x in xs])
+            scalars = np.array([kernel(x) for x in xs])
+        assert np.array_equal(got, alone, equal_nan=True)
+        assert np.array_equal(got, scalars, equal_nan=True)
+        assert np.array_equal(kernel(xs.reshape(3, -1)), got.reshape(3, -1), equal_nan=True)
+
+    def test_return_types(self):
+        assert type(normal_sf_array(0.3)) is np.float64
+        for kernel in (erf_array, erfc_array):
+            for x in (0.3, 1.5, np.float64(-9.0), np.array(0.3)):
+                got = kernel(x)
+                assert isinstance(got, np.ndarray) and got.ndim == 0
+        assert normal_sf_array(np.array([0.3])).shape == (1,)
 
     @pytest.mark.parametrize("u, error", [
         (0.0, InfiniteQuantileError),
