@@ -137,7 +137,9 @@ def _bonferroni_statistic(p: np.ndarray, weights: np.ndarray | None = None):
 
 
 def _fisher_statistic(p: np.ndarray):
-    return -2.0 * np.log(p).sum(axis=-1)
+    """-2 sum_i log p_i over the last axis; the logs are laid out row by row, so
+    each row sums in the same order for a block of any memory layout."""
+    return -2.0 * np.log(p, order="C").sum(axis=-1)
 
 
 def transform(p, d: HeavyTailDistribution) -> np.ndarray:

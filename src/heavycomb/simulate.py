@@ -11,8 +11,9 @@ each driven by its own counter-based Philox stream keyed by
 results are reduced in block order, so results are bit-identical for any
 worker count.  The scenarios of one command (its values of ``rho``) share
 each block's draws and one pass over the blocks, so a scenario gets the
-bits it would get on its own.  A block is computed in row tiles of about
-``combine._CHUNK`` elements; reductions are per row or counts (see README).
+bits it would get on its own.  A block is held as n contiguous columns and
+computed in row tiles of about ``combine._CHUNK`` elements; reductions are
+per row or counts (see README).
 """
 
 from __future__ import annotations
@@ -68,8 +69,13 @@ class ExchangeableModel:
         if self.family == "student_t":
             if self.nu is None or not (self.nu > 0):
                 raise ConfigError("student_t family needs degrees of freedom nu > 0")
+            if not math.isfinite(self.nu):
+                raise ConfigError(
+                    f"student_t family needs finite degrees of freedom, got nu={self.nu!r}")
         if self.mean and len(self.mean) != self.n:
             raise ConfigError(f"mean vector has length {len(self.mean)}, expected {self.n}")
+        if any(math.isnan(m) for m in self.mean):
+            raise ConfigError(f"mean vector has a NaN entry: {self.mean!r}")
 
     def mean_vector(self) -> np.ndarray:
         if not self.mean:
@@ -145,24 +151,50 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw(model: ExchangeableModel, rng: np.random.Generator, rows: int):
-    """A block's draws, shared by every rho: centred normals, row means, t scale sqrt(s/nu)."""
-    z = rng.standard_normal((rows, model.n))
-    zbar = z.mean(axis=1, keepdims=True)
-    z -= zbar
+def _tile_rows(n: int) -> int:
+    """Rows of one tile: about ``combine._CHUNK`` elements."""
+    return max(1, combine._CHUNK // n)
+
+
+def _draw(model: ExchangeableModel, rng: np.random.Generator, rows: int, tile_rows=None):
+    """A block's draws, shared by every rho: centred normals as ``(n, rows)``
+    contiguous columns, row means and t scale sqrt(s/nu), each ``(rows,)``.
+
+    Drawn ``tile_rows`` rows at a time in stream order, so the normals have the
+    bits of one ``(rows, n)`` draw and the chi-square divisors follow them.  A row
+    mean has the bits of ``z.mean(axis=1)``: numpy sums fewer than 8 terms left
+    to right, as the column sum does, and pairwise from 8 on.
+    """
+    n = model.n
+    step = tile_rows or _tile_rows(n)
+    z, zbar = np.empty((n, rows)), np.empty(rows)
+    for lo in range(0, rows, step):
+        chunk = rng.standard_normal((min(step, rows - lo), n))
+        cols, mean = z[:, lo:lo + len(chunk)], zbar[lo:lo + len(chunk)]
+        cols[...] = chunk.T
+        if n < 8:
+            np.copyto(mean, cols[0])
+            for col in cols[1:]:
+                mean += col
+            mean /= n
+        else:
+            chunk.mean(axis=1, out=mean)
+        cols -= mean
     t_family = model.family == "student_t"
-    scale = np.sqrt(rng.chisquare(model.nu, size=(rows, 1)) / model.nu) if t_family else None
+    scale = np.sqrt(rng.chisquare(model.nu, size=rows) / model.nu) if t_family else None
     return z, zbar, scale
 
 
 def _shape(model: ExchangeableModel, draw) -> np.ndarray:
-    """The statistics of ``model`` from a block's draws (see sample_statistics)."""
+    """The statistics of ``model`` from a block's draws, as ``(n, rows)`` columns
+    (see sample_statistics)."""
     centred, zbar, scale = draw
     x = math.sqrt(max(1.0 - model.rho, 0.0)) * centred
     x += math.sqrt(max(1.0 + (model.n - 1) * model.rho, 0.0)) * zbar
     if scale is not None:
         x /= scale
-    x += model.mean_vector()
+    if model.mean:
+        x += model.mean_vector()[:, None]
     return x
 
 
@@ -175,7 +207,7 @@ def sample_statistics(model: ExchangeableModel, rng: np.random.Generator, size: 
     coordinates, then the mean shift is applied.
     """
     rows = 1 if size is None else int(size)
-    t = _shape(model, _draw(model, rng, rows))
+    t = np.ascontiguousarray(_shape(model, _draw(model, rng, rows)).T)
     return t[0] if size is None else t
 
 
@@ -246,17 +278,19 @@ def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
 
 
 def _block(payload):
-    """``reduce_p(p, *args)`` of each row tile of one block, for every model."""
+    """``reduce_p(p, *args)`` of each row tile of one block, for every model;
+    ``p`` is a ``(tile rows, n)`` view of contiguous columns."""
     models, seed, index, rows, tile_rows, reduce_p, args = payload
-    draw = _draw(models[0], replication_rng(seed, index), rows)
+    centred, zbar, scale = _draw(models[0], replication_rng(seed, index), rows, tile_rows)
     out = [[] for _ in models]
     for lo in range(0, rows, tile_rows):
-        tile = tuple(None if a is None else a[lo:lo + tile_rows] for a in draw)
+        cut = slice(lo, lo + tile_rows)
+        tile = (centred[:, cut], zbar[cut], None if scale is None else scale[cut])
         for model, parts in zip(models, out):
             p = statistics_to_pvalues(_shape(model, tile), model)
             if not (p <= 1.0).all():  # a NaN fails too; the floor keeps p > 0
                 raise DomainError(f"rho={model.rho}: p-values outside (0, 1] in block {index}")
-            parts.append(reduce_p(p, *args))
+            parts.append(reduce_p(p.T, *args))
     return out
 
 
@@ -269,7 +303,7 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     ``replication_rng(seed, i)`` and shaped for every model ``tile_rows`` rows
     (default ``combine._CHUNK // n``) at a time; blocks run serially or on one pool.
     """
-    tile_rows = tile_rows or max(1, combine._CHUNK // models[0].n)
+    tile_rows = tile_rows or _tile_rows(models[0].n)
     payloads = [
         (models, seed, index, min(block_size, replications - start), tile_rows, reduce_p, args)
         for index, start in enumerate(range(0, replications, block_size))

@@ -462,7 +462,10 @@ class TestEngineCommandsBeforeOutput:
          "alpha must be in (0,1), got 1.5"),
         (["tail-dep", "--nu", "2", "--rho", "0.5,1.5"], "rho must be in (-1, 1], got 1.5"),
         (["tail-dep", "--nu", "0", "--rho", "0.5"], "nu must be positive, got 0.0"),
-    ], ids=["calibrate-minp-alpha", "equiv-ratio-alphas", "tail-dep-rho", "tail-dep-nu"])
+        (["calibrate-minp", "--family", "student_t", "--nu", "inf", "--n", "2", "--rho", "0",
+          "--reps", "1000"], "student_t family needs finite degrees of freedom, got nu=inf"),
+    ], ids=["calibrate-minp-alpha", "equiv-ratio-alphas", "tail-dep-rho", "tail-dep-nu",
+            "calibrate-minp-nu"])
     def test_flags(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
         assert main(argv + ["-o", str(out)]) == 2
@@ -505,6 +508,20 @@ class TestEngineCommandsBeforeOutput:
                "replications": 1000}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,model,message", [
+        ("simulate", '"family": "student_t", "nu": 1e400',
+         "student_t family needs finite degrees of freedom, got nu=inf"),
+        ("equiv-ratio", '"mean": [NaN, 0.0]', "mean vector has a NaN entry: (nan, 0.0)"),
+    ], ids=["nu-1e400", "nan-mean"])
+    def test_model_values(self, tmp_path, capsys, command, model, message):
+        path = tmp_path / "cfg.json"  # JSON text: json.dumps would write 1e400 as Infinity
+        path.write_text('{"model": {"n": 2, "rho": 0.5, %s}, "replications": 1000, '
+                        '"methods": [{"kind": "fisher"}]}' % model)
         out = tmp_path / "out.csv"
         assert main([command, "--config", str(path), "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"

@@ -19,6 +19,7 @@ from heavycomb.simulate import (
     estimate_rejection_rate,
     pvalue_covariance,
     _compile_methods,
+    _draw,
     _equivalence_reports,
     _equivalence_tallies,
     _minp_calibrations,
@@ -51,6 +52,22 @@ class TestModelValidation:
     def test_mean_length(self):
         with pytest.raises(ConfigError):
             ExchangeableModel("normal", 3, 0.0, mean=(1.0, 2.0))
+
+    def test_nu_must_be_finite(self):
+        with pytest.raises(ConfigError, match="finite degrees of freedom, got nu=inf"):
+            ExchangeableModel("student_t", 3, 0.2, nu=math.inf)
+
+    def test_nan_mean_named(self):
+        with pytest.raises(ConfigError, match=r"mean vector has a NaN entry: \(0.0, nan, 1.0\)"):
+            ExchangeableModel("normal", 3, 0.0, mean=(0.0, math.nan, 1.0))
+
+    def test_infinite_mean_rejects_always(self):
+        # +inf floors its p-value at the smallest double; -inf gives p = 1
+        model = ExchangeableModel("normal", 3, 0.5, mean=(math.inf, -math.inf, 0.0))
+        methods = (MethodSpec("standard", "cauchy"), MethodSpec("bonferroni"),
+                   MethodSpec("fisher"), MethodSpec("minp", cutoff=0.02))
+        report = estimate_rejection_rate(ExperimentConfig(model, methods, (0.05,), 1000, 3))
+        assert [row.rejections for row in report.rows] == [1000] * 4
 
 
 class TestSampler:
@@ -373,6 +390,82 @@ class TestRowTiles:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+class TestColumnBlocks:
+    """A block is n contiguous columns, drawn in row chunks, and each element
+    gets the bits of one row-major ``(rows, n)`` draw centred by its row means."""
+
+    @pytest.mark.parametrize("family,nu", [("normal", None), ("student_t", 2.5)])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_draw_bits(self, n, family, nu):
+        rows = 2 * (combine._CHUNK // n) + 7  # a ragged last chunk
+        rho = 0.3
+        model = ExchangeableModel(family, n, rho, nu=nu, mean=tuple(np.linspace(-1.0, 1.0, n)))
+        rng = replication_rng(61, n)
+        z = rng.standard_normal((rows, n))
+        zbar = z.mean(axis=1, keepdims=True)
+        z -= zbar
+        scale = np.sqrt(rng.chisquare(nu, size=(rows, 1)) / nu) if nu else None
+        centred, means, got_scale = _draw(model, replication_rng(61, n), rows)
+        assert centred.shape == (n, rows) and centred.flags.c_contiguous
+        assert centred.tobytes() == np.ascontiguousarray(z.T).tobytes()
+        assert means.tobytes() == zbar.ravel().tobytes()
+        if scale is None:
+            assert got_scale is None
+        else:
+            assert got_scale.tobytes() == scale.ravel().tobytes()
+        x = math.sqrt(1.0 - rho) * z + math.sqrt(1.0 + (n - 1) * rho) * zbar
+        if scale is not None:
+            x = x / scale
+        x = x + model.mean_vector()
+        got = sample_statistics(model, replication_rng(61, n), rows)
+        assert got.flags.c_contiguous and got.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_draw_does_not_depend_on_chunk_height(self, n):
+        model = ExchangeableModel("student_t", n, 0.5, nu=3.0)
+        whole = _draw(model, replication_rng(62, 0), 600, 600)
+        for tile_rows in (1, 13, 250):
+            got = _draw(model, replication_rng(62, 0), 600, tile_rows)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, whole))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_fisher_bits_on_either_layout(self, n):
+        p = 1.0 - np.random.default_rng(n).random((700, n))
+        want = -2.0 * np.log(p).sum(axis=-1)  # the row-major formula
+        assert combine._fisher_statistic(p).tobytes() == want.tobytes()
+        assert combine._fisher_statistic(np.asfortranarray(p)).tobytes() == want.tobytes()
+
+    def test_reducers_on_a_column_view(self):
+        n, alphas = 9, (0.05, 0.01, 1e-3)
+        w = tuple(np.linspace(0.5, 3.0, n))
+        specs = (
+            MethodSpec("standard", "cauchy"),
+            MethodSpec("standard", "levy"),
+            MethodSpec("standard", "t:3"),
+            MethodSpec("average", "pareto:1"),
+            MethodSpec("weighted", "trunc_t:1:0.9", weights=w),
+            MethodSpec("bonferroni", weights=w, label="wbonf"),
+            MethodSpec("bonferroni"),
+            MethodSpec("fisher"),
+            MethodSpec("minp", cutoff=0.002),
+        )
+        plan = _compile_methods(specs, alphas, n)
+        model = ExchangeableModel("student_t", n, 0.4, nu=2.0, mean=(1.5,) + (0.0,) * (n - 1))
+        p = statistics_to_pvalues(sample_statistics(model, replication_rng(63, 0), 4000), model)
+        view = np.ascontiguousarray(p.T).T  # the engine's (rows, n) view of n columns
+        assert view.flags.f_contiguous and np.array_equal(view, p)
+        assert _rate_counts(view, plan, alphas).tolist() == _rate_counts(p, plan, alphas).tolist()
+        for method in plan:
+            if method.dist is not None:
+                got, want = (combine._weighted_sum(combine._transform(q, method.dist)[0],
+                                                   method.weights) for q in (view, p))
+            elif method.kind == "fisher":
+                got, want = combine._fisher_statistic(view), combine._fisher_statistic(p)
+            else:
+                got, want = (combine._bonferroni_statistic(q, method.weights) for q in (view, p))
+            assert got.tobytes() == want.tobytes(), method.label
 
 
 class TestStrongSignal:
