@@ -156,17 +156,17 @@ def _tile_rows(n: int) -> int:
     return max(1, combine._CHUNK // n)
 
 
-def _draw(model: ExchangeableModel, rng: np.random.Generator, rows: int, tile_rows=None):
+def _draw(model: ExchangeableModel, rng: np.random.Generator, rows: int):
     """A block's draws, shared by every rho: centred normals as ``(n, rows)``
     contiguous columns, row means and t scale sqrt(s/nu), each ``(rows,)``.
 
-    Drawn ``tile_rows`` rows at a time in stream order, so the normals have the
-    bits of one ``(rows, n)`` draw and the chi-square divisors follow them.  A row
+    Drawn a tile of rows at a time in stream order, so the normals have the bits
+    of one ``(rows, n)`` draw and the chi-square divisors follow them.  A row
     mean has the bits of ``z.mean(axis=1)``: numpy sums fewer than 8 terms left
     to right, as the column sum does, and pairwise from 8 on.
     """
     n = model.n
-    step = tile_rows or _tile_rows(n)
+    step = _tile_rows(n)
     z, zbar = np.empty((n, rows)), np.empty(rows)
     for lo in range(0, rows, step):
         chunk = rng.standard_normal((min(step, rows - lo), n))
@@ -281,7 +281,7 @@ def _block(payload):
     """``reduce_p(p, *args)`` of each row tile of one block, for every model;
     ``p`` is a ``(tile rows, n)`` view of contiguous columns."""
     models, seed, index, rows, tile_rows, reduce_p, args = payload
-    centred, zbar, scale = _draw(models[0], replication_rng(seed, index), rows, tile_rows)
+    centred, zbar, scale = _draw(models[0], replication_rng(seed, index), rows)
     out = [[] for _ in models]
     for lo in range(0, rows, tile_rows):
         cut = slice(lo, lo + tile_rows)

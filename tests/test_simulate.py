@@ -422,14 +422,6 @@ class TestColumnBlocks:
         got = sample_statistics(model, replication_rng(61, n), rows)
         assert got.flags.c_contiguous and got.tobytes() == x.tobytes()
 
-    @pytest.mark.parametrize("n", [5, 9])
-    def test_draw_does_not_depend_on_chunk_height(self, n):
-        model = ExchangeableModel("student_t", n, 0.5, nu=3.0)
-        whole = _draw(model, replication_rng(62, 0), 600, 600)
-        for tile_rows in (1, 13, 250):
-            got = _draw(model, replication_rng(62, 0), 600, tile_rows)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, whole))
-
     @pytest.mark.parametrize("n", range(2, 13))
     def test_fisher_bits_on_either_layout(self, n):
         p = 1.0 - np.random.default_rng(n).random((700, n))
