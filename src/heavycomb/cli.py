@@ -57,14 +57,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, header, rows, start, config_echo, seed=None, workers=None, fmt=None) -> int:
+def _emit(args, header, rows, config_echo, fmt=None) -> int:
     """Write ``rows`` and the run's manifest to ``--output`` (default stdout).
 
     A CSV row is ``fmt % row`` (flags already text, from ``_FLAGS``), or else
     ``_fmt`` of each field.  CSV rows are written as they are produced, so an
     error part-way leaves the rows so far and no manifest; a JSON document is
-    written only once complete.  An output file gets its manifest beside it,
-    as ``<stem>.manifest.json``.
+    written only once complete.  The manifest takes the run's seed, workers and
+    start time from ``args``; an output file gets it as ``<stem>.manifest.json``.
     """
     to_file = args.output not in (None, "-")
     stream = open(args.output, "w", newline="") if to_file else sys.stdout
@@ -78,10 +78,10 @@ def _emit(args, header, rows, start, config_echo, seed=None, workers=None, fmt=N
         manifest = {
             "command": " ".join(args.argv),
             "config": config_echo,
-            "seed": args.seed if seed is None else seed,
-            "workers": args.workers if workers is None else workers,
+            "seed": args.seed,
+            "workers": args.workers,
             "version": __version__,
-            "runtime_seconds": time.perf_counter() - start,
+            "runtime_seconds": time.perf_counter() - args.start,
         }
         if args.format == "json":
             json.dump({"rows": records, "manifest": manifest}, stream, indent=2)
@@ -199,7 +199,6 @@ def _parse_weights_arg(text):
 
 
 def cmd_combine(args) -> int:
-    start = time.perf_counter()
     method = args.method
     dist = None
     if method in ("standard", "average", "weighted"):
@@ -242,11 +241,10 @@ def cmd_combine(args) -> int:
     echo = {"input": args.input, "method": method, "dist": args.dist,
             "weights": args.weights, "alpha": args.alpha}
     rows = chain.from_iterable(_batched_rows(args.input, compute, to_rows))
-    return _emit(args, header, rows, start, echo, fmt=fmt)
+    return _emit(args, header, rows, echo, fmt=fmt)
 
 
 def cmd_closed_test(args) -> int:
-    start = time.perf_counter()
     dist = _dist_from_arg(args.dist)
     _check_level("--alpha", args.alpha)
     flag = _FLAGS[args.format]
@@ -262,11 +260,10 @@ def cmd_closed_test(args) -> int:
     header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
     echo = {"input": args.input, "dist": args.dist, "alpha": args.alpha}
     rows = chain.from_iterable(_batched_rows(args.input, compute, to_rows))
-    return _emit(args, header, rows, start, echo, fmt="%s,%d,%.17g,%.17g,%s\n")
+    return _emit(args, header, rows, echo, fmt="%s,%d,%.17g,%.17g,%s\n")
 
 
 def cmd_adjust_bh(args) -> int:
-    start = time.perf_counter()
     _check_level("--q", args.q)
     ids, pvals = [], []
     for line_no, group_id, values in _iter_groups(args.input):
@@ -281,16 +278,38 @@ def cmd_adjust_bh(args) -> int:
     flag = _FLAGS[args.format]
     rows = ((gid, p, adj, flag[adj <= args.q]) for gid, p, adj in zip(ids, pvals, adjusted))
     header = ["group_id", "p_value", "adjusted_p", "discovery"]
-    return _emit(args, header, rows, start, {"input": args.input, "q": args.q},
+    return _emit(args, header, rows, {"input": args.input, "q": args.q},
                  fmt="%s,%.17g,%.17g,%s\n")
 
 
-def _load_config(args, command: str, from_flags: dict | None = None):
-    """Return ``(config echo, seed, workers)`` from ``--preset`` or ``--config``.
+def _number(key: str, value, whole=False):
+    """``value`` if it is a number, not a bool (with ``whole``, a whole one, as an int)."""
+    if type(value) not in (int, float) or whole and value % 1:
+        raise ConfigError(f"{key} must be a {'whole ' * whole}number, got {value!r}")
+    return int(value) if whole else value
 
-    Commands that pass ``from_flags`` also run from ``--n``/``--rho``: their
-    config is the model flags, then ``from_flags``, then the seed.  ``--seed``
-    and ``--workers`` win over the config, which wins over the defaults.
+
+def _numbers(key: str, value) -> tuple[float, ...]:
+    """A list of numbers, or one number, as a tuple of floats."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if not items:
+        raise ConfigError(f"config lists no {key}")
+    return tuple(float(_number(key, v)) for v in items)
+
+
+def _typed(key: str, value, kind=dict):
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _read_config(args, command: str, from_flags: dict | None = None):
+    """Return ``(config echo, models)`` from ``--preset`` or ``--config``; set
+    ``args.seed`` and ``args.workers`` to the run's.  Commands that pass
+    ``from_flags`` also run from ``--n``/``--rho``: their config is the model
+    flags, then ``from_flags``, then the seed.  ``--seed`` and ``--workers`` win
+    over the config, then ``$HEAVYCOMB_WORKERS``, then the defaults.  A value of
+    the wrong type is a ConfigError that names its key.
     """
     if args.preset:
         try:
@@ -312,10 +331,8 @@ def _load_config(args, command: str, from_flags: dict | None = None):
     else:
         model = {"family": args.family, "n": args.n, "rho": args.rho, "nu": args.nu,
                  "sided": args.sided}
-        seed = _DEFAULT_SEED if args.seed is None else args.seed
-        workers = _default_workers() if args.workers is None else args.workers
-        return {"model": model, **from_flags, "seed": seed}, seed, workers
-    declared = cfg.pop("command", command)
+        cfg = {"model": model, **from_flags}
+    declared = _typed("config", cfg).pop("command", command)
     if declared != command:
         raise ConfigError(f"config declares command {declared!r} but was passed to {command!r}")
     if args.seed is not None:
@@ -324,52 +341,47 @@ def _load_config(args, command: str, from_flags: dict | None = None):
         cfg["workers"] = args.workers
     cfg.setdefault("seed", _DEFAULT_SEED)
     if "workers" not in cfg:  # the environment is read only when nothing else sets it
-        cfg["workers"] = _default_workers()
-    return cfg, int(cfg["seed"]), int(cfg["workers"])
+        env = os.environ.get(_ENV_WORKERS)
+        try:
+            cfg["workers"] = max(1, int(env)) if env else 1
+        except ValueError:
+            raise ConfigError(f"{_ENV_WORKERS} must be an integer, got {env!r}") from None
+    args.seed, args.workers = (_number(key, cfg[key], whole=True) for key in ("seed", "workers"))
+    if not (args.preset or args.config):
+        del cfg["workers"]  # the flags' echo has no workers
+    if "model" not in cfg:
+        raise ConfigError("config is missing the 'model' section")
+    mc = _typed("model", cfg["model"])
+    rhos, nu = _numbers("rho", mc.get("rho", 0.0)), mc.get("nu")
+    kw = {"family": mc.get("family", "normal"), "nu": nu if nu is None else _number("nu", nu),
+          "sided": mc.get("sided", "one_sided")}
+    n = ExchangeableModel(n=mc.get("n", 0), rho=rhos[0], **kw).n  # n is checked before the mean
+    mean = _build_mean(n, mc.get("mean"))
+    return cfg, [ExchangeableModel(n=n, rho=rho, mean=mean, **kw) for rho in rhos]
 
 
-def _build_mean(n: int, mean_spec) -> tuple[float, ...]:
-    if mean_spec in (None, ()):
-        return ()
-    if isinstance(mean_spec, dict):
-        kind = mean_spec.get("kind")
-        value = float(mean_spec.get("value", 0.0))
-        if kind == "dense":
-            return tuple([value] * n)
-        if kind == "sparse":
-            count = int(mean_spec.get("count", 1))
-            if not (1 <= count <= n):
-                raise ConfigError(f"sparse mean count must be in 1..{n}")
-            return tuple([0.0] * (n - count) + [value] * count)
-        raise ConfigError(f"unknown mean kind {kind!r}")
-    mean = tuple(float(v) for v in mean_spec)
-    if len(mean) != n:
-        raise ConfigError(f"mean vector has length {len(mean)}, expected {n}")
-    return mean
-
-
-def _models_from_config(cfg: dict) -> list[ExchangeableModel]:
-    try:
-        mc = dict(cfg["model"])
-    except KeyError:
-        raise ConfigError("config is missing the 'model' section") from None
-    rhos = mc.pop("rho", 0.0)
-    if not isinstance(rhos, (list, tuple)):
-        rhos = [rhos]
-    if not rhos:
-        raise ConfigError("config lists no rho")
-    n = int(mc.get("n", 0))
-    mean = _build_mean(n, mc.pop("mean", None))
-    return [ExchangeableModel(family=mc.get("family", "normal"), n=n, rho=float(rho),
-                              nu=mc.get("nu"), mean=mean, sided=mc.get("sided", "one_sided"))
-            for rho in rhos]
+def _build_mean(n: int, spec) -> tuple[float, ...]:
+    if spec is None or isinstance(spec, list):
+        return tuple(float(_number("mean", v)) for v in spec or ())
+    kind = _typed("mean", spec).get("kind")
+    value = float(_number("mean value", spec.get("value", 0.0)))
+    if kind == "dense":
+        return (value,) * n
+    if kind == "sparse":
+        count = _number("mean count", spec.get("count", 1), whole=True)
+        if not (1 <= count <= n):
+            raise ConfigError(f"sparse mean count must be in 1..{n}")
+        return (0.0,) * (n - count) + (value,) * count
+    raise ConfigError(f"unknown mean kind {kind!r}")
 
 
 def _method_specs(cfg: dict) -> tuple[MethodSpec, ...]:
-    out = tuple(MethodSpec(kind=m["kind"], distribution=m.get("distribution"),
-                           weights=tuple(m["weights"]) if m.get("weights") else None,
-                           cutoff=m.get("cutoff"), label=m.get("label"))
-                for m in cfg.get("methods", []))
+    methods = (_typed("method", m) for m in _typed("methods", cfg.get("methods", []), list))
+    out = tuple(MethodSpec(kind=m.get("kind"), distribution=m.get("distribution"),
+                           weights=_numbers("weights", m["weights"]) if m.get("weights") else None,
+                           cutoff=None if m.get("cutoff") is None
+                           else _number("cutoff", m["cutoff"]), label=m.get("label"))
+                for m in methods)
     if not out:
         raise ConfigError("config lists no methods")
     return out
@@ -383,13 +395,12 @@ def _model_cols(model: ExchangeableModel) -> list:
 
 
 def cmd_simulate(args) -> int:
-    start = time.perf_counter()
-    cfg, seed, workers = _load_config(args, "simulate")
-    models = _models_from_config(cfg)
+    cfg, models = _read_config(args, "simulate")
     methods = _method_specs(cfg)
-    alphas = tuple(float(a) for a in cfg.get("alphas", [0.05]))
-    replications = int(cfg.get("replications", 0))
-    configs = [ExperimentConfig(m, methods, alphas, replications, seed, workers) for m in models]
+    alphas = _numbers("alphas", cfg.get("alphas", [0.05]))
+    replications = _number("replications", cfg.get("replications", 0), whole=True)
+    configs = [ExperimentConfig(m, methods, alphas, replications, args.seed, args.workers)
+               for m in models]
     # the whole run, and so every check of the config, before any output
     reports = list(sim._rejection_reports(configs))
 
@@ -405,49 +416,43 @@ def cmd_simulate(args) -> int:
 
     header = _MODEL_HEADER + ["method", "alpha", "estimate", "std_error", "rejections",
                               "replications", "seed"]
-    return _emit(args, header, rows(), start, cfg, seed, workers)
+    return _emit(args, header, rows(), cfg)
 
 
 def cmd_calibrate_minp(args) -> int:
-    start = time.perf_counter()
     flags = {"alpha": args.alpha, "replications": args.reps}
-    cfg, seed, workers = _load_config(args, "calibrate-minp", flags)
-    models = _models_from_config(cfg)
-    alpha = float(cfg.get("alpha", 0.05))
-    _check_level("alpha", alpha)
-    replications = int(cfg.get("replications", 100_000))
-    # the whole run, and so the null-model check, before any output
-    calibrations = list(sim._minp_calibrations(models, alpha, replications, seed, workers))
+    cfg, models = _read_config(args, "calibrate-minp", flags)
+    alpha = float(_number("alpha", cfg.get("alpha", 0.05)))
+    replications = _number("replications", cfg.get("replications", 100_000), whole=True)
+    # the whole run, and so every check of the settings, before any output
+    cals = list(sim._minp_calibrations(models, alpha, replications, args.seed, args.workers))
 
     rows = (_model_cols(model) + [cal.alpha, cal.cutoff, cal.cutoff_ratio, cal.replications,
-                                  cal.seed, cal.unstable] for model, cal in zip(models, calibrations))
+                                  cal.seed, cal.unstable] for model, cal in zip(models, cals))
     header = _MODEL_HEADER + ["alpha", "cutoff", "cutoff_ratio", "replications", "seed",
                               "unstable"]
-    return _emit(args, header, rows, start, cfg, seed, workers)
+    return _emit(args, header, rows, cfg)
 
 
 def cmd_tail_dep(args) -> int:
-    start = time.perf_counter()
     try:  # every value before any output
         rows = [[args.nu, rho, tail_dependence_t(args.nu, rho)] for rho in args.rho]
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     echo = {"nu": args.nu, "rho": args.rho}
-    return _emit(args, ["nu", "rho", "tail_dependence"], rows, start, echo)
+    return _emit(args, ["nu", "rho", "tail_dependence"], rows, echo)
 
 
 def cmd_equiv_ratio(args) -> int:
-    start = time.perf_counter()
     weights = _parse_weights_arg(args.weights) if args.weights else None
     flags = {"distribution": args.dist, "alphas": args.alphas, "replications": args.reps,
              "weights": weights}
-    cfg, seed, workers = _load_config(args, "equiv-ratio", flags)
+    cfg, models = _read_config(args, "equiv-ratio", flags)
     if weights is not None:  # the flag wins over the config, as --seed does
         cfg["weights"] = weights
-    models = _models_from_config(cfg)
-    alphas = tuple(float(a) for a in cfg.get("alphas", [0.05]))
-    replications = int(cfg.get("replications", 100_000))
-    weights = tuple(cfg["weights"]) if cfg.get("weights") else None
+    alphas = _numbers("alphas", cfg.get("alphas", [0.05]))
+    replications = _number("replications", cfg.get("replications", 100_000), whole=True)
+    weights = _numbers("weights", cfg["weights"]) if cfg.get("weights") else None
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
     # checks the weights, levels and counts before any output
     if weights is not None:
@@ -455,7 +460,8 @@ def cmd_equiv_ratio(args) -> int:
             comb._validate_weights(weights, models[0].n)
         except (DomainError, ShapeError) as exc:
             raise ConfigError(str(exc)) from None
-    configs = [ExperimentConfig(m, (), alphas, replications, seed, workers) for m in models]
+    configs = [ExperimentConfig(m, (), alphas, replications, args.seed, args.workers)
+               for m in models]
 
     def rows():
         for model, report in zip(models, sim._equivalence_reports(configs, dist, weights)):
@@ -469,17 +475,7 @@ def cmd_equiv_ratio(args) -> int:
     header = _MODEL_HEADER + ["distribution", "alpha", "ratio", "std_error", "disagreements",
                               "weighted_rejections", "bonferroni_rejections",
                               "replications", "seed"]
-    return _emit(args, header, rows(), start, cfg, seed, workers)
-
-
-def _default_workers() -> int:
-    env = os.environ.get(_ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{_ENV_WORKERS} must be an integer, got {env!r}") from None
-    return 1
+    return _emit(args, header, rows(), cfg)
 
 
 def _add_common(parser):
@@ -577,6 +573,7 @@ _parser = functools.cache(build_parser)  # built once, at the first main call
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
+    args.start = time.perf_counter()
     try:
         return args.func(args)
     except (ValidationError, ShapeError, DomainError) as exc:

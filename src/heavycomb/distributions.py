@@ -223,8 +223,9 @@ class _Shape(HeavyTailDistribution):
     """A family whose positive shape parameter ``gamma`` is its tail index."""
 
     def __init__(self, gamma: float):
-        if not (gamma > 0.0) or not math.isfinite(gamma):
-            raise DomainError(f"{self.name}: tail index must be positive, got {gamma!r}")
+        if not (0.0 < gamma < math.inf):
+            bound = "finite" if gamma == math.inf else "positive"
+            raise DomainError(f"{self.name}: tail index must be {bound}, got {gamma!r}")
         self.gamma = float(gamma)
 
     @property

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ class ExchangeableModel:
             raise ConfigError(f"unknown statistic family {self.family!r}")
         if self.sided not in _SIDES:
             raise ConfigError(f"sided must be one of {_SIDES}, got {self.sided!r}")
-        if int(self.n) != self.n or self.n < 1:
+        if type(self.n) is bool or not isinstance(self.n, numbers.Real) or self.n % 1 or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         lower = -1.0 / (self.n - 1) if self.n > 1 else -1.0
@@ -252,12 +253,11 @@ def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
     compiled = []
     for spec in methods:
         label, kind, dist, w, kappa = spec.resolved_label(), spec.kind, None, None, None
-        if kind in ("standard", "average", "weighted"):
-            if not spec.distribution:
-                raise ConfigError(f"method {label}: transform kinds need a distribution")
-            dist = parse_distribution(spec.distribution)
         try:
-            if dist is not None:
+            if kind in ("standard", "average", "weighted"):
+                if not spec.distribution:
+                    raise ConfigError(f"method {label}: transform kinds need a distribution")
+                dist = parse_distribution(spec.distribution)
                 w = combine._sum_weights(kind, n, dist, spec.weights)
                 kappa = combine._kappa(w, dist)
                 thr = tuple(combine._threshold(dist, a, kappa) for a in alphas)
@@ -489,7 +489,7 @@ class MinPCalibration:
 
 def _minp_calibrations(models, alpha: float, replications: int, seed: int, workers: int):
     """Each model's MinPCalibration, as ``_rejection_reports`` makes its reports."""
-    combine._check_alpha(alpha)
+    ExperimentConfig(models[0], (), (alpha,), replications, seed, workers)  # checks the settings
     if any(any(model.mean) for model in models):
         raise ConfigError("minP calibration requires the null model (zero mean)")
     # the smallest p-value of each replication
@@ -548,6 +548,7 @@ def pvalue_covariance(
     """Empirical covariance of the two p-values, block-jackknife SE; a block is one tile."""
     if model.n != 2:
         raise DomainError("pvalue_covariance requires an n=2 model")
+    ExperimentConfig(model, (), (), replications, seed, workers)  # checks the settings
     block_size = min(BLOCK_SIZE, max(1, replications // 16)) if replications >= 32 else 1
     stats = np.vstack(_run_blocks([model], seed, replications, workers, _cov_moments,
                                   block_size=block_size, tile_rows=block_size)[0])

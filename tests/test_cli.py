@@ -3,10 +3,12 @@ import itertools
 import json
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings, strategies as hst
 
 from heavycomb import (
     bh_adjust,
@@ -526,6 +528,194 @@ class TestEngineCommandsBeforeOutput:
         assert main([command, "--config", str(path), "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+
+def engine_config(command):
+    """A small valid config for each engine command."""
+    cfg = {"command": command,
+           "model": {"family": "normal", "n": 2, "rho": 0.5, "nu": None, "mean": [0.0, 0.0],
+                     "sided": "one_sided"},
+           "replications": 500, "seed": 5, "workers": 1}
+    if command == "simulate":
+        cfg["methods"] = [{"kind": "standard", "distribution": "cauchy", "label": "cauchy"},
+                          {"kind": "bonferroni", "weights": [1, 2]},
+                          {"kind": "minp", "cutoff": 0.02}]
+        cfg["alphas"] = [0.05]
+    elif command == "calibrate-minp":
+        cfg["alpha"] = 0.05
+    else:
+        cfg.update(distribution="cauchy", weights=[1, 2], alphas=[0.05])
+    return cfg
+
+
+_DELETE = object()
+
+
+def with_value(cfg, path, value):
+    """``cfg`` with the value at ``path`` (keys and list indices) replaced or deleted."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path
+    inner = cfg
+    for key in parents:
+        inner = inner[key]
+    if value is _DELETE:
+        del inner[last]
+    else:
+        inner[last] = value
+    return cfg
+
+
+def config_paths(cfg, prefix=()):
+    """The path of every value in ``cfg``, a section before the values in it."""
+    items = cfg.items() if isinstance(cfg, dict) else enumerate(cfg)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, dict) or key == "methods":
+            yield from config_paths(value, prefix + (key,))
+
+
+class TestConfigValues:
+    """An engine config value of the wrong type is a usage error that names its
+    key, before any output; a count must be a whole number."""
+
+    @pytest.mark.parametrize("command,path,value,message", [
+        ("simulate", ("replications",), "abc", "replications must be a whole number, got 'abc'"),
+        ("simulate", ("alphas",), ["x"], "alphas must be a number, got 'x'"),
+        ("simulate", ("methods", 1, "kind"), _DELETE, "unknown method kind None"),
+        ("simulate", ("methods",), "bonferroni", "methods must be a list, got 'bonferroni'"),
+        ("simulate", ("model", "n"), "x", "n must be a positive integer, got 'x'"),
+        ("simulate", ("model", "rho"), "a", "rho must be a number, got 'a'"),
+        ("simulate", ("seed",), "s", "seed must be a whole number, got 's'"),
+        ("simulate", ("model", "mean"), {"kind": "dense", "value": "q"},
+         "mean value must be a number, got 'q'"),
+        ("simulate", ("methods", 2, "cutoff"), "x", "cutoff must be a number, got 'x'"),
+        ("simulate", ("methods", 1, "weights"), 5,
+         "method bonferroni: weight vector has length 1, expected 2"),
+        ("simulate", (), [1, 2], "config must be a dict, got [1, 2]"),
+        ("equiv-ratio", ("weights",), "ab", "weights must be a number, got 'ab'"),
+        ("simulate", ("model", "n"), 2.5, "n must be a positive integer, got 2.5"),
+        ("simulate", ("model", "n"), True, "n must be a positive integer, got True"),
+        ("simulate", ("replications",), 1000.9,
+         "replications must be a whole number, got 1000.9"),
+        ("simulate", ("seed",), 3.7, "seed must be a whole number, got 3.7"),
+        ("simulate", ("workers",), 1.5, "workers must be a whole number, got 1.5"),
+        ("simulate", ("workers",), True, "workers must be a whole number, got True"),
+        ("calibrate-minp", ("alpha",), [0.05], "alpha must be a number, got [0.05]"),
+        ("simulate", ("alphas",), [], "config lists no alphas"),
+        ("equiv-ratio", ("alphas",), [], "config lists no alphas"),
+    ], ids=["replications-abc", "alphas-x", "method-no-kind", "methods-string", "n-x", "rho-a",
+            "seed-s", "dense-mean-q", "minp-cutoff-x", "bonferroni-weights-5", "top-level-list",
+            "equiv-weights-ab", "n-2.5", "n-true", "replications-1000.9", "seed-3.7",
+            "workers-1.5", "workers-true", "minp-alpha-list", "simulate-no-alphas",
+            "equiv-no-alphas"])
+    def test_bad_value(self, tmp_path, capsys, command, path, value, message):
+        cfg = with_value(engine_config(command), path, value) if path else value
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(tmp_path / "cfg.json"), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_equiv_ratio_empty_alphas_flag(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["equiv-ratio", "--n", "2", "--rho", "0", "--alphas", "", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: config lists no alphas\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key", [("simulate", "alphas"), ("equiv-ratio", "alphas"),
+                                             ("simulate", "rho")])
+    def test_one_number_is_a_list_of_one(self, tmp_path, command, key):
+        rows = []
+        for value in (0.05, [0.05]) if key == "alphas" else (0.5, [0.5]):
+            cfg = engine_config(command)
+            (cfg if key == "alphas" else cfg["model"])[key] = value
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            out = tmp_path / f"out{len(rows)}.csv"
+            assert main([command, "--config", str(tmp_path / "cfg.json"), "-o", str(out)]) == 0
+            rows.append(out.read_bytes())
+        assert rows[0] == rows[1]
+
+    def test_whole_number_floats_are_counts(self, tmp_path):
+        outs = []
+        for n, replications, seed in ((2, 500, 5), (2.0, 5e2, 5.0)):
+            cfg = engine_config("simulate")
+            cfg["model"]["n"], cfg["replications"], cfg["seed"] = n, replications, seed
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            outs.append(tmp_path / f"out{len(outs)}.csv")
+            assert main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                         "-o", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--reps", "0"], "replications must be >= 1, got 0"),
+        (["--reps", "-5"], "replications must be >= 1, got -5"),
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--workers", "-3"], "workers must be >= 1, got -3"),
+    ], ids=["reps-0", "reps-neg", "workers-0", "workers-neg"])
+    def test_calibrate_minp_settings(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out.csv"
+        argv = ["calibrate-minp", "--n", "2", "--rho", "0", "--reps", "500"] + flags
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_manifest_config_echo_in_order(self, tmp_path, monkeypatch):
+        # the config's own keys, then the seed, then the workers; the flags'
+        # echo has no workers
+        monkeypatch.delenv("HEAVYCOMB_WORKERS", raising=False)
+        model = {"n": 2, "rho": 0.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "calibrate-minp", "model": model,
+                                    "replications": 500, "alpha": 0.05}))
+        out = tmp_path / "out.csv"
+        runs = [(["--config", str(path)], [("seed", 20240501), ("workers", 1)], 20240501, 1),
+                (["--config", str(path), "--seed", "7", "--workers", "2"],
+                 [("seed", 7), ("workers", 2)], 7, 2),
+                (["--n", "2", "--rho", "0", "--reps", "500", "--seed", "7", "--workers", "2"],
+                 [("seed", 7)], 7, 2)]
+        for flags, settings_echo, seed, workers in runs:
+            assert main(["calibrate-minp", "-o", str(out)] + flags) == 0
+            manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+            if "--config" in flags:
+                head = [("model", model), ("replications", 500), ("alpha", 0.05)]
+            else:
+                head = [("model", {"family": "normal", "n": 2, "rho": [0.0], "nu": None,
+                                   "sided": "one_sided"}), ("alpha", 0.05), ("replications", 500)]
+            assert list(manifest["config"].items()) == head + settings_echo
+            assert (manifest["seed"], manifest["workers"]) == (seed, workers)
+
+
+_WRONG_TYPE = hst.one_of(
+    hst.text(max_size=4), hst.booleans(), hst.none(),
+    hst.lists(hst.one_of(hst.none(), hst.booleans(), hst.text(max_size=2),
+                         hst.floats(-3, 3, allow_nan=False)), max_size=3),
+    hst.dictionaries(hst.text(max_size=3), hst.one_of(hst.none(), hst.floats(-3, 3)),
+                     max_size=2))
+# a fraction below 3, never a whole number, so no example starts a long run
+_FRACTION = hst.floats(0, 3, exclude_min=True, exclude_max=True).filter(lambda x: x % 1)
+_COUNT_KEYS = {"n", "replications", "workers", "seed"}
+
+
+@hst.composite
+def _bad_configs(draw):
+    command = draw(hst.sampled_from(["simulate", "calibrate-minp", "equiv-ratio"]))
+    cfg = engine_config(command)
+    path = draw(hst.sampled_from(list(config_paths(cfg))))
+    wrong = hst.one_of(_WRONG_TYPE, _FRACTION) if path[-1] in _COUNT_KEYS else _WRONG_TYPE
+    return command, with_value(cfg, path, draw(wrong))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bad_configs())
+def test_wrong_typed_value_never_crashes(case):
+    # a wrong-typed value is a usage error, or else runs or fails numerically;
+    # it is never an input error (exit 1) or an uncaught exception
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main([command, "--config", path, "-o", f"{tmp}/out.csv"]) in (0, 2, 3)
 
 
 class TestOnePassCommands:

@@ -285,13 +285,22 @@ class TestFamilies:
         # the shape check, through the constructor and the parser
         assert d.gamma == params[0]
         for shape in (0.0, -1.0, math.inf, math.nan):
-            message = f"{name}: tail index must be positive, got {shape!r}"
+            bound = "finite" if shape == math.inf else "positive"
+            message = f"{name}: tail index must be {bound}, got {shape!r}"
             with pytest.raises(DomainError) as err:
                 cls(shape, *params[1:])
             assert str(err.value) == message
             with pytest.raises(DomainError) as err:
                 parse_distribution(":".join([name, repr(shape)] + [f"{v:g}" for v in params[1:]]))
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", SHAPE_FAMILIES)
+    def test_negative_infinite_shape_is_not_positive(self, name):
+        # only +inf is named as not finite; -inf is below zero first
+        params = FAMILIES[name][0]
+        with pytest.raises(DomainError) as err:
+            _FAMILIES[name](-math.inf, *params[1:])
+        assert str(err.value) == f"{name}: tail index must be positive, got -inf"
 
 
 class TestInvariants:

@@ -661,3 +661,39 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError):
             estimate_rejection_rate(config)
+
+    @pytest.mark.parametrize("replications,workers,message", [
+        (0, 1, "replications must be >= 1, got 0"),
+        (1_000, 0, "workers must be >= 1, got 0"),
+    ], ids=["replications-0", "workers-0"])
+    def test_minp_and_covariance_check_their_settings(self, replications, workers, message):
+        # the checks of ExperimentConfig, before any block is drawn
+        model = ExchangeableModel("normal", 2, 0.0)
+        for run in (lambda: calibrate_minp(model, 0.05, replications, 1, workers),
+                    lambda: pvalue_covariance(model, replications, 1, workers)):
+            with pytest.raises(ConfigError) as err:
+                run()
+            assert str(err.value) == message
+
+    def test_minp_level_is_a_config_error(self):
+        model = ExchangeableModel("normal", 2, 0.0)
+        with pytest.raises(ConfigError) as err:
+            calibrate_minp(model, 1.5, 1_000, 1)
+        assert str(err.value) == "alpha must be in (0,1), got 1.5"
+
+    @pytest.mark.parametrize("n", [2.5, True, "2", math.inf, math.nan, 0, -1])
+    def test_n_is_a_positive_whole_number(self, n):
+        with pytest.raises(ConfigError) as err:
+            ExchangeableModel("normal", n, 0.0)
+        assert str(err.value) == f"n must be a positive integer, got {n!r}"
+
+    def test_whole_n_of_any_number_type(self):
+        for n in (3, 3.0, np.int64(3), np.float64(3.0)):
+            assert type(ExchangeableModel("normal", n, 0.0).n) is int
+
+    def test_unknown_distribution_spec_is_a_config_error(self):
+        model = ExchangeableModel("normal", 2, 0.0)
+        config = ExperimentConfig(model, (MethodSpec("standard", "zz"),), (0.05,), 10, seed=1)
+        with pytest.raises(ConfigError) as err:
+            estimate_rejection_rate(config)
+        assert str(err.value) == "method standard[zz]: unknown distribution spec 'zz'"
