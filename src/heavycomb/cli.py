@@ -250,8 +250,8 @@ def cmd_closed_test(args) -> int:
     flag = _FLAGS[args.format]
 
     def compute(block):
-        adjusted, rejected, _ = closed_testing._shortcut_rows(block, dist, args.alpha)
-        return zip(block, adjusted, rejected)
+        adjusted = closed_testing._shortcut_rows(block, dist)
+        return zip(block, adjusted, closed_testing._decide(adjusted, args.alpha)[0])
 
     def to_rows(group_id, p, adjusted, rejected):
         return zip(repeat(group_id), count(1), p.tolist(), adjusted.tolist(),
@@ -283,9 +283,11 @@ def cmd_adjust_bh(args) -> int:
 
 
 def _number(key: str, value, whole=False):
-    """``value`` if it is a number, not a bool (with ``whole``, a whole one, as an int)."""
+    """``value`` if it is a number that a double holds, not a bool (with ``whole``, a whole one)."""
     if type(value) not in (int, float) or whole and value % 1:
         raise ConfigError(f"{key} must be a {'whole ' * whole}number, got {value!r}")
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{key} must be a number within the double range")
     return int(value) if whole else value
 
 
@@ -322,7 +324,7 @@ def _read_config(args, command: str, from_flags: dict | None = None):
                 cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's int digit limit
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     elif from_flags is None:
         raise ConfigError("either --config FILE or --preset NAME is required")
@@ -378,13 +380,21 @@ def _build_mean(n: int, spec) -> tuple[float, ...]:
 def _method_specs(cfg: dict) -> tuple[MethodSpec, ...]:
     methods = (_typed("method", m) for m in _typed("methods", cfg.get("methods", []), list))
     out = tuple(MethodSpec(kind=m.get("kind"), distribution=m.get("distribution"),
-                           weights=_numbers("weights", m["weights"]) if m.get("weights") else None,
+                           weights=None if m.get("weights") is None
+                           else _numbers("weights", m["weights"]),
                            cutoff=None if m.get("cutoff") is None
-                           else _number("cutoff", m["cutoff"]), label=m.get("label"))
+                           else _number("cutoff", m["cutoff"]), label=_label(m.get("label")))
                 for m in methods)
     if not out:
         raise ConfigError("config lists no methods")
     return out
+
+
+def _label(value):
+    """A method label: None, or a string that fits one CSV field unquoted."""
+    if value is not None and (type(value) is not str or any(c in value for c in ",\r\n")):
+        raise ConfigError(f"label must be a string with no comma or line break, got {value!r}")
+    return value
 
 
 _MODEL_HEADER = ["family", "n", "rho", "nu", "sided"]
@@ -452,7 +462,7 @@ def cmd_equiv_ratio(args) -> int:
         cfg["weights"] = weights
     alphas = _numbers("alphas", cfg.get("alphas", [0.05]))
     replications = _number("replications", cfg.get("replications", 100_000), whole=True)
-    weights = _numbers("weights", cfg["weights"]) if cfg.get("weights") else None
+    weights = None if cfg.get("weights") is None else _numbers("weights", cfg["weights"])
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
     # checks the weights, levels and counts before any output
     if weights is not None:

@@ -2,8 +2,8 @@
 
 Rejects an individual hypothesis when every subset containing it is
 rejected by the sum-based combination test, which controls the
-family-wise error rate.  The shortcut runs in O(n log n) for decisions
-and O(n^2) for adjusted p-values; the brute force enumerates all 2^n
+family-wise error rate: its adjusted p-value is <= alpha.  The shortcut
+forms the adjusted p-values in O(n^2); the brute force enumerates all 2^n
 subsets and serves as the reference implementation.
 """
 
@@ -26,32 +26,33 @@ class ClosedTestingResult:
 
     adjusted_p: np.ndarray  # input order
     rejected: np.ndarray    # bool, input order
-    rejection_cut: int      # 1-based J: exactly the J-1 smallest p-values rejected
+    rejection_cut: int      # 1-based J: J-1 adjusted_p are <= alpha, at the smallest p-values
     alpha: float
 
 
 def closed_test_shortcut(p, d: HeavyTailDistribution, alpha: float) -> ClosedTestingResult:
-    """Step-down shortcut over the sorted p-values.
+    """Shortcut over the sorted p-values p_(1) <= ... <= p_(n), x_i = H(p_(i)).
 
-    With p_(1) <= ... <= p_(n), x_i = H(p_(i)) and thresholds
-    c_1 = H(alpha), c_k = H(alpha/k) - sum of the k-1 smallest x's, the
-    first rank i with x_i < max(c_1, ..., c_{n-i+1}) stops the procedure;
-    every earlier rank is rejected.  Adjusted p-values maximize
-    k * F_bar(max{H(p_i), x_(n-k+1)} + tail sum) over the subset size k.
+    The adjusted p-value of rank j is the largest of p_(j) and, over subset
+    sizes k, k * F_bar(max{x_j, x_(n-k+1)} + sum of x over the k-1 largest
+    p-values); it rises with the rank, so the rejections (adjusted p <= alpha,
+    as in the brute force) are the smallest p-values.
     """
     alpha = _check_alpha(alpha)
-    arr = _validate_pvalues(p)
-    adjusted, rejected, cut = _shortcut_rows(arr[None, :], d, alpha)
-    return ClosedTestingResult(adjusted[0], rejected[0], int(cut[0]), alpha)
+    adjusted = _shortcut_rows(_validate_pvalues(p)[None, :], d)[0]
+    rejected, cut = _decide(adjusted, alpha)
+    return ClosedTestingResult(adjusted, rejected, int(cut), alpha)
 
 
-def _shortcut_rows(p: np.ndarray, d: HeavyTailDistribution, alpha: float):
-    """The shortcut on each row of a validated ``(rows, n)`` block.
+def _decide(adjusted: np.ndarray, alpha: float):
+    """Reject when the adjusted p-value is <= alpha; the cut counts them plus one."""
+    rejected = adjusted <= alpha
+    return rejected, rejected.sum(axis=-1) + 1
 
-    Returns the adjusted p-values and decisions (``(rows, n)``, input order)
-    and the 1-based cut of each row.  Every row gets the bits of a one-row
-    call.
-    """
+
+def _shortcut_rows(p: np.ndarray, d: HeavyTailDistribution) -> np.ndarray:
+    """The adjusted p-values (input order) of each row of a validated ``(rows, n)``
+    block.  Every row gets the bits of a one-row call."""
     g, n = p.shape
     rows = np.arange(g)[:, None]
     order = p.argsort(axis=1, kind="stable")
@@ -61,26 +62,14 @@ def _shortcut_rows(p: np.ndarray, d: HeavyTailDistribution, alpha: float):
     # x[:, 0]) can meet a -inf (p = 1); that NaN sum reads as +inf.
     overflowed = x[:, 0].max() == np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        # suffix[:, k] = sum of x over the k largest p-values (k = 0..n-1 used as k-1)
-        suffix = np.zeros((g, n + 1))
-        x[:, ::-1].cumsum(axis=1, out=suffix[:, 1:])
+        tail = x[:, None, :0:-1].cumsum(axis=2)  # [..., k-2]: x summed over the k-1 largest p
         if overflowed:
-            suffix[np.isnan(suffix)] = np.inf
-
-        ks = np.arange(1, n + 1)
-        h_alpha = np.asarray(d.inverse_survival(alpha / ks), dtype=np.float64)
-        c = h_alpha - suffix[:, :n]  # c_k = H(alpha/k) - sum_{j=n-k+2}^{n} x_j
-        limits = np.maximum.accumulate(c, axis=1)[:, ::-1]  # max(c_1, ..., c_{n-i+1})
-        fails = np.ones((g, n + 1), dtype=bool)  # no failing rank: the cut is n + 1
-        np.less(x, limits, out=fails[:, :n])
-        cut = fails.argmax(axis=1) + 1
-
+            tail[np.isnan(tail)] = np.inf
         # adjusted p of sorted rank j: the largest k * F_bar(max(x_j, x_(n-k+1))
         # + tail sum) over k = 2..n, in blocks of at most _CHUNK elements of the
         # (rows, n, n - 1) array of (row, rank j, k)
         best = ps.copy()
-        k_hi = ks[1:]
-        tail = suffix[:, None, 1:n]    # sum of the (k-1) largest p-values' x
+        k_hi = np.arange(2, n + 1)
         x_ref = x[:, None, ::-1][:, :, 1:]  # x at sorted rank n-k+1
         x_j = x[:, :, None]
         width = max(n - 1, 1)
@@ -99,9 +88,7 @@ def _shortcut_rows(p: np.ndarray, d: HeavyTailDistribution, alpha: float):
                     np.maximum(best[grp, ranks], p_ik.max(axis=2), out=best[grp, ranks])
     adjusted = np.empty((g, n))
     adjusted[rows, order] = best
-    rejected = np.empty((g, n), dtype=bool)
-    rejected[rows, order] = ks < cut[:, None]
-    return adjusted, rejected, cut
+    return adjusted
 
 
 def closed_test_bruteforce(p, d: HeavyTailDistribution, alpha: float) -> ClosedTestingResult:
@@ -130,6 +117,5 @@ def closed_test_bruteforce(p, d: HeavyTailDistribution, alpha: float) -> ClosedT
         has_i = (masks >> i) & 1 == 1
         adjusted[i] = float(subset_p[has_i].max())
 
-    rejected = adjusted <= alpha
-    cut = int(rejected.sum()) + 1
-    return ClosedTestingResult(adjusted, rejected, cut, alpha)
+    rejected, cut = _decide(adjusted, alpha)
+    return ClosedTestingResult(adjusted, rejected, int(cut), alpha)

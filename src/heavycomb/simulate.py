@@ -61,6 +61,8 @@ class ExchangeableModel:
         if type(self.n) is bool or not isinstance(self.n, numbers.Real) or self.n % 1 or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
+        if self.n > np.iinfo(np.intp).max:  # beyond any array's length
+            raise ConfigError(f"n must fit an array dimension, got {self.n.bit_length()} bits")
         lower = -1.0 / (self.n - 1) if self.n > 1 else -1.0
         if not (lower < self.rho <= 1.0):
             raise ConfigError(

@@ -248,6 +248,17 @@ class TestClosedTestCommand:
                      "--alpha", "0.05", "-o", str(out)]) == 0
         assert [r["reject"] for r in read_csv(out)] == ["true", "false"]
 
+    def test_reject_is_adjusted_p_at_most_alpha(self, tmp_path):
+        # hypothesis 2's adjusted p rounds to 0.05000000000000001 under t:3
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        inp.write_text("g1,0.5,0.025\n")
+        assert main(["closed-test", "-i", str(inp), "--dist", "t:3",
+                     "--alpha", "0.05", "-o", str(out)]) == 0
+        rows = read_csv(out)
+        assert float(rows[1]["adjusted_p"]) > 0.05
+        assert [r["reject"] for r in rows] == ["false", "false"]
+
 
 class TestGeneralNuTransforms:
     """Valid groups whose general-nu transforms overflow or sit deep in the tail."""
@@ -603,17 +614,50 @@ class TestConfigValues:
         ("calibrate-minp", ("alpha",), [0.05], "alpha must be a number, got [0.05]"),
         ("simulate", ("alphas",), [], "config lists no alphas"),
         ("equiv-ratio", ("alphas",), [], "config lists no alphas"),
+        ("simulate", ("methods", 0, "label"), [1, 2],
+         "label must be a string with no comma or line break, got [1, 2]"),
+        ("simulate", ("methods", 0, "label"), "a,b",
+         "label must be a string with no comma or line break, got 'a,b'"),
+        ("simulate", ("model", "rho"), 10**400, "rho must be a number within the double range"),
+        ("simulate", ("alphas",), [0.05, 10**400],
+         "alphas must be a number within the double range"),
+        ("simulate", ("model", "nu"), 10**400, "nu must be a number within the double range"),
+        ("simulate", ("methods", 2, "cutoff"), 10**400,
+         "cutoff must be a number within the double range"),
+        ("simulate", ("model", "mean"), {"kind": "dense", "value": 10**400},
+         "mean value must be a number within the double range"),
+        ("simulate", ("model", "n"), 10**400,
+         "n must fit an array dimension, got 1329 bits"),
+        ("simulate", ("methods", 1, "weights"), False, "weights must be a number, got False"),
+        ("simulate", ("methods", 1, "weights"), 0,
+         "method bonferroni: weight vector has length 1, expected 2"),
+        ("simulate", ("methods", 1, "weights"), "", "weights must be a number, got ''"),
+        ("equiv-ratio", ("weights",), False, "weights must be a number, got False"),
+        ("equiv-ratio", ("weights",), 0, "weight vector has length 1, expected 2"),
+        ("equiv-ratio", ("weights",), "", "weights must be a number, got ''"),
     ], ids=["replications-abc", "alphas-x", "method-no-kind", "methods-string", "n-x", "rho-a",
             "seed-s", "dense-mean-q", "minp-cutoff-x", "bonferroni-weights-5", "top-level-list",
             "equiv-weights-ab", "n-2.5", "n-true", "replications-1000.9", "seed-3.7",
             "workers-1.5", "workers-true", "minp-alpha-list", "simulate-no-alphas",
-            "equiv-no-alphas"])
+            "equiv-no-alphas", "label-list", "label-comma", "rho-1e400-int", "alphas-1e400-int",
+            "nu-1e400-int", "minp-cutoff-1e400-int", "dense-mean-1e400-int", "n-1e400-int",
+            "bonferroni-weights-false", "bonferroni-weights-0", "bonferroni-weights-empty",
+            "equiv-weights-false", "equiv-weights-0", "equiv-weights-empty"])
     def test_bad_value(self, tmp_path, capsys, command, path, value, message):
         cfg = with_value(engine_config(command), path, value) if path else value
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         out = tmp_path / "out.csv"
         assert main([command, "--config", str(tmp_path / "cfg.json"), "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.load refuses it before any key is read
+        path = tmp_path / "cfg.json"
+        path.write_text('{"model": {"n": 2, "rho": 0.5}, "alphas": 1%s}' % ("0" * 5000))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config file is not valid JSON")
         assert not out.exists()
 
     def test_equiv_ratio_empty_alphas_flag(self, tmp_path, capsys):
@@ -709,13 +753,19 @@ def _bad_configs(draw):
 @given(_bad_configs())
 def test_wrong_typed_value_never_crashes(case):
     # a wrong-typed value is a usage error, or else runs or fails numerically;
-    # it is never an input error (exit 1) or an uncaught exception
+    # it is never an input error (exit 1) or an uncaught exception, and a run
+    # writes every CSV row with the header's field count
     command, cfg = case
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/cfg.json"
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        assert main([command, "--config", path, "-o", f"{tmp}/out.csv"]) in (0, 2, 3)
+        rc = main([command, "--config", path, "-o", f"{tmp}/out.csv"])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            with open(f"{tmp}/out.csv", newline="") as fh:
+                header, *rows = fh.read().split("\n")[:-1]
+            assert {row.count(",") for row in rows} == {header.count(",")}
 
 
 class TestOnePassCommands:

@@ -59,6 +59,17 @@ class TestExamples:
             assert res.adjusted_p[0] == 0.01
             assert res.rejected.tolist() == [True]
 
+    def test_adjusted_p_rounded_above_alpha_is_not_rejected(self):
+        # 2 * F_bar(H(0.5) + H(0.025)) rounds to 0.05000000000000001 under t:3;
+        # the decision is the adjusted p-value's, as in the brute force
+        d = parse_distribution("t:3")
+        a = closed_test_shortcut([0.5, 0.025], d, 0.05)
+        b = closed_test_bruteforce([0.5, 0.025], d, 0.05)
+        assert a.adjusted_p[1] > 0.05
+        assert a.rejected.tolist() == b.rejected.tolist() == [False, False]
+        assert a.rejection_cut == b.rejection_cut == 1
+        np.testing.assert_array_equal(a.adjusted_p, b.adjusted_p)
+
 
 class TestShortcutEqualsBruteForce:
     DISTS = [Cauchy(), Pareto(1.0), TruncatedT(1.0, 0.9), Levy()]
@@ -94,9 +105,12 @@ class TestShortcutEqualsBruteForce:
         assert np.max(np.abs(a.adjusted_p - b.adjusted_p)) <= 1e-12
 
 
-# p-values from (0, 1]: exact 1, the smallest subnormal, and repeats drawn
-# from a small pool so that groups hold ties
-_SPECIAL_P = st.sampled_from([1.0, 5e-324, 1e-300, 1e-8, 0.5])
+# p-values from (0, 1]: exact 1, the smallest subnormal, levels alpha/k that
+# put adjusted p-values at alpha, and repeats drawn from a small pool so that
+# groups hold ties
+_SPECIAL_P = st.sampled_from([1.0, 5e-324, 1e-300, 1e-8, 0.5, 0.025, 0.0125, 0.1])
+_SPECS = ["cauchy", "levy", "t:2", "t:3", "trunc_t:1:0.9", "trunc_t:2:0.5", "trunc_t:3:0.1",
+          "pareto:1", "log_cauchy"]
 _ANY_P = st.floats(min_value=5e-324, max_value=1.0, allow_subnormal=True)
 
 
@@ -109,8 +123,7 @@ def _groups(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(p=_groups(),
-       spec=st.sampled_from(["cauchy", "levy", "t:2", "trunc_t:1:0.9", "trunc_t:2:0.5",
-                             "trunc_t:3:0.1", "pareto:1"]),
+       spec=st.sampled_from(_SPECS),
        alpha=st.sampled_from([0.01, 0.05, 0.2]))
 def test_shortcut_equals_bruteforce_property(p, spec, alpha):
     d = parse_distribution(spec)
@@ -216,11 +229,15 @@ class TestStructuralProperties:
             assert np.all(r2[r1])  # r1 subset of r2
             assert np.all(r3[r2])
 
-    def test_rejection_is_prefix_of_sorted_order(self):
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_rejection_is_prefix_of_sorted_order(self, spec):
+        # adjusted p-values rise with the sorted rank, so the rejections
+        # (adjusted p <= alpha) are the smallest p-values
+        d = parse_distribution(spec)
         rng = np.random.default_rng(12)
         for _ in range(50):
             p, alpha = random_instance(rng)
-            res = closed_test_shortcut(p, Cauchy(), alpha)
+            res = closed_test_shortcut(p, d, alpha)
             order = np.argsort(p, kind="stable")
             flags = res.rejected[order]
             assert res.rejection_cut == int(flags.sum()) + 1

@@ -57,6 +57,12 @@ class TestModelValidation:
         with pytest.raises(ConfigError, match="finite degrees of freedom, got nu=inf"):
             ExchangeableModel("student_t", 3, 0.2, nu=math.inf)
 
+    @pytest.mark.parametrize("n", [10**400, 1e300])
+    def test_n_beyond_any_array_is_a_config_error(self, n):
+        # not an OverflowError from -1/(n-1)
+        with pytest.raises(ConfigError, match="n must fit an array dimension"):
+            ExchangeableModel("normal", n, 0.5)
+
     def test_nan_mean_named(self):
         with pytest.raises(ConfigError, match=r"mean vector has a NaN entry: \(0.0, nan, 1.0\)"):
             ExchangeableModel("normal", 3, 0.0, mean=(0.0, math.nan, 1.0))
