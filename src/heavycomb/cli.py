@@ -213,8 +213,10 @@ def cmd_combine(args) -> int:
                     f"method 'average' needs a tail-index-1 distribution, got {args.dist!r}"
                 ) from None
     _check_level("--alpha", args.alpha)
+    if args.weights is not None and method not in ("weighted", "bonferroni"):
+        raise ConfigError(f"--weights does not apply to method {method!r}")
     weights = _parse_weights_arg(args.weights) if args.weights else None
-    if weights is not None and method in ("weighted", "bonferroni"):
+    if weights is not None:
         try:  # the values once, before any output; the count is per group
             comb._validate_weights(weights, len(weights))
         except DomainError as exc:
@@ -445,8 +447,9 @@ def cmd_calibrate_minp(args) -> int:
 
 
 def cmd_tail_dep(args) -> int:
+    rhos = _numbers("rho", args.rho)  # an empty list is a usage error
     try:  # every value before any output
-        rows = [[args.nu, rho, tail_dependence_t(args.nu, rho)] for rho in args.rho]
+        rows = [[args.nu, rho, tail_dependence_t(args.nu, rho)] for rho in rhos]
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     echo = {"nu": args.nu, "rho": args.rho}

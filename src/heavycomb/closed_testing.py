@@ -52,7 +52,9 @@ def _decide(adjusted: np.ndarray, alpha: float):
 
 def _shortcut_rows(p: np.ndarray, d: HeavyTailDistribution) -> np.ndarray:
     """The adjusted p-values (input order) of each row of a validated ``(rows, n)``
-    block.  Every row gets the bits of a one-row call."""
+    block.  Every row gets the bits of a one-row call.  The (row, rank, size)
+    terms are formed in slabs of at most max(``_CHUNK``, n - 1) elements: all
+    n - 1 sizes of as many rows and ranks as fit in ``_CHUNK``, at least one."""
     g, n = p.shape
     rows = np.arange(g)[:, None]
     order = p.argsort(axis=1, kind="stable")
@@ -66,12 +68,10 @@ def _shortcut_rows(p: np.ndarray, d: HeavyTailDistribution) -> np.ndarray:
         if overflowed:
             tail[np.isnan(tail)] = np.inf
         # adjusted p of sorted rank j: the largest k * F_bar(max(x_j, x_(n-k+1))
-        # + tail sum) over k = 2..n, in blocks of at most _CHUNK elements of the
-        # (rows, n, n - 1) array of (row, rank j, k)
+        # + tail sum) over k = 2..n (none when n = 1, hence the initial 0)
         best = ps.copy()
         k_hi = np.arange(2, n + 1)
         x_ref = x[:, None, ::-1][:, :, 1:]  # x at sorted rank n-k+1
-        x_j = x[:, :, None]
         width = max(n - 1, 1)
         g_step = max(1, _CHUNK // (n * width))
         j_step = max(1, _CHUNK // width)
@@ -79,13 +79,11 @@ def _shortcut_rows(p: np.ndarray, d: HeavyTailDistribution) -> np.ndarray:
             grp = slice(i, i + g_step)
             for j in range(0, n, j_step):
                 ranks = slice(j, j + j_step)
-                for k in range(0, n - 1, _CHUNK):
-                    sizes = slice(k, k + _CHUNK)
-                    s = np.maximum(x_j[grp, ranks], x_ref[grp, :, sizes]) + tail[grp, :, sizes]
-                    if overflowed:
-                        s[np.isnan(s)] = np.inf
-                    p_ik = np.minimum(k_hi[sizes] * d.survival(s), 1.0)
-                    np.maximum(best[grp, ranks], p_ik.max(axis=2), out=best[grp, ranks])
+                s = np.maximum(x[grp, ranks, None], x_ref[grp]) + tail[grp]
+                if overflowed:
+                    s[np.isnan(s)] = np.inf
+                p_ik = np.minimum(k_hi * d.survival(s), 1.0)
+                np.maximum(best[grp, ranks], p_ik.max(axis=2, initial=0.0), out=best[grp, ranks])
     adjusted = np.empty((g, n))
     adjusted[rows, order] = best
     return adjusted

@@ -185,6 +185,8 @@ def _draw(model: ExchangeableModel, rng: np.random.Generator, rows: int):
         cols -= mean
     t_family = model.family == "student_t"
     scale = np.sqrt(rng.chisquare(model.nu, size=rows) / model.nu) if t_family else None
+    if t_family and not scale.all():  # a divisor of 0 would make the statistics infinite
+        raise DomainError(f"nu={model.nu}: a chi-square divisor underflowed to 0")
     return z, zbar, scale
 
 
@@ -251,31 +253,36 @@ class _CompiledMethod:
     kappa: float | None = None
 
 
+def _compile_method(spec: MethodSpec, alphas, n, dist=None) -> _CompiledMethod:
+    """``spec`` on ``n`` p-values; a transform kind uses ``dist`` or parses its own."""
+    label, kind, w, kappa = spec.resolved_label(), spec.kind, None, None
+    if kind in ("standard", "average", "weighted"):
+        if dist is None and not spec.distribution:
+            raise ConfigError(f"method {label}: transform kinds need a distribution")
+        dist = parse_distribution(spec.distribution) if dist is None else dist
+        w = combine._sum_weights(kind, n, dist, spec.weights)
+        kappa = combine._kappa(w, dist)
+        thr = tuple(combine._threshold(dist, a, kappa) for a in alphas)
+    elif kind == "bonferroni":
+        w, thr = combine._bonferroni_weights(spec.weights, n)[0], tuple(alphas)
+    elif kind == "fisher":
+        thr = tuple(chi_square_upper_quantile(float(n), a) for a in alphas)
+    elif kind == "minp":
+        if spec.cutoff is None:
+            raise ConfigError(f"method {label}: minp needs a calibrated cutoff")
+        thr = (float(spec.cutoff),) * len(alphas)
+    else:
+        raise ConfigError(f"unknown method kind {kind!r}")
+    return _CompiledMethod(label, kind, thr, dist, w, kappa)
+
+
 def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
     compiled = []
     for spec in methods:
-        label, kind, dist, w, kappa = spec.resolved_label(), spec.kind, None, None, None
         try:
-            if kind in ("standard", "average", "weighted"):
-                if not spec.distribution:
-                    raise ConfigError(f"method {label}: transform kinds need a distribution")
-                dist = parse_distribution(spec.distribution)
-                w = combine._sum_weights(kind, n, dist, spec.weights)
-                kappa = combine._kappa(w, dist)
-                thr = tuple(combine._threshold(dist, a, kappa) for a in alphas)
-            elif kind == "bonferroni":
-                w, thr = combine._bonferroni_weights(spec.weights, n)[0], tuple(alphas)
-            elif kind == "fisher":
-                thr = tuple(chi_square_upper_quantile(float(n), a) for a in alphas)
-            elif kind == "minp":
-                if spec.cutoff is None:
-                    raise ConfigError(f"method {label}: minp needs a calibrated cutoff")
-                thr = (float(spec.cutoff),) * len(alphas)
-            else:
-                raise ConfigError(f"unknown method kind {kind!r}")
+            compiled.append(_compile_method(spec, alphas, n))
         except (DomainError, ShapeError, MethodMisuseError) as exc:
-            raise ConfigError(f"method {label}: {exc}") from exc
-        compiled.append(_CompiledMethod(label, kind, thr, dist, w, kappa))
+            raise ConfigError(f"method {spec.resolved_label()}: {exc}") from exc
     return tuple(compiled)
 
 
@@ -324,18 +331,11 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     return [[tile for block in blocks for tile in block[m]] for m in range(len(models))]
 
 
-def _sum_rejects(stat, thr, method, alpha):
-    """Above the threshold or, where that overflowed to +inf, the clamped
-    kappa * sf(stat) < alpha of ``CombinedResult.reject``."""
-    return stat > thr if thr < math.inf else (
-        combine._clamp_p(method.kappa * method.dist.survival(stat)) < alpha)
-
-
-def _rate_counts(p, plan, alphas):
-    counts = np.zeros((len(plan), len(alphas)), dtype=np.int64)
-    scores: dict[str, np.ndarray] = {}
-    fisher = None
-    for mi, method in enumerate(plan):
+def _rejections(p, plan, alphas):
+    """Each method's per-row rejection flags, one per alpha: the engine's only test
+    decision.  Methods on one distribution share its transformed scores."""
+    scores, fisher = {}, None  # transformed scores per distribution spec; Fisher's statistic
+    for method in plan:
         if method.dist is not None:
             key = method.dist.spec_string()
             if key not in scores:
@@ -345,14 +345,23 @@ def _rate_counts(p, plan, alphas):
             if fisher is None:
                 fisher = combine._fisher_statistic(p)
             stat = fisher
-        elif method.kind == "bonferroni":
+        else:  # bonferroni, or minp with no weights
             stat = combine._bonferroni_statistic(p, method.weights)
-        else:  # minp
-            stat = combine._bonferroni_statistic(p)
-        below = method.kind in ("bonferroni", "minp")
-        for ai, (thr, alpha) in enumerate(zip(method.thresholds, alphas)):
-            reject = stat < thr if below else _sum_rejects(stat, thr, method, alpha)
-            counts[mi, ai] = np.count_nonzero(reject)
+        flags = []
+        for thr, alpha in zip(method.thresholds, alphas):
+            if method.kind in ("bonferroni", "minp"):
+                flags.append(stat < thr)
+            elif thr < math.inf:
+                flags.append(stat > thr)
+            else:  # overflowed: the clamped kappa * sf(stat) < alpha of CombinedResult.reject
+                flags.append(combine._clamp_p(method.kappa * method.dist.survival(stat)) < alpha)
+        yield flags
+
+
+def _rate_counts(p, plan, alphas):
+    counts = np.zeros((len(plan), len(alphas)), dtype=np.int64)
+    for mi, flags in enumerate(_rejections(p, plan, alphas)):
+        counts[mi] = list(map(np.count_nonzero, flags))
     return counts
 
 
@@ -370,11 +379,9 @@ def _rejection_reports(configs):
     runtime = time.perf_counter() - start
     r = first.replications
     for blocks in per_model:
-        counts = sum(blocks)
         rows = []
-        for mi, method in enumerate(plan):
-            for ai, alpha in enumerate(first.alphas):
-                k = int(counts[mi, ai])
+        for method, row in zip(plan, sum(blocks).tolist()):
+            for alpha, k in zip(first.alphas, row):
                 est = k / r
                 se = math.sqrt(est * (1.0 - est) / r)
                 rows.append(RateEstimate(method.label, alpha, est, se, k))
@@ -414,14 +421,12 @@ class EquivalenceReport:
     runtime_seconds: float
 
 
-def _equivalence_tallies(p, method, mapped, alphas):
-    stat = combine._weighted_sum(combine._transform(p, method.dist)[0], method.weights)
-    bon_stat = combine._bonferroni_statistic(p, mapped)
-    tallies = np.zeros((len(alphas), 5), dtype=np.int64)
-    for ai, (thr, alpha) in enumerate(zip(method.thresholds, alphas)):
-        wgt, bon = _sum_rejects(stat, thr, method, alpha), bon_stat < alpha
-        dis = wgt != bon
-        tallies[ai] = tuple(map(np.count_nonzero, (wgt, bon, dis, dis & wgt, dis & bon)))
+def _equivalence_tallies(p, plan, alphas):
+    """Rows that the weighted test, Bonferroni and both reject, per alpha."""
+    weighted, bonferroni = _rejections(p, plan, alphas)
+    tallies = np.zeros((len(alphas), 3), dtype=np.int64)
+    for ai, (wgt, bon) in enumerate(zip(weighted, bonferroni)):
+        tallies[ai] = np.count_nonzero(wgt), np.count_nonzero(bon), np.count_nonzero(wgt & bon)
     return tallies
 
 
@@ -429,31 +434,25 @@ def _equivalence_reports(configs, d: HeavyTailDistribution, w=None):
     """Each config's EquivalenceReport, as ``_rejection_reports`` makes its reports."""
     start = time.perf_counter()
     first = configs[0]
-    weights = combine._sum_weights("standard" if w is None else "weighted", first.model.n, d, w)
-    kappa = combine._kappa(weights, d)
-    mapped = combine._mapped_weights(weights, d)
-    thresholds = tuple(combine._threshold(d, a, kappa) for a in first.alphas)
-    method = _CompiledMethod("weighted", "weighted", thresholds, d, weights, kappa)
+    spec = MethodSpec("standard" if w is None else "weighted", weights=w)
+    weighted = _compile_method(spec, first.alphas, first.model.n, d)
+    mapped = combine._mapped_weights(weighted.weights, d)
+    plan = (weighted, _CompiledMethod("bonferroni", "bonferroni", first.alphas, weights=mapped))
     per_model = _run_blocks([c.model for c in configs], first.seed, first.replications,
-                            first.workers, _equivalence_tallies, method, mapped, first.alphas)
+                            first.workers, _equivalence_tallies, plan, first.alphas)
     runtime = time.perf_counter() - start
     r = first.replications
     for blocks in per_model:
-        tallies = sum(blocks)
         rows = []
-        for ai, alpha in enumerate(first.alphas):
-            n_wgt, n_bon, n_dis, n_dis_wgt, n_dis_bon = (int(v) for v in tallies[ai])
-            n_min = min(n_wgt, n_bon)
+        for alpha, (n_wgt, n_bon, n_both) in zip(first.alphas, sum(blocks).tolist()):
+            n_dis, n_min = n_wgt + n_bon - 2 * n_both, min(n_wgt, n_bon)
             if n_min == 0:
                 raise InsufficientEventsError(
                     f"no rejections at alpha={alpha}; increase replications",
-                    counts={"weighted": n_wgt, "bonferroni": n_bon, "disagree": n_dis},
-                )
-            a_hat = n_dis / r
-            b_hat = n_min / r
-            joint = (n_dis_wgt if n_wgt <= n_bon else n_dis_bon) / r
+                    counts={"weighted": n_wgt, "bonferroni": n_bon, "disagree": n_dis})
+            a_hat, b_hat = n_dis / r, n_min / r
             var_a, var_b = a_hat * (1.0 - a_hat), b_hat * (1.0 - b_hat)
-            cov_ab = joint - a_hat * b_hat
+            cov_ab = (n_min - n_both) / r - a_hat * b_hat  # joint: only the rarer test rejects
             var_ratio = (var_a / b_hat**2 + a_hat**2 * var_b / b_hat**4
                          - 2.0 * a_hat * cov_ab / b_hat**3) / r
             rows.append(EquivalenceEstimate(alpha, a_hat / b_hat, math.sqrt(max(var_ratio, 0.0)),

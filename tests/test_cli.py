@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -664,6 +665,45 @@ class TestConfigValues:
         out = tmp_path / "out.csv"
         assert main(["equiv-ratio", "--n", "2", "--rho", "0", "--alphas", "", "-o", str(out)]) == 2
         assert capsys.readouterr().err == "config error: config lists no alphas\n"
+        assert not out.exists()
+
+    def test_tail_dep_empty_rho_flag(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["tail-dep", "--nu", "2", "--rho", "", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: config lists no rho\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "standard", "--dist", "cauchy"],
+        ["--method", "average", "--dist", "cauchy"],
+        ["--method", "fisher"],
+    ], ids=["standard", "average", "fisher"])
+    def test_combine_weights_of_an_unweighted_method(self, tmp_path, capsys, argv):
+        # these tests take no weights, so the flag would be dropped while the
+        # manifest echoes it
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_groups(inp, [("g1", [0.1, 0.2, 0.3])])
+        assert main(["combine", "-i", str(inp), "--weights", "5,1", "-o", str(out)] + argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --weights does not apply to method '{argv[1]}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate-minp"])
+    def test_underflowed_t_divisor(self, tmp_path, capsys, command):
+        # an input error with one line and no file, and no RuntimeWarning
+        cfg = {"model": {"family": "student_t", "n": 2, "nu": 0.001, "rho": 0},
+               "replications": 2000}
+        if command == "simulate":
+            cfg["methods"] = [{"kind": "bonferroni"}]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([command, "--config", str(tmp_path / "cfg.json"), "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: nu=0.001: a chi-square divisor underflowed to 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,key", [("simulate", "alphas"), ("equiv-ratio", "alphas"),

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
 from heavycomb import combine, presets
-from heavycomb.distributions import Cauchy, LogCauchy, StudentT
+from heavycomb.distributions import Cauchy, Levy, LogCauchy, StudentT
 from heavycomb.errors import ConfigError, DomainError, InsufficientEventsError
 from heavycomb.simulate import (
     BLOCK_SIZE,
@@ -18,6 +20,7 @@ from heavycomb.simulate import (
     estimate_equivalence_ratio,
     estimate_rejection_rate,
     pvalue_covariance,
+    _CompiledMethod,
     _compile_methods,
     _draw,
     _equivalence_reports,
@@ -360,7 +363,9 @@ class TestRowTiles:
         d, w = Cauchy(), np.array([1.0, 2.0, 3.0, 0.5])
         weighted = _compile_methods([MethodSpec("weighted", "cauchy", weights=tuple(w))],
                                     alphas, 4)[0]
-        equiv = (weighted, combine._mapped_weights(w, d), alphas)
+        bonferroni = _CompiledMethod("bonferroni", "bonferroni", alphas,
+                                     weights=combine._mapped_weights(w, d))
+        equiv = ((weighted, bonferroni), alphas)
 
         def run(tile_rows):
             args = (models, 47, 1500, 1)
@@ -544,6 +549,46 @@ class TestEquivalenceRatio:
             for w in (1, 3)
         ]
         assert reps[0].rows == reps[1].rows
+
+    @pytest.mark.parametrize("d", [Cauchy(), Levy()], ids=["cauchy", "levy"])
+    @pytest.mark.parametrize("rho", [0.0, 0.6])
+    def test_counts_are_the_rejection_rates_of_both_tests(self, rho, d):
+        # both estimators decide through one kernel: the weighted test and
+        # Bonferroni on the mapped weights reject the same rows in either
+        w, alphas = (1.0, 2.0, 3.0, 0.5), (0.05, 0.01)
+        config = ExperimentConfig(ExchangeableModel("normal", 4, rho), (), alphas, 20_000, 21)
+        mapped = tuple(combine._mapped_weights(np.array(w), d).tolist())
+        methods = (MethodSpec("weighted", d.spec_string(), weights=w, label="weighted"),
+                   MethodSpec("bonferroni", weights=mapped))
+        rates = estimate_rejection_rate(dataclasses.replace(config, methods=methods))
+        counts = {(row.method, row.alpha): row.rejections for row in rates.rows}
+        equiv = estimate_equivalence_ratio(config, d, w)
+        for row in equiv.rows:
+            assert row.weighted_rejections == counts["weighted", row.alpha] > 0
+            assert row.bonferroni_rejections == counts["bonferroni", row.alpha] > 0
+
+
+class TestUnderflowedDivisor:
+    """A t family chi-square divisor of exactly 0 (most draws at nu = 1e-3)
+    would make the statistics infinite; the draw refuses it."""
+
+    @pytest.mark.parametrize("workers,replications", [(1, 2000), (2, BLOCK_SIZE + 100)])
+    def test_engine_raises(self, workers, replications):
+        model = ExchangeableModel("student_t", 2, 0.0, nu=1e-3)
+        config = ExperimentConfig(model, (MethodSpec("bonferroni"),), (0.05,), replications, 5,
+                                  workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="nu=0.001: a chi-square divisor underflowed"):
+                estimate_rejection_rate(config)
+            with pytest.raises(DomainError, match="nu=0.001: a chi-square divisor underflowed"):
+                sample_statistics(model, replication_rng(5, 0), 100)
+
+    def test_small_nu_still_runs(self):
+        model = ExchangeableModel("student_t", 2, 0.0, nu=0.05)
+        config = ExperimentConfig(model, (MethodSpec("bonferroni"),), (0.05,), 20_000, 5)
+        row = estimate_rejection_rate(config).rows[0]
+        assert row.estimate < 0.05 + 4 * row.std_error  # Bonferroni's size is at most alpha
 
 
 class TestMinPCalibration:
