@@ -467,17 +467,19 @@ def cmd_equiv_ratio(args) -> int:
     replications = _number("replications", cfg.get("replications", 100_000), whole=True)
     weights = None if cfg.get("weights") is None else _numbers("weights", cfg["weights"])
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
-    # checks the weights, levels and counts before any output
+    # checks the weights and their mapped powers, levels and counts before any output
     if weights is not None:
         try:
-            comb._validate_weights(weights, models[0].n)
+            comb._mapped_weights(comb._validate_weights(weights, models[0].n), dist)
         except (DomainError, ShapeError) as exc:
             raise ConfigError(str(exc)) from None
     configs = [ExperimentConfig(m, (), alphas, replications, args.seed, args.workers)
                for m in models]
+    # the block pass before any output; a scenario without rejections fails at its rows
+    reports = sim._equivalence_reports(configs, dist, weights)
 
     def rows():
-        for model, report in zip(models, sim._equivalence_reports(configs, dist, weights)):
+        for model, report in zip(models, reports):
             for row in report.rows:
                 yield _model_cols(model) + [
                     dist.spec_string(), row.alpha, row.ratio, row.std_error,
@@ -495,8 +497,10 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (64-bit); overrides config/preset values")
     parser.add_argument("--workers", type=int, default=None,
-                        help=f"worker process count (default: ${_ENV_WORKERS} or 1); "
-                             "results are identical for any value")
+                        help="processes that share an engine run's rows, this one "
+                             f"included, at most one per {sim.BLOCK_SIZE}-row block "
+                             f"(default: ${_ENV_WORKERS} or 1); results are identical "
+                             "for any value")
     parser.add_argument("--output", "-o", default=None,
                         help="output file ('-' or omitted: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",

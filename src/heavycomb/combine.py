@@ -125,8 +125,15 @@ def _bonferroni_weights(w, n: int) -> tuple[np.ndarray, bool]:
 
 
 def _mapped_weights(weights: np.ndarray, d: HeavyTailDistribution) -> np.ndarray:
-    """Bonferroni weights w_i^gamma / kappa paired with the weighted test."""
-    return _bonferroni_weights(weights ** d.tail_index, weights.size)[0]
+    """Bonferroni weights w_i^gamma / kappa paired with the weighted test; a
+    power w_i^gamma that leaves the positive doubles is a DomainError."""
+    with np.errstate(over="ignore"):
+        powers = weights ** d.tail_index
+    for w, power in zip(weights.tolist(), powers.tolist()):
+        if not 0.0 < power < math.inf:
+            raise DomainError(f"weight {w!r} to the power of the tail index {d.tail_index!r} "
+                              f"{'underflows to 0' if power == 0.0 else 'overflows'}")
+    return _bonferroni_weights(powers, weights.size)[0]
 
 
 def _bonferroni_statistic(p: np.ndarray, weights: np.ndarray | None = None):

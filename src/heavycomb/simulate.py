@@ -7,13 +7,14 @@ calibration cutoffs, and empirical p-value covariance.
 
 Reproducibility contract: replications are split into fixed-size blocks,
 each driven by its own counter-based Philox stream keyed by
-``(seed, block index)``.  Workers process whole blocks and partial
-results are reduced in block order, so results are bit-identical for any
-worker count.  The scenarios of one command (its values of ``rho``) share
-each block's draws and one pass over the blocks, so a scenario gets the
-bits it would get on its own.  A block is held as n contiguous columns and
-computed in row tiles of about ``combine._CHUNK`` elements; reductions are
-per row or counts (see README).
+``(seed, block index)``.  Workers take contiguous ranges of rows cut at
+tile boundaries, the calling process the first, and partial results are
+reduced in row order, so results are bit-identical for any worker count.
+The scenarios of one command (its values of ``rho``) share each block's
+draws and one pass over the blocks, so a scenario gets the bits it would
+get on its own.  A block is held as n contiguous columns and computed in
+row tiles of about ``combine._CHUNK`` elements; reductions are per row or
+counts (see README).
 """
 
 from __future__ import annotations
@@ -286,21 +287,40 @@ def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
     return tuple(compiled)
 
 
-def _block(payload):
-    """``reduce_p(p, *args)`` of each row tile of one block, for every model;
-    ``p`` is a ``(tile rows, n)`` view of contiguous columns."""
-    models, seed, index, rows, tile_rows, reduce_p, args = payload
-    centred, zbar, scale = _draw(models[0], replication_rng(seed, index), rows)
+def _range(payload):
+    """``reduce_p(p, *args)`` of each row tile in rows ``lo:hi``, for every model;
+    ``p`` is a ``(tile rows, n)`` view of contiguous columns.  Every block that
+    the range enters is drawn whole, so a tile has the same bits in any range."""
+    models, seed, lo, hi, replications, block_size, tile_rows, reduce_p, args = payload
     out = [[] for _ in models]
-    for lo in range(0, rows, tile_rows):
-        cut = slice(lo, lo + tile_rows)
-        tile = (centred[:, cut], zbar[cut], None if scale is None else scale[cut])
-        for model, parts in zip(models, out):
-            p = statistics_to_pvalues(_shape(model, tile), model)
-            if not (p <= 1.0).all():  # a NaN fails too; the floor keeps p > 0
-                raise DomainError(f"rho={model.rho}: p-values outside (0, 1] in block {index}")
-            parts.append(reduce_p(p.T, *args))
+    for index in range(lo // block_size, -(-hi // block_size)):
+        start = index * block_size
+        rows = min(block_size, replications - start)
+        centred, zbar, scale = _draw(models[0], replication_rng(seed, index), rows)
+        for first in range(max(lo - start, 0), min(hi - start, rows), tile_rows):
+            cut = slice(first, first + tile_rows)
+            tile = (centred[:, cut], zbar[cut], None if scale is None else scale[cut])
+            for model, parts in zip(models, out):
+                p = statistics_to_pvalues(_shape(model, tile), model)
+                if not (p <= 1.0).all():  # a NaN fails too; the floor keeps p > 0
+                    raise DomainError(f"rho={model.rho}: p-values outside (0, 1] in block {index}")
+                parts.append(reduce_p(p.T, *args))
+        del centred, zbar, scale, tile  # freed before the next draw, which reuses their pages
     return out
+
+
+def _cuts(replications, parts, block_size, tile_rows):
+    """Row bounds of ``parts`` contiguous ranges: cut ``k`` is the tile boundary (a
+    block start plus a multiple of ``tile_rows``, or ``replications``) nearest to
+    ``k * replications / parts``, so each range is within a tile of an equal share."""
+    cuts = []
+    for k in range(parts + 1):
+        share = k * replications  # the cut's target times parts, to stay exact
+        start = share // parts // block_size * block_size
+        below = start + (share // parts - start) // tile_rows * tile_rows
+        above = min(below + tile_rows, start + block_size, replications)
+        cuts.append(below if share - parts * below <= parts * above - share else above)
+    return cuts
 
 
 def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size=BLOCK_SIZE,
@@ -308,27 +328,28 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     """``reduce_p(p, *args)`` of each row tile's p-values, one list per model in
     row order, for models that share ``family``, ``n`` and ``nu``.
 
-    Block ``i`` holds the next ``block_size`` replications, drawn once from
+    Block ``i`` holds the next ``block_size`` replications, drawn from
     ``replication_rng(seed, i)`` and shaped for every model ``tile_rows`` rows
-    (default ``combine._CHUNK // n``) at a time; blocks run serially or on one pool.
+    (default ``combine._CHUNK // n``) at a time.  The rows are cut into
+    ``min(workers, blocks)`` ranges (see ``_cuts``); the calling process computes
+    the first while a pool of forked workers computes the rest.
     """
     tile_rows = tile_rows or _tile_rows(models[0].n)
-    payloads = [
-        (models, seed, index, min(block_size, replications - start), tile_rows, reduce_p, args)
-        for index, start in enumerate(range(0, replications, block_size))
-    ]
-    if workers <= 1 or len(payloads) <= 1:
-        blocks = [_block(p) for p in payloads]
+    blocks = -(-replications // block_size)
+    cuts = _cuts(replications, min(workers, blocks), block_size, tile_rows)
+    payloads = [(models, seed, lo, hi, replications, block_size, tile_rows, reduce_p, args)
+                for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    if len(payloads) == 1:
+        ranges = [_range(payloads[0])]
     else:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # platforms without fork
             ctx = multiprocessing.get_context()
-        max_workers = min(workers, len(payloads))
-        with ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx) as pool:
-            chunksize = max(1, len(payloads) // max_workers)
-            blocks = list(pool.map(_block, payloads, chunksize=chunksize))
-    return [[tile for block in blocks for tile in block[m]] for m in range(len(models))]
+        with ProcessPoolExecutor(max_workers=len(payloads) - 1, mp_context=ctx) as pool:
+            rest = pool.map(_range, payloads[1:])  # submitted before the caller computes
+            ranges = [_range(payloads[0]), *rest]
+    return [[tile for part in ranges for tile in part[m]] for m in range(len(models))]
 
 
 def _rejections(p, plan, alphas):
@@ -431,16 +452,23 @@ def _equivalence_tallies(p, plan, alphas):
 
 
 def _equivalence_reports(configs, d: HeavyTailDistribution, w=None):
-    """Each config's EquivalenceReport, as ``_rejection_reports`` makes its reports."""
+    """Each config's EquivalenceReport, in order, from one block pass over
+    configs that differ only in their model's ``rho``.  The pass runs at the
+    call; each report is made when it is asked for."""
     start = time.perf_counter()
     first = configs[0]
-    spec = MethodSpec("standard" if w is None else "weighted", weights=w)
-    weighted = _compile_method(spec, first.alphas, first.model.n, d)
-    mapped = combine._mapped_weights(weighted.weights, d)
+    kind = "standard" if w is None else "weighted"
+    # the mapped weights first: a power outside the doubles would make kappa 0 or inf
+    mapped = combine._mapped_weights(combine._sum_weights(kind, first.model.n, d, w), d)
+    weighted = _compile_method(MethodSpec(kind, weights=w), first.alphas, first.model.n, d)
     plan = (weighted, _CompiledMethod("bonferroni", "bonferroni", first.alphas, weights=mapped))
     per_model = _run_blocks([c.model for c in configs], first.seed, first.replications,
                             first.workers, _equivalence_tallies, plan, first.alphas)
-    runtime = time.perf_counter() - start
+    return _reports_from_tallies(first, per_model, time.perf_counter() - start)
+
+
+def _reports_from_tallies(first, per_model, runtime):
+    """Each model's EquivalenceReport from its tallies, made when it is asked for."""
     r = first.replications
     for blocks in per_model:
         rows = []

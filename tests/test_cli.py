@@ -689,7 +689,7 @@ class TestConfigValues:
             f"config error: --weights does not apply to method '{argv[1]}'\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "calibrate-minp"])
+    @pytest.mark.parametrize("command", ["simulate", "calibrate-minp", "equiv-ratio"])
     def test_underflowed_t_divisor(self, tmp_path, capsys, command):
         # an input error with one line and no file, and no RuntimeWarning
         cfg = {"model": {"family": "student_t", "n": 2, "nu": 0.001, "rho": 0},
@@ -868,6 +868,20 @@ class TestWeightRule:
         assert rc == 2
         assert capsys.readouterr().err == (
             "config error: weight vector has length 2, expected 3\n")
+        assert not (tmp_path / "eq.csv").exists()
+
+    @pytest.mark.parametrize("weights,message", [
+        ("1e-300,1", "weight 1e-300 to the power of the tail index 3.0 underflows to 0"),
+        ("1e300,1", "weight 1e+300 to the power of the tail index 3.0 overflows"),
+    ], ids=["underflow", "overflow"])
+    def test_equiv_ratio_checks_mapped_weights_before_output(self, tmp_path, capsys, weights,
+                                                             message):
+        # positive finite weights whose powers w^gamma leave the doubles: the
+        # Bonferroni side could not be paired, a usage error with no file
+        rc = main(["equiv-ratio", "--dist", "pareto:3", "--weights", weights, "--n", "2",
+                   "--rho", "0", "--reps", "2000", "-o", str(tmp_path / "eq.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "eq.csv").exists()
 
 

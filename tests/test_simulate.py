@@ -1,14 +1,16 @@
 import dataclasses
 import math
+import multiprocessing
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from heavycomb import combine, presets
-from heavycomb.distributions import Cauchy, Levy, LogCauchy, StudentT
+from heavycomb import combine, presets, simulate
+from heavycomb.distributions import Cauchy, Levy, LogCauchy, Pareto, StudentT
 from heavycomb.errors import ConfigError, DomainError, InsufficientEventsError
 from heavycomb.simulate import (
     BLOCK_SIZE,
@@ -22,6 +24,8 @@ from heavycomb.simulate import (
     pvalue_covariance,
     _CompiledMethod,
     _compile_methods,
+    _cov_moments,
+    _cuts,
     _draw,
     _equivalence_reports,
     _equivalence_tallies,
@@ -403,6 +407,114 @@ class TestRowTiles:
         assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+class TestWorkerSplit:
+    """Workers take contiguous row ranges cut at tile boundaries, the calling
+    process the first; a block cut by a boundary is drawn whole on both sides."""
+
+    @pytest.mark.parametrize("family,nu", [("normal", None), ("student_t", 2.5)])
+    def test_results_do_not_depend_on_workers(self, family, nu):
+        # 600-row blocks in 70-row tiles (the last one of 40), and a short last
+        # block: from 2 workers on, some cut falls inside a block
+        rows, block_size, tile_rows, alphas = 2750, 600, 70, (0.05, 0.01)
+        models = [ExchangeableModel(family, 4, rho, nu=nu, mean=(0.0, 0.5, 0.0, 1.0))
+                  for rho in (0.0, 0.6)]
+        pairs = [ExchangeableModel(family, 2, rho, nu=nu) for rho in (0.0, -0.5)]
+        plan = _compile_methods(_ALL_KINDS, alphas, 4)
+        d, w = Cauchy(), np.array([1.0, 2.0, 3.0, 0.5])
+        weighted = _compile_methods([MethodSpec("weighted", "cauchy", weights=tuple(w))],
+                                    alphas, 4)[0]
+        equiv = ((weighted, _CompiledMethod("bonferroni", "bonferroni", alphas,
+                                            weights=combine._mapped_weights(w, d))), alphas)
+
+        def run(workers):
+            kw = dict(block_size=block_size, tile_rows=tile_rows)
+            runs = [_run_blocks(models, 49, rows, workers, _rate_counts, plan, alphas, **kw),
+                    _run_blocks(models, 49, rows, workers, combine._bonferroni_statistic, **kw),
+                    _run_blocks(models, 49, rows, workers, _equivalence_tallies, *equiv, **kw),
+                    _run_blocks(pairs, 49, rows, workers, _cov_moments, **kw)]
+            return [[[tile.tobytes() for tile in tiles] for tiles in run] for run in runs]
+
+        serial = run(1)
+        for workers in range(2, 6):
+            cuts = _cuts(rows, workers, block_size, tile_rows)
+            assert any(cut % block_size for cut in cuts[1:-1])
+            assert run(workers) == serial, workers
+
+    @pytest.mark.parametrize("rows,block_size,tile_rows", [
+        (100_000, BLOCK_SIZE, 16384 // 5),  # table2a and tableS3
+        (50_000, BLOCK_SIZE, 16384 // 2),  # tableS1
+        (1_000_000, BLOCK_SIZE, 16384 // 5),  # fig3
+        (2750, 600, 70),
+        (1485, 94, 5),
+        (705, 344, 344),
+        (280, 21, 7),  # from here on every tile has the same height
+        (2750, 600, 50),
+        (99, 9, 9),
+    ])
+    def test_ranges_are_near_equal(self, rows, block_size, tile_rows):
+        blocks = -(-rows // block_size)
+        for parts in range(1, min(blocks, 8) + 1):
+            cuts = _cuts(rows, parts, block_size, tile_rows)
+            assert cuts[0] == 0 and cuts[-1] == rows and cuts == sorted(cuts)
+            # every cut is a tile boundary, and every range within a tile of its share
+            assert all(cut == rows or cut % block_size % tile_rows == 0 for cut in cuts)
+            sizes = np.diff(cuts)
+            assert (np.abs(sizes - rows / parts) <= tile_rows).all(), (parts, cuts)
+            if parts == 2 or (block_size % tile_rows == 0 and rows % tile_rows == 0):
+                assert sizes.max() - sizes.min() <= tile_rows, (parts, cuts)
+
+    def test_pool_size(self, monkeypatch):
+        # no pool while the rows fit one block, whatever the workers (the
+        # heavy-tails path); otherwise min(workers, blocks) - 1 children
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kw)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recording)
+        model = [ExchangeableModel("normal", 3, 0.2)]
+        for workers in (1, 2, 8):
+            _run_blocks(model, 50, 600, workers, combine._bonferroni_statistic, block_size=600)
+        assert sizes == []
+        for rows, workers in [(601, 8), (2750, 8), (2750, 3)]:
+            _run_blocks(model, 50, rows, workers, combine._bonferroni_statistic, block_size=600)
+        assert sizes == [1, 4, 2]
+
+    def test_error_in_a_child_range(self):
+        # at nu = 0.02 and seed 0 only the last of five blocks has a divisor
+        # that underflows, so from 2 workers on the error is a child's
+        model = ExchangeableModel("student_t", 2, 0.0, nu=0.02)
+        for index in range(4):
+            _draw(model, replication_rng(0, index), 600)
+        with pytest.raises(DomainError) as serial:
+            _draw(model, replication_rng(0, 4), 600)
+        for workers in (1, 2, 3):
+            assert workers == 1 or _cuts(3000, workers, 600, 100)[1] <= 2400  # a child's block
+            with pytest.raises(DomainError) as got:
+                _run_blocks([model], 0, 3000, workers, combine._bonferroni_statistic,
+                            block_size=600, tile_rows=100)
+            assert str(got.value) == str(serial.value), workers
+
+    def test_without_fork(self, monkeypatch):
+        # where the fork start method is missing, the pool takes the default
+        # one: spawn here
+        get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context("spawn")
+
+        monkeypatch.setattr(simulate.multiprocessing, "get_context", no_fork)
+        models = [ExchangeableModel("student_t", 3, rho, nu=2.5) for rho in (0.0, 0.5)]
+        runs = [_run_blocks(models, 51, 1500, workers, combine._bonferroni_statistic,
+                            block_size=600, tile_rows=70) for workers in (1, 2)]
+        for serial, pooled in zip(*runs):
+            assert [tile.tobytes() for tile in serial] == [tile.tobytes() for tile in pooled]
+
+
 class TestColumnBlocks:
     """A block is n contiguous columns, drawn in row chunks, and each element
     gets the bits of one row-major ``(rows, n)`` draw centred by its row means."""
@@ -539,6 +651,14 @@ class TestEquivalenceRatio:
                 ExperimentConfig(model, (), (1e-9,), 2_000, seed=19), Cauchy()
             )
         assert "bonferroni" in info.value.counts
+
+    @pytest.mark.parametrize("w", [(1e-300, 1.0), (1e-200, 1e-200)], ids=["one", "all"])
+    def test_underflowed_mapped_weight_is_named(self, w):
+        # w^3 underflows to 0: no Bonferroni weight (and, for all, no kappa) to pair with
+        config = ExperimentConfig(ExchangeableModel("normal", 2, 0.0), (), (0.05,), 2000, 22)
+        with pytest.raises(DomainError, match=(
+                rf"^weight {w[0]!r} to the power of the tail index 3.0 underflows to 0$")):
+            estimate_equivalence_ratio(config, Pareto(3.0), w)
 
     def test_worker_invariance(self):
         model = ExchangeableModel("normal", 3, 0.5)
