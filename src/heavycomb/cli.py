@@ -217,8 +217,10 @@ def cmd_combine(args) -> int:
         raise ConfigError(f"--weights does not apply to method {method!r}")
     weights = _parse_weights_arg(args.weights) if args.weights else None
     if weights is not None:
-        try:  # the values once, before any output; the count is per group
-            comb._validate_weights(weights, len(weights))
+        try:  # the values and kappa once, before any output; the count is per group
+            checked = comb._validate_weights(weights, len(weights))
+            if method == "weighted":
+                comb._kappa(checked, dist)
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
     header = ["group_id", "n", "statistic", "combined_p"]
@@ -467,7 +469,7 @@ def cmd_equiv_ratio(args) -> int:
     replications = _number("replications", cfg.get("replications", 100_000), whole=True)
     weights = None if cfg.get("weights") is None else _numbers("weights", cfg["weights"])
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
-    # checks the weights and their mapped powers, levels and counts before any output
+    # checks the weights, their mapped powers and kappa, levels and counts before any output
     if weights is not None:
         try:
             comb._mapped_weights(comb._validate_weights(weights, models[0].n), dist)

@@ -93,7 +93,14 @@ def _sum_weights(kind: str, n: int, d: HeavyTailDistribution, w=None) -> np.ndar
 
 
 def _kappa(weights: np.ndarray, d: HeavyTailDistribution) -> float:
-    return float((weights ** d.tail_index).sum())
+    """kappa = sum_i w_i^gamma; one outside the positive doubles is a DomainError
+    (a single power may underflow)."""
+    with np.errstate(over="ignore"):
+        kappa = float((weights ** d.tail_index).sum())
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"kappa, the sum of the weights to the power of the tail index "
+                          f"{d.tail_index!r}, {'underflows to 0' if kappa == 0.0 else 'overflows'}")
+    return kappa
 
 
 def _threshold(d: HeavyTailDistribution, alpha: float, kappa: float) -> float:
@@ -133,6 +140,7 @@ def _mapped_weights(weights: np.ndarray, d: HeavyTailDistribution) -> np.ndarray
         if not 0.0 < power < math.inf:
             raise DomainError(f"weight {w!r} to the power of the tail index {d.tail_index!r} "
                               f"{'underflows to 0' if power == 0.0 else 'overflows'}")
+    _kappa(weights, d)  # their sum may still overflow
     return _bonferroni_weights(powers, weights.size)[0]
 
 

@@ -1,4 +1,4 @@
-"""Special functions as numpy array kernels, and a bracketed root finder.
+"""Special functions as numpy array kernels, and a bisecting root finder.
 
 Everything here is pure, thread-safe and numpy only, with one implementation
 of each function.  erf/erfc follow Cephes ``ndtr.c``, with exp(-x^2) split
@@ -45,10 +45,10 @@ class RootBracket:
 
 
 def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
-    """Brent-style root of a monotone scalar function on a sign-changing bracket.
+    """Root of a monotone scalar function on a sign-changing bracket, by bisection.
 
-    Combines inverse quadratic interpolation and secant steps with a
-    bisection fallback; deterministic for a given ``f`` and bracket.
+    Halves the bracket on the sign of ``f`` at its midpoint ``m`` until it is
+    no wider than ``2 eps |m| + max(abs_tol, rel_tol |m|)``, and returns ``m``.
     """
     a, b = bracket.lo, bracket.hi
     fa, fb = f(a), f(b)
@@ -58,50 +58,18 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"find_root: no sign change on [{a}, {b}] (f: {fa}, {fb})")
-    c, fc = a, fa
-    d = e = b - a
     for _ in range(bracket.max_iter):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * max(bracket.abs_tol, bracket.rel_tol * abs(b))
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
+        m = a + 0.5 * (b - a)
+        if b - a <= 2.0 * _EPS * abs(m) + max(bracket.abs_tol, bracket.rel_tol * abs(m)):
+            return m
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = m, fm
         else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        if abs(d) > tol1:
-            b += d
-        else:
-            b += math.copysign(tol1, xm)
-        fb = f(b)
+            b = m
     raise ConvergenceError(f"find_root: no convergence in {bracket.max_iter} iterations")
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ import time
 
 import numpy as np
 import pytest
+import scipy.special as sps
 import scipy.stats as st
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
+from heavycomb import simulate
 from heavycomb.cli import main as cli_main
 from heavycomb.closed_testing import closed_test_bruteforce, closed_test_shortcut
 from heavycomb.combine import (
@@ -34,6 +36,7 @@ from heavycomb.distributions import (
     StudentT,
     TruncatedT,
 )
+from heavycomb.presets import get_preset
 from heavycomb.simulate import (
     ExchangeableModel,
     ExperimentConfig,
@@ -77,15 +80,98 @@ def test_criterion_01_multivariate_t_error_rates():
     assert ok
 
 
+# the exact rates of criterion 2's model; test_exact_n2_rates_tableS1 checks them
+_CRIT2_TARGETS = {"cauchy": 0.038480, "pareto": 0.052089, "fisher": 0.025966}
+
+
 def test_criterion_02_negative_correlation_error_rates():
     methods = (MethodSpec("standard", "cauchy", label="cauchy"),
                MethodSpec("standard", "pareto:1", label="pareto"),
                MethodSpec("fisher", label="fisher"))
     est = rates("normal", 2, -0.5, methods, (0.05,), 50_000, seed=20240502)
-    cau, par, fis = (est[(m, 0.05)] for m in ("cauchy", "pareto", "fisher"))
-    ok = abs(cau - 0.039) <= 0.003 and abs(par - 0.054) <= 0.003 and abs(fis - 0.027) <= 0.003
-    report(2, ok, f"cauchy {cau:.4f}/0.039  pareto {par:.4f}/0.054  fisher {fis:.4f}/0.027 (+-0.003)")
+    ok = all(abs(est[m, 0.05] - target) <= 0.003 for m, target in _CRIT2_TARGETS.items())
+    report(2, ok, "  ".join(f"{m} {est[m, 0.05]:.4f}/{target:.6f}"
+                            for m, target in _CRIT2_TARGETS.items()) + " (+-0.003)")
     assert ok
+
+
+_N2_T = 12.0  # |T1| > 12 has probability 2 Phi_bar(12) < 4e-33
+
+
+def _n2_integrand(method, thr, rho):
+    """t -> phi(t) P(reject | T1 = t) for a compiled method at threshold ``thr``
+    on two one-sided normal p-values with correlation ``rho``, and the t where
+    that function has a kink (None outside +-_N2_T).
+
+    Each method rejects iff p2 < q(p1), and T2 | T1 = t is N(rho t, 1 - rho^2),
+    so P(reject | T1 = t) = Phi_bar((Phi_bar^-1(q(Phi_bar(t))) - rho t) / sqrt(1 - rho^2)).
+    q(p1) is 1 for every p1 below ``kink``.
+    """
+    if method.kind == "bonferroni":  # min_i p_i / w_i < thr
+        (w1, w2), kink = method.weights, thr * method.weights[0]
+        q = lambda p1: np.where(p1 < kink, 1.0, thr * w2)
+    elif method.kind == "fisher":  # -2 (log p1 + log p2) > thr
+        kink = math.exp(-thr / 2.0)
+        q = lambda p1: np.minimum(kink / p1, 1.0)
+    else:  # w1 X1 + w2 X2 > thr with X_i = Q_F(1 - p_i)
+        d, (w1, w2) = method.dist, method.weights
+        q = lambda p1: d.survival((thr - w1 * d.inverse_survival(p1)) / w2)
+        kink = float(d.survival((thr - w2 * d.support_lower) / w1))  # X2 at its lower bound
+    s = math.sqrt(1.0 - rho * rho)
+
+    def f(t):
+        return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * sps.ndtr(
+            (sps.ndtri(q(sps.ndtr(-t))) + rho * t) / s)
+
+    t_kink = -sps.ndtri(kink)
+    return f, [t_kink] if abs(t_kink) < _N2_T else None
+
+
+def _n2_exact_rate(method, thr, rho):
+    f, points = _n2_integrand(method, thr, rho)
+    return quad(lambda t: float(f(t)), -_N2_T, _N2_T, points=points, limit=200,
+                epsabs=1e-12, epsrel=1e-10)[0]
+
+
+def _n2_exact_check(name, rhos):
+    """Every row of an n = 2 normal preset at its seed against its exact rate;
+    returns the largest |deviation| in SE and the exact rates by (method, alpha, rho)."""
+    cfg = get_preset(name)
+    methods = tuple(MethodSpec(**m) for m in cfg["methods"])
+    plan = [simulate._compile_method(spec, cfg["alphas"], 2) for spec in methods]
+    reps, worst, exact = cfg["replications"], 0.0, {}
+    for rho in rhos:
+        est = rates("normal", 2, rho, methods, tuple(cfg["alphas"]), reps, seed=cfg["seed"])
+        for method in plan:
+            for thr, alpha in zip(method.thresholds, cfg["alphas"]):
+                rate = exact[method.label, alpha, rho] = _n2_exact_rate(method, thr, rho)
+                dev = (est[method.label, alpha] - rate) / math.sqrt(rate * (1.0 - rate) / reps)
+                worst = max(worst, abs(dev))
+                print(f"  {name} rho={rho} alpha={alpha} {method.label}: "
+                      f"{est[method.label, alpha]:.6f} exact {rate:.6f} ({dev:+.2f} SE)")
+    print(f"  {name}: {len(exact)} rows, worst |deviation| {worst:.2f} SE (limit 4)")
+    return worst, exact
+
+
+def test_exact_n2_rates_tableS1():
+    worst, exact = _n2_exact_check("tableS1", get_preset("tableS1")["model"]["rho"])
+    assert len(exact) == 21 and worst <= 4.0
+    # criterion 2 is tableS1's rho = -0.5 at the same seed and replications
+    assert {m: round(exact[m, 0.05, -0.5], 6) for m in _CRIT2_TARGETS} == _CRIT2_TARGETS
+
+
+def test_exact_n2_rates_tableS2():
+    worst, exact = _n2_exact_check("tableS2", [get_preset("tableS2")["model"]["rho"]])
+    assert len(exact) == 12 and worst <= 4.0
+
+
+def test_exact_n2_rate_quad_matches_trapezoid():
+    # one row with a kink (Pareto's support bound) against a dense trapezoid rule
+    method = simulate._compile_method(MethodSpec("standard", "pareto:1"), (0.05,), 2)
+    f, _ = _n2_integrand(method, method.thresholds[0], -0.5)
+    t = np.linspace(-_N2_T, _N2_T, 480_001)
+    dense = trapezoid(f(t), t)
+    assert _n2_exact_rate(method, method.thresholds[0], -0.5) == pytest.approx(dense, rel=1e-7)
 
 
 _CRIT3_CACHE = {}

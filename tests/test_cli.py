@@ -873,7 +873,9 @@ class TestWeightRule:
     @pytest.mark.parametrize("weights,message", [
         ("1e-300,1", "weight 1e-300 to the power of the tail index 3.0 underflows to 0"),
         ("1e300,1", "weight 1e+300 to the power of the tail index 3.0 overflows"),
-    ], ids=["underflow", "overflow"])
+        ("5.6e102,5.6e102",
+         "kappa, the sum of the weights to the power of the tail index 3.0, overflows"),
+    ], ids=["underflow", "overflow", "sum-overflow"])
     def test_equiv_ratio_checks_mapped_weights_before_output(self, tmp_path, capsys, weights,
                                                              message):
         # positive finite weights whose powers w^gamma leave the doubles: the
@@ -898,6 +900,33 @@ class TestWeightRule:
         assert main(["combine", "-i", str(inp), "-o", str(out)] + argv) == 2
         assert capsys.readouterr().err == "config error: weights must be positive and finite\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("weights,outcome", [
+        ("1e-200,1e-200", "underflows to 0"), ("1e300,1", "overflows"),
+    ], ids=["underflow", "overflow"])
+    def test_combine_checks_kappa_before_output(self, tmp_path, capsys, weights, outcome):
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_groups(inp, [("g1", [0.1, 0.2])])
+        assert main(["combine", "-i", str(inp), "-o", str(out), "--method", "weighted",
+                     "--dist", "pareto:3", "--weights", weights]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: kappa, the sum of the weights to the power of the tail index "
+            f"3.0, {outcome}\n")
+        assert not out.exists()
+
+    def test_simulate_config_checks_kappa(self, tmp_path, capsys):
+        method = {"kind": "weighted", "distribution": "pareto:3", "weights": [1e-200, 1e-200]}
+        cfg = {"model": {"n": 2, "rho": 0.0}, "methods": [method], "alphas": [0.05],
+               "replications": 2000, "seed": 3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "-o", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: method weighted[pareto:3]: kappa, the sum of the weights to the "
+            "power of the tail index 3.0, underflows to 0\n")
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestFileLayout:

@@ -182,6 +182,23 @@ class TestCombineWeighted:
         with pytest.raises(DomainError):
             combine_weighted([0.1, 0.2], [1.0, 0.0], Cauchy())
 
+    @pytest.mark.parametrize("w,outcome", [
+        ([1e-200, 1e-200], "underflows to 0"),
+        ([1e300, 1.0], "overflows"),
+        ([5.6e102, 5.6e102], "overflows"),  # each power is finite, their sum is not
+    ], ids=["underflow", "power-overflow", "sum-overflow"])
+    def test_kappa_outside_the_doubles(self, w, outcome):
+        # positive finite weights whose kappa = sum w_i^gamma is 0 or inf
+        # have no combined p-value, and no RuntimeWarning escapes
+        with pytest.raises(DomainError, match=(
+                rf"^kappa, the sum of the weights to the power of the tail index 3.0, {outcome}$")):
+            combine_weighted([0.1, 0.2], w, Pareto(3.0))
+
+    def test_one_underflowed_power_keeps_kappa(self):
+        res = combine_weighted([0.1, 0.2], [1e-200, 1.0], Pareto(3.0))
+        assert res.kappa == 1.0
+        assert res.combined_p == combine_standard([0.2], Pareto(3.0)).combined_p
+
 
 class TestBonferroni:
     def test_equal_weights(self):

@@ -802,6 +802,15 @@ class TestChiSquareQuantile:
                 st.chi2.isf(alpha, 2 * n), rel=1e-10
             )
 
+    @pytest.mark.parametrize("n,alpha", [(1, 1e-8), (3, 1e-12), (50, 1e-6), (1000, 0.05),
+                                         (1, 1e-300)])
+    def test_far_tails_and_many_pairs(self, n, alpha):
+        # the first three quantiles lie past the first bracket end 4n + 10, so
+        # the bracket is doubled before it is bisected
+        assert chi_square_upper_quantile(float(n), alpha) == pytest.approx(
+            st.chi2.isf(alpha, 2 * n), rel=1e-12
+        )
+
     def test_needs_whole_pairs(self):
         for bad in (0.0, 2.5):
             with pytest.raises(DomainError):

@@ -270,6 +270,26 @@ class TestFindRoot:
         root = find_root(lambda x: x * x - 2.0, RootBracket(1.0, 2.0))
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
+    def test_root_at_a_bracket_end(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0
+
+        assert find_root(f, RootBracket(1.0, 3.0)) == 1.0
+        assert calls == [1.0, 3.0]  # the two ends only, no bisection step
+
+    def test_decreasing(self):
+        root = find_root(lambda x: 2.0 - x * x, RootBracket(0.0, 2.0))
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    def test_tiny_root_to_relative_precision(self):
+        # the stopping rule scales with |m|, so a root near 1e-8 is not
+        # settled at an absolute width of 1e-12
+        root = find_root(lambda x: x * x - 1e-16, RootBracket(0.0, 1.0, rel_tol=1e-12))
+        assert root == pytest.approx(1e-8, rel=1e-12)
+
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, RootBracket(-1.0, 1.0))
