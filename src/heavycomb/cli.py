@@ -48,31 +48,29 @@ _DEFAULT_SEED = 20240501
 _FLAGS = {"csv": ("false", "true"), "json": (False, True)}  # a flag column, per --format
 
 
-def _fmt(value) -> str:
-    kind = type(value)  # rows hold only str, int, float and bool
-    if kind is float:
-        return f"{value:.17g}"
-    if kind is bool:
-        return "true" if value else "false"
-    return str(value)
+_CSV_FIELDS = {str: "%s", int: "%d", float: "%.17g"}  # no bool: flags come from _FLAGS
 
 
-def _emit(args, header, rows, config_echo, fmt=None) -> int:
-    """Write ``rows`` and the run's manifest to ``--output`` (default stdout).
+def _emit(args, header, rows, config_echo) -> int:
+    """Write ``rows`` (tuples) and the run's manifest to ``--output`` (default stdout).
 
-    A CSV row is ``fmt % row`` (flags already text, from ``_FLAGS``), or else
-    ``_fmt`` of each field.  CSV rows are written as they are produced, so an
-    error part-way leaves the rows so far and no manifest; a JSON document is
-    written only once complete.  The manifest takes the run's seed, workers and
-    start time from ``args``; an output file gets it as ``<stem>.manifest.json``.
+    A CSV row is ``fmt % row``, ``fmt`` built from the first row's field types
+    (a bool or numpy scalar is a KeyError).  CSV rows are written as they are
+    produced, so an error part-way leaves the rows so far and no manifest; a
+    JSON document is written only once complete.  The manifest takes the run's
+    seed, workers and start time from ``args``; an output file gets it as
+    ``<stem>.manifest.json``.
     """
     to_file = args.output not in (None, "-")
     stream = open(args.output, "w", newline="") if to_file else sys.stdout
     try:
         if args.format == "csv":
             stream.write(",".join(header) + "\n")
-            line = fmt.__mod__ if fmt else lambda row: ",".join(map(_fmt, row)) + "\n"
-            stream.writelines(map(line, rows))
+            rows = iter(rows)
+            first = next(rows, None)
+            if first is not None:
+                fmt = ",".join(_CSV_FIELDS[type(field)] for field in first) + "\n"
+                stream.writelines(map(fmt.__mod__, chain((first,), rows)))
         else:
             records = [dict(zip(header, row)) for row in rows]
         manifest = {
@@ -224,10 +222,8 @@ def cmd_combine(args) -> int:
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
     header = ["group_id", "n", "statistic", "combined_p"]
-    fmt = "%s,%d,%.17g,%.17g\n"
     if args.alpha is not None:
         header.append("reject")
-        fmt = "%s,%d,%.17g,%.17g,%s\n"
     flag = _FLAGS[args.format]
 
     def compute(block):
@@ -245,7 +241,7 @@ def cmd_combine(args) -> int:
     echo = {"input": args.input, "method": method, "dist": args.dist,
             "weights": args.weights, "alpha": args.alpha}
     rows = chain.from_iterable(_batched_rows(args.input, compute, to_rows))
-    return _emit(args, header, rows, echo, fmt=fmt)
+    return _emit(args, header, rows, echo)
 
 
 def cmd_closed_test(args) -> int:
@@ -264,7 +260,7 @@ def cmd_closed_test(args) -> int:
     header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
     echo = {"input": args.input, "dist": args.dist, "alpha": args.alpha}
     rows = chain.from_iterable(_batched_rows(args.input, compute, to_rows))
-    return _emit(args, header, rows, echo, fmt="%s,%d,%.17g,%.17g,%s\n")
+    return _emit(args, header, rows, echo)
 
 
 def cmd_adjust_bh(args) -> int:
@@ -282,8 +278,7 @@ def cmd_adjust_bh(args) -> int:
     flag = _FLAGS[args.format]
     rows = ((gid, p, adj, flag[adj <= args.q]) for gid, p, adj in zip(ids, pvals, adjusted))
     header = ["group_id", "p_value", "adjusted_p", "discovery"]
-    return _emit(args, header, rows, {"input": args.input, "q": args.q},
-                 fmt="%s,%.17g,%.17g,%s\n")
+    return _emit(args, header, rows, {"input": args.input, "q": args.q})
 
 
 def _number(key: str, value, whole=False):
@@ -404,8 +399,8 @@ def _label(value):
 _MODEL_HEADER = ["family", "n", "rho", "nu", "sided"]
 
 
-def _model_cols(model: ExchangeableModel) -> list:
-    return [model.family, model.n, model.rho, "" if model.nu is None else model.nu, model.sided]
+def _model_cols(model: ExchangeableModel) -> tuple:
+    return model.family, model.n, model.rho, "" if model.nu is None else model.nu, model.sided
 
 
 def cmd_simulate(args) -> int:
@@ -413,18 +408,17 @@ def cmd_simulate(args) -> int:
     methods = _method_specs(cfg)
     alphas = _numbers("alphas", cfg.get("alphas", [0.05]))
     replications = _number("replications", cfg.get("replications", 0), whole=True)
-    configs = [ExperimentConfig(m, methods, alphas, replications, args.seed, args.workers)
-               for m in models]
+    config = ExperimentConfig(models[0], methods, alphas, replications, args.seed, args.workers)
     # the whole run, and so every check of the config, before any output
-    reports = list(sim._rejection_reports(configs))
+    reports = list(sim._rejection_reports(config, models))
 
     def rows():
         for model, report in zip(models, reports):
             for row in report.rows:
-                yield _model_cols(model) + [
+                yield _model_cols(model) + (
                     row.method, row.alpha, row.estimate, row.std_error,
                     row.rejections, report.replications, report.seed,
-                ]
+                )
             print(f"[simulate] rho={model.rho:g}: {report.replications} replications "
                   f"in {report.runtime_seconds:.1f}s", file=sys.stderr)
 
@@ -438,11 +432,13 @@ def cmd_calibrate_minp(args) -> int:
     cfg, models = _read_config(args, "calibrate-minp", flags)
     alpha = float(_number("alpha", cfg.get("alpha", 0.05)))
     replications = _number("replications", cfg.get("replications", 100_000), whole=True)
+    config = ExperimentConfig(models[0], (), (alpha,), replications, args.seed, args.workers)
     # the whole run, and so every check of the settings, before any output
-    cals = list(sim._minp_calibrations(models, alpha, replications, args.seed, args.workers))
+    cals = list(sim._minp_calibrations(config, models))
+    flag = _FLAGS[args.format]
 
-    rows = (_model_cols(model) + [cal.alpha, cal.cutoff, cal.cutoff_ratio, cal.replications,
-                                  cal.seed, cal.unstable] for model, cal in zip(models, cals))
+    rows = (_model_cols(model) + (cal.alpha, cal.cutoff, cal.cutoff_ratio, cal.replications,
+                                  cal.seed, flag[cal.unstable]) for model, cal in zip(models, cals))
     header = _MODEL_HEADER + ["alpha", "cutoff", "cutoff_ratio", "replications", "seed",
                               "unstable"]
     return _emit(args, header, rows, cfg)
@@ -451,7 +447,7 @@ def cmd_calibrate_minp(args) -> int:
 def cmd_tail_dep(args) -> int:
     rhos = _numbers("rho", args.rho)  # an empty list is a usage error
     try:  # every value before any output
-        rows = [[args.nu, rho, tail_dependence_t(args.nu, rho)] for rho in rhos]
+        rows = [(args.nu, rho, tail_dependence_t(args.nu, rho)) for rho in rhos]
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     echo = {"nu": args.nu, "rho": args.rho}
@@ -469,25 +465,22 @@ def cmd_equiv_ratio(args) -> int:
     replications = _number("replications", cfg.get("replications", 100_000), whole=True)
     weights = None if cfg.get("weights") is None else _numbers("weights", cfg["weights"])
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
-    # checks the weights, their mapped powers and kappa, levels and counts before any output
-    if weights is not None:
-        try:
-            comb._mapped_weights(comb._validate_weights(weights, models[0].n), dist)
-        except (DomainError, ShapeError) as exc:
-            raise ConfigError(str(exc)) from None
-    configs = [ExperimentConfig(m, (), alphas, replications, args.seed, args.workers)
-               for m in models]
+    config = ExperimentConfig(models[0], (), alphas, replications, args.seed, args.workers)
+    try:  # the weights, their mapped powers and kappa before any output
+        plan = sim._equivalence_plan(config, dist, weights)
+    except (DomainError, ShapeError) as exc:
+        raise ConfigError(str(exc)) from None
     # the block pass before any output; a scenario without rejections fails at its rows
-    reports = sim._equivalence_reports(configs, dist, weights)
+    reports = sim._equivalence_reports(config, models, plan)
 
     def rows():
         for model, report in zip(models, reports):
             for row in report.rows:
-                yield _model_cols(model) + [
+                yield _model_cols(model) + (
                     dist.spec_string(), row.alpha, row.ratio, row.std_error,
                     row.disagreements, row.weighted_rejections,
                     row.bonferroni_rejections, report.replications, report.seed,
-                ]
+                )
 
     header = _MODEL_HEADER + ["distribution", "alpha", "ratio", "std_error", "disagreements",
                               "weighted_rejections", "bonferroni_rejections",

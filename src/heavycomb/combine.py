@@ -125,9 +125,13 @@ def _bonferroni_weights(w, n: int) -> tuple[np.ndarray, bool]:
     if w is None:
         return np.full(n, 1.0 / n), False
     weights = _validate_weights(w, n)
-    total = float(weights.sum())
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
     if math.isclose(total, 1.0, rel_tol=1e-12):
         return weights, False
+    if total == math.inf:  # finite weights whose sum overflows: scale by the largest first
+        weights = weights / weights.max()
+        total = float(weights.sum())
     return weights / total, True
 
 

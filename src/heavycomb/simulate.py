@@ -39,6 +39,11 @@ _FAMILIES = ("normal", "student_t")
 _SIDES = ("one_sided", "two_sided")
 
 
+def _whole(value) -> bool:
+    """Whether ``value`` is a whole real number and not a bool (numpy integers pass)."""
+    return type(value) is not bool and isinstance(value, numbers.Real) and not value % 1
+
+
 @dataclass(frozen=True)
 class ExchangeableModel:
     """Null/alternative generator with equicorrelated statistics.
@@ -59,7 +64,7 @@ class ExchangeableModel:
             raise ConfigError(f"unknown statistic family {self.family!r}")
         if self.sided not in _SIDES:
             raise ConfigError(f"sided must be one of {_SIDES}, got {self.sided!r}")
-        if type(self.n) is bool or not isinstance(self.n, numbers.Real) or self.n % 1 or self.n < 1:
+        if not _whole(self.n) or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         if self.n > np.iinfo(np.intp).max:  # beyond any array's length
@@ -122,11 +127,18 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for key in ("replications", "seed", "workers"):
+            value = getattr(self, key)
+            if not _whole(value):
+                raise ConfigError(f"{key} must be a whole number, got {value!r}")
+            object.__setattr__(self, key, int(value))
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
         for a in self.alphas:
+            if type(a) is bool or not isinstance(a, numbers.Real):
+                raise ConfigError(f"alphas must be a number, got {a!r}")
             if not (0.0 < a < 1.0):
                 raise ConfigError(f"alpha must be in (0,1), got {a!r}")
 
@@ -254,9 +266,21 @@ class _CompiledMethod:
     kappa: float | None = None
 
 
+_KINDS = {  # each method kind, and the MethodSpec parameters that apply to it
+    "standard": ("distribution",), "average": ("distribution",),
+    "weighted": ("distribution", "weights"), "bonferroni": ("weights",), "fisher": (),
+    "minp": ("cutoff",),
+}
+
+
 def _compile_method(spec: MethodSpec, alphas, n, dist=None) -> _CompiledMethod:
     """``spec`` on ``n`` p-values; a transform kind uses ``dist`` or parses its own."""
     label, kind, w, kappa = spec.resolved_label(), spec.kind, None, None
+    if type(kind) is not str or kind not in _KINDS:
+        raise ConfigError(f"unknown method kind {kind!r}")
+    for name in ("distribution", "weights", "cutoff"):
+        if getattr(spec, name) is not None and name not in _KINDS[kind]:
+            raise ConfigError(f"method {label}: {name!r} does not apply to kind {kind!r}")
     if kind in ("standard", "average", "weighted"):
         if dist is None and not spec.distribution:
             raise ConfigError(f"method {label}: transform kinds need a distribution")
@@ -268,12 +292,13 @@ def _compile_method(spec: MethodSpec, alphas, n, dist=None) -> _CompiledMethod:
         w, thr = combine._bonferroni_weights(spec.weights, n)[0], tuple(alphas)
     elif kind == "fisher":
         thr = tuple(chi_square_upper_quantile(float(n), a) for a in alphas)
-    elif kind == "minp":
+    else:  # minp
         if spec.cutoff is None:
             raise ConfigError(f"method {label}: minp needs a calibrated cutoff")
-        thr = (float(spec.cutoff),) * len(alphas)
-    else:
-        raise ConfigError(f"unknown method kind {kind!r}")
+        cutoff = float(spec.cutoff)
+        if not 0.0 < cutoff <= 1.0:  # a NaN too
+            raise ConfigError(f"method {label}: cutoff must be in (0, 1], got {spec.cutoff!r}")
+        thr = (cutoff,) * len(alphas)
     return _CompiledMethod(label, kind, thr, dist, w, kappa)
 
 
@@ -386,27 +411,26 @@ def _rate_counts(p, plan, alphas):
     return counts
 
 
-def _rejection_reports(configs):
-    """Each config's ExperimentReport, in order, from one block pass over
-    configs that differ only in their model's ``rho``; each report is made
-    when it is asked for."""
+def _rejection_reports(config: ExperimentConfig, models):
+    """The ExperimentReport of ``config`` at each of ``models``, in order, from
+    one block pass over models that differ from ``config.model`` only in
+    ``rho``; each report is made when it is asked for."""
     start = time.perf_counter()
-    first = configs[0]
-    if not first.methods:
+    if not config.methods:
         raise ConfigError("at least one method is required")
-    plan = _compile_methods(first.methods, first.alphas, first.model.n)
-    per_model = _run_blocks([c.model for c in configs], first.seed, first.replications,
-                            first.workers, _rate_counts, plan, first.alphas)
+    plan = _compile_methods(config.methods, config.alphas, config.model.n)
+    per_model = _run_blocks(models, config.seed, config.replications, config.workers,
+                            _rate_counts, plan, config.alphas)
     runtime = time.perf_counter() - start
-    r = first.replications
+    r = config.replications
     for blocks in per_model:
         rows = []
         for method, row in zip(plan, sum(blocks).tolist()):
-            for alpha, k in zip(first.alphas, row):
+            for alpha, k in zip(config.alphas, row):
                 est = k / r
                 se = math.sqrt(est * (1.0 - est) / r)
                 rows.append(RateEstimate(method.label, alpha, est, se, k))
-        yield ExperimentReport(tuple(rows), r, first.seed, first.workers, runtime)
+        yield ExperimentReport(tuple(rows), r, config.seed, config.workers, runtime)
 
 
 def estimate_rejection_rate(config: ExperimentConfig) -> ExperimentReport:
@@ -416,7 +440,7 @@ def estimate_rejection_rate(config: ExperimentConfig) -> ExperimentReport:
     signal in the mean it is power.  Deterministic for fixed
     (seed, replications) regardless of ``workers``.
     """
-    return next(_rejection_reports([config]))
+    return next(_rejection_reports(config, [config.model]))
 
 
 # ---------------------------------------------------------------------------
@@ -451,28 +475,32 @@ def _equivalence_tallies(p, plan, alphas):
     return tallies
 
 
-def _equivalence_reports(configs, d: HeavyTailDistribution, w=None):
-    """Each config's EquivalenceReport, in order, from one block pass over
-    configs that differ only in their model's ``rho``.  The pass runs at the
-    call; each report is made when it is asked for."""
-    start = time.perf_counter()
-    first = configs[0]
-    kind = "standard" if w is None else "weighted"
+def _equivalence_plan(config: ExperimentConfig, d: HeavyTailDistribution, w=None):
+    """The weighted test on ``d`` (standard without ``w``) and Bonferroni on the
+    mapped weights w_i^gamma / kappa, compiled at ``config``'s alphas."""
+    n, kind = config.model.n, "standard" if w is None else "weighted"
     # the mapped weights first: a power outside the doubles would make kappa 0 or inf
-    mapped = combine._mapped_weights(combine._sum_weights(kind, first.model.n, d, w), d)
-    weighted = _compile_method(MethodSpec(kind, weights=w), first.alphas, first.model.n, d)
-    plan = (weighted, _CompiledMethod("bonferroni", "bonferroni", first.alphas, weights=mapped))
-    per_model = _run_blocks([c.model for c in configs], first.seed, first.replications,
-                            first.workers, _equivalence_tallies, plan, first.alphas)
-    return _reports_from_tallies(first, per_model, time.perf_counter() - start)
+    mapped = combine._mapped_weights(combine._sum_weights(kind, n, d, w), d)
+    return (_compile_method(MethodSpec(kind, weights=w), config.alphas, n, d),
+            _compile_method(MethodSpec("bonferroni", weights=tuple(mapped.tolist())),
+                            config.alphas, n))
 
 
-def _reports_from_tallies(first, per_model, runtime):
+def _equivalence_reports(config: ExperimentConfig, models, plan):
+    """The EquivalenceReport of ``plan`` (from ``_equivalence_plan``) at each of
+    ``models``; the pass runs at the call, each report when it is asked for."""
+    start = time.perf_counter()
+    per_model = _run_blocks(models, config.seed, config.replications, config.workers,
+                            _equivalence_tallies, plan, config.alphas)
+    return _reports_from_tallies(config, per_model, time.perf_counter() - start)
+
+
+def _reports_from_tallies(config, per_model, runtime):
     """Each model's EquivalenceReport from its tallies, made when it is asked for."""
-    r = first.replications
+    r = config.replications
     for blocks in per_model:
         rows = []
-        for alpha, (n_wgt, n_bon, n_both) in zip(first.alphas, sum(blocks).tolist()):
+        for alpha, (n_wgt, n_bon, n_both) in zip(config.alphas, sum(blocks).tolist()):
             n_dis, n_min = n_wgt + n_bon - 2 * n_both, min(n_wgt, n_bon)
             if n_min == 0:
                 raise InsufficientEventsError(
@@ -485,7 +513,7 @@ def _reports_from_tallies(first, per_model, runtime):
                          - 2.0 * a_hat * cov_ab / b_hat**3) / r
             rows.append(EquivalenceEstimate(alpha, a_hat / b_hat, math.sqrt(max(var_ratio, 0.0)),
                                             n_dis, n_wgt, n_bon))
-        yield EquivalenceReport(tuple(rows), r, first.seed, first.workers, runtime)
+        yield EquivalenceReport(tuple(rows), r, config.seed, config.workers, runtime)
 
 
 def estimate_equivalence_ratio(
@@ -498,7 +526,7 @@ def estimate_equivalence_ratio(
     w*_i = w_i^gamma / kappa so the two tests are asymptotically paired.
     Standard errors come from the delta method on the shared sample.
     """
-    return next(_equivalence_reports([config], d, w))
+    return next(_equivalence_reports(config, [config.model], _equivalence_plan(config, d, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +544,19 @@ class MinPCalibration:
     unstable: bool
 
 
-def _minp_calibrations(models, alpha: float, replications: int, seed: int, workers: int):
-    """Each model's MinPCalibration, as ``_rejection_reports`` makes its reports."""
-    ExperimentConfig(models[0], (), (alpha,), replications, seed, workers)  # checks the settings
+def _minp_calibrations(config: ExperimentConfig, models):
+    """The MinPCalibration at ``config``'s one alpha of each of ``models``, as
+    ``_rejection_reports`` makes its reports."""
     if any(any(model.mean) for model in models):
         raise ConfigError("minP calibration requires the null model (zero mean)")
+    (alpha,), r, seed = config.alphas, config.replications, config.seed
     # the smallest p-value of each replication
-    per_model = _run_blocks(models, seed, replications, workers, combine._bonferroni_statistic)
-    k = max(1, int(math.floor(alpha * replications)))
+    per_model = _run_blocks(models, seed, r, config.workers, combine._bonferroni_statistic)
+    k = max(1, int(math.floor(alpha * r)))
     for model, blocks in zip(models, per_model):
         cutoff = float(np.partition(np.concatenate(blocks), k - 1)[k - 1])
-        yield MinPCalibration(cutoff, cutoff / (alpha / model.n), alpha, model.n, replications,
-                              seed, alpha * replications < 50.0)
+        yield MinPCalibration(cutoff, cutoff / (alpha / model.n), alpha, model.n, r, seed,
+                              alpha * r < 50.0)
 
 
 def calibrate_minp(
@@ -539,7 +568,8 @@ def calibrate_minp(
     alpha/n; values above 1 quantify how conservative Bonferroni is for
     the model's dependence.  Flagged unstable when alpha*replications < 50.
     """
-    return next(_minp_calibrations([model], alpha, replications, seed, workers))
+    config = ExperimentConfig(model, (), (alpha,), replications, seed, workers)
+    return next(_minp_calibrations(config, [model]))
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +607,8 @@ def pvalue_covariance(
     """Empirical covariance of the two p-values, block-jackknife SE; a block is one tile."""
     if model.n != 2:
         raise DomainError("pvalue_covariance requires an n=2 model")
-    ExperimentConfig(model, (), (), replications, seed, workers)  # checks the settings
+    config = ExperimentConfig(model, (), (), replications, seed, workers)  # checks the settings
+    replications, seed, workers = config.replications, config.seed, config.workers
     block_size = min(BLOCK_SIZE, max(1, replications // 16)) if replications >= 32 else 1
     stats = np.vstack(_run_blocks([model], seed, replications, workers, _cov_moments,
                                   block_size=block_size, tile_rows=block_size)[0])

@@ -23,9 +23,19 @@ from heavycomb import (
     parse_distribution,
 )
 from heavycomb import cli, combine as combine_module
-from heavycomb.cli import _fmt, main
+from heavycomb.cli import main
 
 _CHUNK_GROUPS = 256  # 3-value groups in one chunk of TestBatchedFileCommands
+
+
+def _fmt(value) -> str:
+    """The reference formatting of one CSV field."""
+    kind = type(value)  # rows hold only str, int, float and bool
+    if kind is float:
+        return f"{value:.17g}"
+    if kind is bool:
+        return "true" if value else "false"
+    return str(value)
 
 
 def write_groups(path, groups, header=None):
@@ -169,11 +179,17 @@ class TestValidation:
         rc = main(["closed-test", "-i", str(inp), "--dist", "cauchy", "--alpha", "0.05"])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+        inp.write_text("g1,0.5\n\ng2,0.1\n")
+        assert main(["closed-test", "-i", str(inp), "--dist", "cauchy", "--alpha", "0.05"]) == 1
+        assert capsys.readouterr().err == "error: line 2: empty line\n"
 
-    def test_unknown_distribution_is_usage_error(self, tmp_path):
+    def test_unknown_distribution_is_usage_error(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         inp.write_text("g1,0.5\n")
         assert main(["combine", "-i", str(inp), "--method", "standard", "--dist", "nope"]) == 2
+        capsys.readouterr()
+        assert main(["combine", "-i", str(inp), "--method", "standard"]) == 2
+        assert capsys.readouterr().err == "config error: method 'standard' requires --dist\n"
 
     def test_average_with_wrong_tail_index_is_usage_error(self, tmp_path):
         inp = tmp_path / "in.csv"
@@ -322,6 +338,15 @@ class TestAdjustBhCommand:
         got = [float(r["adjusted_p"]) for r in read_csv(out)]
         assert np.array_equal(got, ref)
 
+    def test_group_of_two_is_input_error(self, tmp_path, capsys):
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_groups(inp, [("g1", [0.1]), ("g2", [0.2, 0.3])])
+        assert main(["adjust-bh", "-i", str(inp), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: adjust-bh expects one combined p-value per group, got 2\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "group_id,p\n"], ids=["empty", "header-only"])
     def test_no_groups_writes_header(self, tmp_path, text):
         # as combine and closed-test do
@@ -392,8 +417,11 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "-1/(n-1)" in capsys.readouterr().err
 
-    def test_missing_config_is_usage_error(self):
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate"]) == 2
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(tmp_path / "none.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config file: ")
 
     def test_preset_unknown(self):
         assert main(["simulate", "--preset", "tableXX"]) == 2
@@ -478,8 +506,11 @@ class TestEngineCommandsBeforeOutput:
         (["tail-dep", "--nu", "0", "--rho", "0.5"], "nu must be positive, got 0.0"),
         (["calibrate-minp", "--family", "student_t", "--nu", "inf", "--n", "2", "--rho", "0",
           "--reps", "1000"], "student_t family needs finite degrees of freedom, got nu=inf"),
+        (["equiv-ratio", "--n", "2", "--rho", "0", "--weights", "1,x"],
+         "unparseable weights: '1,x'"),
+        (["equiv-ratio", "--n", "2", "--rho", "0", "--weights", ","], "empty weight list"),
     ], ids=["calibrate-minp-alpha", "equiv-ratio-alphas", "tail-dep-rho", "tail-dep-nu",
-            "calibrate-minp-nu"])
+            "calibrate-minp-nu", "equiv-ratio-weights-x", "equiv-ratio-weights-empty"])
     def test_flags(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
         assert main(argv + ["-o", str(out)]) == 2
@@ -636,6 +667,18 @@ class TestConfigValues:
         ("equiv-ratio", ("weights",), False, "weights must be a number, got False"),
         ("equiv-ratio", ("weights",), 0, "weight vector has length 1, expected 2"),
         ("equiv-ratio", ("weights",), "", "weights must be a number, got ''"),
+        ("simulate", ("model",), _DELETE, "config is missing the 'model' section"),
+        ("simulate", ("model", "mean"), {"kind": "sparse", "count": 3},
+         "sparse mean count must be in 1..2"),
+        ("simulate", ("model", "mean"), {"kind": "spiky"}, "unknown mean kind 'spiky'"),
+        ("simulate", ("methods",), [], "config lists no methods"),
+        ("simulate", ("methods", 1, "kind"), ["bonferroni"], "unknown method kind ['bonferroni']"),
+        ("simulate", ("methods", 0, "weights"), [1, 2],
+         "method cauchy: 'weights' does not apply to kind 'standard'"),
+        ("simulate", ("methods", 1, "distribution"), "cauchy",
+         "method bonferroni[cauchy]: 'distribution' does not apply to kind 'bonferroni'"),
+        ("simulate", ("methods", 2, "cutoff"), 1.5,
+         "method minp: cutoff must be in (0, 1], got 1.5"),
     ], ids=["replications-abc", "alphas-x", "method-no-kind", "methods-string", "n-x", "rho-a",
             "seed-s", "dense-mean-q", "minp-cutoff-x", "bonferroni-weights-5", "top-level-list",
             "equiv-weights-ab", "n-2.5", "n-true", "replications-1000.9", "seed-3.7",
@@ -643,7 +686,9 @@ class TestConfigValues:
             "equiv-no-alphas", "label-list", "label-comma", "rho-1e400-int", "alphas-1e400-int",
             "nu-1e400-int", "minp-cutoff-1e400-int", "dense-mean-1e400-int", "n-1e400-int",
             "bonferroni-weights-false", "bonferroni-weights-0", "bonferroni-weights-empty",
-            "equiv-weights-false", "equiv-weights-0", "equiv-weights-empty"])
+            "equiv-weights-false", "equiv-weights-0", "equiv-weights-empty", "no-model",
+            "sparse-mean-count-3", "mean-kind-spiky", "methods-empty", "method-kind-list",
+            "standard-weights", "bonferroni-distribution", "minp-cutoff-1.5"])
     def test_bad_value(self, tmp_path, capsys, command, path, value, message):
         cfg = with_value(engine_config(command), path, value) if path else value
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -914,6 +959,19 @@ class TestWeightRule:
             f"config error: kappa, the sum of the weights to the power of the tail index "
             f"3.0, {outcome}\n")
         assert not out.exists()
+
+    def test_combine_bonferroni_weights_whose_sum_overflows(self, tmp_path):
+        # finite weights whose sum is not: the rows of equal weights
+        inp = tmp_path / "in.csv"
+        write_groups(inp, [("g1", [0.1, 0.2]), ("g2", [0.3, 0.02])])
+        rows = []
+        for i, weights in enumerate([["--weights", "1e308,1e308"], ["--weights", "1,1"], []]):
+            out = tmp_path / f"out{i}.csv"
+            assert main(["combine", "-i", str(inp), "-o", str(out), "--method", "bonferroni",
+                         "--alpha", "0.1"] + weights) == 0
+            rows.append(out.read_text())
+        assert rows[0] == rows[1] == rows[2]
+        assert rows[0].splitlines()[1] == "g1,2,0.20000000000000001,0.20000000000000001,false"
 
     def test_simulate_config_checks_kappa(self, tmp_path, capsys):
         method = {"kind": "weighted", "distribution": "pareto:3", "weights": [1e-200, 1e-200]}

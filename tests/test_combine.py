@@ -75,6 +75,9 @@ class TestTransform:
             transform([1.2], Cauchy())
         with pytest.raises(DomainError):
             transform([-0.1], Cauchy())
+        for shape in ([], [[0.1, 0.2]]):
+            with pytest.raises(ShapeError, match="nonempty 1-D vector"):
+                transform(shape, Cauchy())
 
 
 class TestCombineStandard:
@@ -177,6 +180,8 @@ class TestCombineWeighted:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             combine_weighted([0.1, 0.2], [1.0], Cauchy())
+        with pytest.raises(ShapeError, match="needs 2 weights, none were given"):
+            combine_weighted([0.1, 0.2], None, Cauchy())
 
     def test_nonpositive_weights(self):
         with pytest.raises(DomainError):
@@ -217,6 +222,13 @@ class TestBonferroni:
         res = bonferroni([0.1, 0.2], [2.0, 2.0])
         assert res.weights_normalized
         assert res.combined_p == pytest.approx(0.2, rel=1e-13)
+
+    def test_weights_whose_sum_overflows(self):
+        # each weight is finite and their sum is not: the test of equal weights,
+        # with no RuntimeWarning
+        res, equal = bonferroni([0.1, 0.2], [1e308, 1e308]), bonferroni([0.1, 0.2])
+        assert (res.statistic, res.combined_p) == (equal.statistic, equal.combined_p) == (0.2, 0.2)
+        assert res.weights_normalized
 
 
 class TestColumnReductions:

@@ -211,6 +211,7 @@ class TestTruncationPoint:
         # mpmath: tan(pi (0.1 - 1/2)) = -3.07768353717525340257
         c = truncation_point(1.0, 0.9)
         assert c == pytest.approx(-3.0776835371752534, rel=1e-12)
+        assert TruncatedT(1.0, 0.9).truncation_point == c
         assert StudentT(1.0).cdf(c) == pytest.approx(0.1, abs=1e-12)
 
     def test_domain(self):

@@ -22,11 +22,11 @@ from heavycomb.simulate import (
     estimate_equivalence_ratio,
     estimate_rejection_rate,
     pvalue_covariance,
-    _CompiledMethod,
     _compile_methods,
     _cov_moments,
     _cuts,
     _draw,
+    _equivalence_plan,
     _equivalence_reports,
     _equivalence_tallies,
     _minp_calibrations,
@@ -208,6 +208,14 @@ class TestRejectionRates:
                 math.sqrt(row.estimate * (1 - row.estimate) / 20_000)
             )
 
+    def test_bonferroni_weights_whose_sum_overflows(self):
+        # finite weights whose sum is not: the counts of equal weights
+        model = ExchangeableModel("normal", 2, 0.0)
+        configs = [ExperimentConfig(model, (MethodSpec("bonferroni", weights=w),), (0.05,), 2000,
+                                    seed=1) for w in ((1e308, 1e308), None)]
+        counts = [estimate_rejection_rate(c).rows[0].rejections for c in configs]
+        assert counts[0] == counts[1] > 0
+
     def test_worker_invariance(self):
         model = ExchangeableModel("normal", 3, 0.4)
         methods = (MethodSpec("standard", "cauchy"), MethodSpec("bonferroni"))
@@ -316,12 +324,12 @@ class TestOnePass:
     @pytest.mark.parametrize("replications", [BLOCK_SIZE + 4321, 3000])
     @pytest.mark.parametrize("kind", sorted(_ONE_PASS_MODELS))
     def test_rejection_rates(self, kind, replications, workers):
-        configs = [ExperimentConfig(m, _ALL_KINDS, (0.05, 0.01), replications, 42, workers)
-                   for m in _scenarios(kind, mean=(0.0, 0.5, 0.0, 1.0))]
-        shared = list(_rejection_reports(configs))
-        assert len(shared) == len(configs)
-        for config, report in zip(configs, shared):
-            alone = estimate_rejection_rate(config)
+        models = _scenarios(kind, mean=(0.0, 0.5, 0.0, 1.0))
+        config = ExperimentConfig(models[0], _ALL_KINDS, (0.05, 0.01), replications, 42, workers)
+        shared = list(_rejection_reports(config, models))
+        assert len(shared) == len(models)
+        for model, report in zip(models, shared):
+            alone = estimate_rejection_rate(dataclasses.replace(config, model=model))
             assert report.rows == alone.rows
             assert (report.replications, report.seed, report.workers) == (
                 alone.replications, alone.seed, alone.workers)
@@ -333,25 +341,29 @@ class TestOnePass:
     @pytest.mark.parametrize("kind", sorted(_ONE_PASS_MODELS))
     def test_minp_calibrations(self, kind, replications, workers):
         models = _scenarios(kind)
-        shared = list(_minp_calibrations(models, 0.05, replications, 43, workers))
+        config = ExperimentConfig(models[0], (), (0.05,), replications, 43, workers)
+        shared = list(_minp_calibrations(config, models))
         assert shared == [calibrate_minp(m, 0.05, replications, 43, workers) for m in models]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("replications", [BLOCK_SIZE + 4321, 3000])
     @pytest.mark.parametrize("kind", sorted(_ONE_PASS_MODELS))
     def test_equivalence_ratios(self, kind, replications, workers):
-        configs = [ExperimentConfig(m, (), (0.05, 0.02), replications, 44, workers)
-                   for m in _scenarios(kind)]
+        models = _scenarios(kind)
+        config = ExperimentConfig(models[0], (), (0.05, 0.02), replications, 44, workers)
         weights = (1.0, 2.0, 3.0, 0.5)
-        shared = list(_equivalence_reports(configs, Cauchy(), weights))
-        for config, report in zip(configs, shared):
-            assert report.rows == estimate_equivalence_ratio(config, Cauchy(), weights).rows
+        plan = _equivalence_plan(config, Cauchy(), weights)
+        shared = list(_equivalence_reports(config, models, plan))
+        for model, report in zip(models, shared):
+            alone = estimate_equivalence_ratio(dataclasses.replace(config, model=model), Cauchy(),
+                                               weights)
+            assert report.rows == alone.rows
 
     def test_later_scenario_fails_after_earlier_reports(self):
         # a rho without rejections raises at its own report, not before
-        configs = [ExperimentConfig(ExchangeableModel("normal", 2, rho), (), (5e-4,), 2000, 4)
-                   for rho in (0.9, 0.0)]
-        reports = _equivalence_reports(configs, Cauchy())
+        models = [ExchangeableModel("normal", 2, rho) for rho in (0.9, 0.0)]
+        config = ExperimentConfig(models[0], (), (5e-4,), 2000, 4)
+        reports = _equivalence_reports(config, models, _equivalence_plan(config, Cauchy()))
         assert next(reports).rows[0].bonferroni_rejections == 1
         with pytest.raises(InsufficientEventsError):
             next(reports)
@@ -364,12 +376,8 @@ class TestRowTiles:
     def test_results_do_not_depend_on_tile_size(self, kind):
         models, alphas = _scenarios(kind, mean=(0.0, 0.5, 0.0, 1.0)), (0.05, 0.01)
         plan = _compile_methods(_ALL_KINDS, alphas, 4)
-        d, w = Cauchy(), np.array([1.0, 2.0, 3.0, 0.5])
-        weighted = _compile_methods([MethodSpec("weighted", "cauchy", weights=tuple(w))],
-                                    alphas, 4)[0]
-        bonferroni = _CompiledMethod("bonferroni", "bonferroni", alphas,
-                                     weights=combine._mapped_weights(w, d))
-        equiv = ((weighted, bonferroni), alphas)
+        config = ExperimentConfig(models[0], (), alphas, 1500, 47)
+        equiv = (_equivalence_plan(config, Cauchy(), (1.0, 2.0, 3.0, 0.5)), alphas)
 
         def run(tile_rows):
             args = (models, 47, 1500, 1)
@@ -420,11 +428,8 @@ class TestWorkerSplit:
                   for rho in (0.0, 0.6)]
         pairs = [ExchangeableModel(family, 2, rho, nu=nu) for rho in (0.0, -0.5)]
         plan = _compile_methods(_ALL_KINDS, alphas, 4)
-        d, w = Cauchy(), np.array([1.0, 2.0, 3.0, 0.5])
-        weighted = _compile_methods([MethodSpec("weighted", "cauchy", weights=tuple(w))],
-                                    alphas, 4)[0]
-        equiv = ((weighted, _CompiledMethod("bonferroni", "bonferroni", alphas,
-                                            weights=combine._mapped_weights(w, d))), alphas)
+        config = ExperimentConfig(models[0], (), alphas, rows, 49)
+        equiv = (_equivalence_plan(config, Cauchy(), (1.0, 2.0, 3.0, 0.5)), alphas)
 
         def run(workers):
             kw = dict(block_size=block_size, tile_rows=tile_rows)
@@ -789,6 +794,10 @@ class TestPValueCovariance:
         with pytest.raises(DomainError):
             pvalue_covariance(ExchangeableModel("normal", 3, 0.0), 1_000, seed=29)
 
+    def test_one_replication_has_no_standard_error(self):
+        est = pvalue_covariance(ExchangeableModel("normal", 2, 0.0), 1, seed=29)
+        assert est.covariance == 0.0 and math.isnan(est.std_error)
+
     def test_worker_invariance(self):
         model = ExchangeableModel("normal", 2, 0.5)
         ests = [pvalue_covariance(model, 50_000, seed=30, workers=w) for w in (1, 3)]
@@ -828,11 +837,76 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(model, (MethodSpec("fisher"),), (1.5,), 10, seed=1)
 
+    @pytest.mark.parametrize("key,value", [
+        ("replications", 1000.5), ("replications", True), ("replications", "1000"),
+        ("seed", 3.7), ("seed", None), ("seed", math.nan), ("workers", 2.5), ("workers", False),
+        ("workers", math.inf),
+    ])
+    def test_counts_are_whole_numbers(self, key, value):
+        settings = {"replications": 1000, "seed": 1, "workers": 1, key: value}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(ExchangeableModel("normal", 2, 0.0), (MethodSpec("fisher"),),
+                             (0.05,), **settings)
+        assert str(err.value) == f"{key} must be a whole number, got {value!r}"
+
+    def test_whole_counts_of_any_number_type(self):
+        model = ExchangeableModel("normal", 2, 0.0)
+        for count in (2000.0, np.int64(2000), np.float64(2000.0)):
+            config = ExperimentConfig(model, (), (0.05,), count, count, count // 1000)
+            assert (config.replications, config.seed, config.workers) == (2000, 2000, 2)
+            assert {type(config.replications), type(config.seed), type(config.workers)} == {int}
+            assert calibrate_minp(model, 0.05, count, 1, count // 1000) == calibrate_minp(
+                model, 0.05, 2000, 1, 2)
+            assert pvalue_covariance(model, count, 1, count // 1000) == pvalue_covariance(
+                model, 2000, 1, 2)
+
+    @pytest.mark.parametrize("alpha", ["0.05", None, 0.05j])
+    def test_alphas_are_numbers(self, alpha):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(ExchangeableModel("normal", 2, 0.0), (MethodSpec("fisher"),),
+                             (0.05, alpha), 10, seed=1)
+        assert str(err.value) == f"alphas must be a number, got {alpha!r}"
+
     def test_unknown_method_kind(self):
         model = ExchangeableModel("normal", 2, 0.0)
         config = ExperimentConfig(model, (MethodSpec("stouffer"),), (0.05,), 10, seed=1)
         with pytest.raises(ConfigError):
             estimate_rejection_rate(config)
+
+    @pytest.mark.parametrize("methods,message", [
+        ((MethodSpec("stouffer", "cauchy", weights=(1.0, 2.0)),), "unknown method kind 'stouffer'"),
+        ((MethodSpec("standard", "cauchy", weights=(1.0, 2.0)),),
+         "method standard[cauchy]: 'weights' does not apply to kind 'standard'"),
+        ((MethodSpec("average", "cauchy", cutoff=0.01),),
+         "method average[cauchy]: 'cutoff' does not apply to kind 'average'"),
+        ((MethodSpec("fisher", "cauchy"),),
+         "method fisher[cauchy]: 'distribution' does not apply to kind 'fisher'"),
+        ((MethodSpec("fisher", weights=(1.0, 2.0)),),
+         "method fisher: 'weights' does not apply to kind 'fisher'"),
+        ((MethodSpec("bonferroni", "cauchy"),),
+         "method bonferroni[cauchy]: 'distribution' does not apply to kind 'bonferroni'"),
+        ((MethodSpec("bonferroni", cutoff=0.01),),
+         "method bonferroni: 'cutoff' does not apply to kind 'bonferroni'"),
+        ((MethodSpec("minp", "cauchy", cutoff=0.01),),
+         "method minp[cauchy]: 'distribution' does not apply to kind 'minp'"),
+        ((MethodSpec("minp", weights=(1.0, 2.0), cutoff=0.01),),
+         "method minp: 'weights' does not apply to kind 'minp'"),
+        ((MethodSpec("minp", cutoff=math.nan),), "method minp: cutoff must be in (0, 1], got nan"),
+        ((MethodSpec("minp", cutoff=0.0),), "method minp: cutoff must be in (0, 1], got 0.0"),
+        ((MethodSpec("minp", cutoff=1.5),), "method minp: cutoff must be in (0, 1], got 1.5"),
+        ((MethodSpec("minp"),), "method minp: minp needs a calibrated cutoff"),
+        ((MethodSpec("standard"),), "method standard: transform kinds need a distribution"),
+        ((), "at least one method is required"),
+    ], ids=["unknown-kind-first", "standard-weights", "average-cutoff", "fisher-distribution",
+            "fisher-weights", "bonferroni-distribution", "bonferroni-cutoff",
+            "minp-distribution", "minp-weights", "minp-cutoff-nan", "minp-cutoff-0",
+            "minp-cutoff-1.5", "minp-no-cutoff", "standard-no-distribution", "no-methods"])
+    def test_method_parameters(self, methods, message):
+        # a parameter that does not apply to its kind is refused, not ignored
+        config = ExperimentConfig(ExchangeableModel("normal", 2, 0.0), methods, (0.05,), 10, 1)
+        with pytest.raises(ConfigError) as err:
+            estimate_rejection_rate(config)
+        assert str(err.value) == message
 
     def test_average_requires_unit_tail_index(self):
         model = ExchangeableModel("normal", 2, 0.0)

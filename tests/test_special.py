@@ -187,6 +187,8 @@ class TestRegGamma:
         for s in (0.3, 1.0, 4.5):
             assert reg_gamma_upper(s, 0.0) == 1.0
             assert reg_gamma_lower(s, 0.0) == 0.0
+            assert reg_gamma_upper(s, math.inf) == 0.0
+            assert reg_gamma_lower(s, math.inf) == 1.0
 
     def test_shape_two_closed_form(self):
         # Q(2, x) = (1 + x) e^-x; at x = 1 this is 2/e
@@ -279,6 +281,9 @@ class TestFindRoot:
 
         assert find_root(f, RootBracket(1.0, 3.0)) == 1.0
         assert calls == [1.0, 3.0]  # the two ends only, no bisection step
+        calls.clear()
+        assert find_root(f, RootBracket(-1.0, 1.0)) == 1.0
+        assert calls == [-1.0, 1.0]
 
     def test_decreasing(self):
         root = find_root(lambda x: 2.0 - x * x, RootBracket(0.0, 2.0))
