@@ -51,6 +51,14 @@ _FLAGS = {"csv": ("false", "true"), "json": (False, True)}  # a flag column, per
 _CSV_FIELDS = {str: "%s", int: "%d", float: "%.17g"}  # no bool: flags come from _FLAGS
 
 
+def _open(path, mode: str, what: str):
+    """``open(path, mode)``; an OSError is a ConfigError naming the file's role."""
+    try:
+        return open(path, mode, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot {what} file: {exc}") from exc
+
+
 def _emit(args, header, rows, config_echo) -> int:
     """Write ``rows`` (tuples) and the run's manifest to ``--output`` (default stdout).
 
@@ -62,7 +70,7 @@ def _emit(args, header, rows, config_echo) -> int:
     ``<stem>.manifest.json``.
     """
     to_file = args.output not in (None, "-")
-    stream = open(args.output, "w", newline="") if to_file else sys.stdout
+    stream = _open(args.output, "w", "write output") if to_file else sys.stdout
     try:
         if args.format == "csv":
             stream.write(",".join(header) + "\n")
@@ -88,46 +96,45 @@ def _emit(args, header, rows, config_echo) -> int:
         if to_file:
             stream.close()
     if to_file:
-        with open(os.path.splitext(args.output)[0] + ".manifest.json", "w") as fh:
+        with _open(os.path.splitext(args.output)[0] + ".manifest.json", "w", "write output") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
     return 0
 
 
-def _iter_groups(path):
-    """Yield (line_no, group_id, p_values) from a ragged CSV file.
+def _iter_groups(fh):
+    """Yield (line_no, group_id, p_values) from a ragged CSV file open as ``fh``.
 
     A header line is detected by a non-numeric second field on line 1.
     ``float`` ignores the whitespace around a token, as ``strip`` would.
     """
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                raise ValidationError(f"line {line_no}: empty line")
-            if line_no == 1 and len(row) >= 2:
-                try:
-                    float(row[1])
-                except ValueError:
-                    continue  # header
-            group_id = row[0].strip()
-            if len(row) < 2:
-                raise ValidationError(f"line {line_no}: group {group_id!r} has no p-values")
-            try:  # every token parses before any range is checked
-                values = list(map(float, row[1:]))
+    for line_no, row in enumerate(csv.reader(fh), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            raise ValidationError(f"line {line_no}: empty line")
+        if line_no == 1 and len(row) >= 2:
+            try:
+                float(row[1])
             except ValueError:
-                for tok in row[1:]:  # name the first bad token
-                    try:
-                        float(tok)
-                    except ValueError:
-                        raise ValidationError(
-                            f"line {line_no}: unparseable p-value: {tok.strip()!r}") from None
-            for v in values:
-                if not (0.0 < v <= 1.0):
-                    raise ValidationError(f"line {line_no}: p-value {v!r} outside (0, 1]")
-            yield line_no, group_id, values
+                continue  # header
+        group_id = row[0].strip()
+        if len(row) < 2:
+            raise ValidationError(f"line {line_no}: group {group_id!r} has no p-values")
+        try:  # every token parses before any range is checked
+            values = list(map(float, row[1:]))
+        except ValueError:
+            for tok in row[1:]:  # name the first bad token
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ValidationError(
+                        f"line {line_no}: unparseable p-value: {tok.strip()!r}") from None
+        for v in values:
+            if not (0.0 < v <= 1.0):
+                raise ValidationError(f"line {line_no}: p-value {v!r} outside (0, 1]")
+        yield line_no, group_id, values
 
 
-def _batched_rows(path, compute, to_rows):
+def _batched_rows(fh, compute, to_rows):
     """The rows of each group of a file command, in input order, computed a
     chunk at a time (``itertools.chain.from_iterable`` flattens them).
 
@@ -141,7 +148,7 @@ def _batched_rows(path, compute, to_rows):
     every row before that group's line is yielded, then the error is raised,
     named by the line for a p-value or shape error.
     """
-    groups = _iter_groups(path)
+    groups = _iter_groups(fh)
     while True:
         ids, lengths, blocks, results, size, error = [], [], {}, {}, 0, None
         try:
@@ -240,8 +247,8 @@ def cmd_combine(args) -> int:
 
     echo = {"input": args.input, "method": method, "dist": args.dist,
             "weights": args.weights, "alpha": args.alpha}
-    rows = chain.from_iterable(_batched_rows(args.input, compute, to_rows))
-    return _emit(args, header, rows, echo)
+    with _open(args.input, "r", "read input") as fh:  # before any output
+        return _emit(args, header, chain.from_iterable(_batched_rows(fh, compute, to_rows)), echo)
 
 
 def cmd_closed_test(args) -> int:
@@ -259,21 +266,22 @@ def cmd_closed_test(args) -> int:
 
     header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
     echo = {"input": args.input, "dist": args.dist, "alpha": args.alpha}
-    rows = chain.from_iterable(_batched_rows(args.input, compute, to_rows))
-    return _emit(args, header, rows, echo)
+    with _open(args.input, "r", "read input") as fh:  # before any output
+        return _emit(args, header, chain.from_iterable(_batched_rows(fh, compute, to_rows)), echo)
 
 
 def cmd_adjust_bh(args) -> int:
     _check_level("--q", args.q)
     ids, pvals = [], []
-    for line_no, group_id, values in _iter_groups(args.input):
-        if len(values) != 1:
-            raise ValidationError(
-                f"line {line_no}: adjust-bh expects one combined p-value per group, "
-                f"got {len(values)}"
-            )
-        ids.append(group_id)
-        pvals.append(values[0])
+    with _open(args.input, "r", "read input") as fh:
+        for line_no, group_id, values in _iter_groups(fh):
+            if len(values) != 1:
+                raise ValidationError(
+                    f"line {line_no}: adjust-bh expects one combined p-value per group, "
+                    f"got {len(values)}"
+                )
+            ids.append(group_id)
+            pvals.append(values[0])
     adjusted = comb.bh_adjust(pvals).tolist() if pvals else []
     flag = _FLAGS[args.format]
     rows = ((gid, p, adj, flag[adj <= args.q]) for gid, p, adj in zip(ids, pvals, adjusted))
@@ -282,20 +290,20 @@ def cmd_adjust_bh(args) -> int:
 
 
 def _number(key: str, value, whole=False):
-    """``value`` if it is a number that a double holds, not a bool (with ``whole``, a whole one)."""
-    if type(value) not in (int, float) or whole and value % 1:
-        raise ConfigError(f"{key} must be a {'whole ' * whole}number, got {value!r}")
-    if type(value) is int and abs(value) > sys.float_info.max:
-        raise ConfigError(f"{key} must be a number within the double range")
+    """``value`` if it is a number that a double holds, not a bool (with ``whole``, a
+    whole one, as an int)."""
+    if whole and not sim._whole(value):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    sim._number(key, value)
     return int(value) if whole else value
 
 
 def _numbers(key: str, value) -> tuple[float, ...]:
-    """A list of numbers, or one number, as a tuple of floats."""
-    items = value if isinstance(value, (list, tuple)) else [value]
+    """A nonempty list of numbers, or one number, as a tuple of floats."""
+    items = sim._numbers(key, value)
     if not items:
         raise ConfigError(f"config lists no {key}")
-    return tuple(float(_number(key, v)) for v in items)
+    return tuple(map(float, items))
 
 
 def _typed(key: str, value, kind=dict):
@@ -318,13 +326,11 @@ def _read_config(args, command: str, from_flags: dict | None = None):
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
     elif args.config:
-        try:
-            with open(args.config) as fh:
+        with _open(args.config, "r", "read config") as fh:
+            try:
                 cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:  # also an integer past Python's int digit limit
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            except ValueError as exc:  # also an integer past Python's int digit limit
+                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     elif from_flags is None:
         raise ConfigError("either --config FILE or --preset NAME is required")
     elif args.n is None or args.rho is None:
@@ -353,17 +359,17 @@ def _read_config(args, command: str, from_flags: dict | None = None):
     if "model" not in cfg:
         raise ConfigError("config is missing the 'model' section")
     mc = _typed("model", cfg["model"])
-    rhos, nu = _numbers("rho", mc.get("rho", 0.0)), mc.get("nu")
-    kw = {"family": mc.get("family", "normal"), "nu": nu if nu is None else _number("nu", nu),
+    rhos = _numbers("rho", mc.get("rho", 0.0))
+    kw = {"family": mc.get("family", "normal"), "nu": mc.get("nu"),
           "sided": mc.get("sided", "one_sided")}
     n = ExchangeableModel(n=mc.get("n", 0), rho=rhos[0], **kw).n  # n is checked before the mean
     mean = _build_mean(n, mc.get("mean"))
     return cfg, [ExchangeableModel(n=n, rho=rho, mean=mean, **kw) for rho in rhos]
 
 
-def _build_mean(n: int, spec) -> tuple[float, ...]:
+def _build_mean(n: int, spec):
     if spec is None or isinstance(spec, list):
-        return tuple(float(_number("mean", v)) for v in spec or ())
+        return spec or ()  # ExchangeableModel checks the values
     kind = _typed("mean", spec).get("kind")
     value = float(_number("mean value", spec.get("value", 0.0)))
     if kind == "dense":
@@ -379,21 +385,11 @@ def _build_mean(n: int, spec) -> tuple[float, ...]:
 def _method_specs(cfg: dict) -> tuple[MethodSpec, ...]:
     methods = (_typed("method", m) for m in _typed("methods", cfg.get("methods", []), list))
     out = tuple(MethodSpec(kind=m.get("kind"), distribution=m.get("distribution"),
-                           weights=None if m.get("weights") is None
-                           else _numbers("weights", m["weights"]),
-                           cutoff=None if m.get("cutoff") is None
-                           else _number("cutoff", m["cutoff"]), label=_label(m.get("label")))
+                           weights=m.get("weights"), cutoff=m.get("cutoff"), label=m.get("label"))
                 for m in methods)
     if not out:
         raise ConfigError("config lists no methods")
     return out
-
-
-def _label(value):
-    """A method label: None, or a string that fits one CSV field unquoted."""
-    if value is not None and (type(value) is not str or any(c in value for c in ",\r\n")):
-        raise ConfigError(f"label must be a string with no comma or line break, got {value!r}")
-    return value
 
 
 _MODEL_HEADER = ["family", "n", "rho", "nu", "sided"]

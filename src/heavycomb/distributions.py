@@ -293,7 +293,7 @@ class Frechet(_Shape):
 class InverseGamma(_Shape):
     """Inverse gamma on (0, inf); survival P(gamma, 1/x) (lower reg. gamma).
 
-    Shape 1 is Frechet with tail index 1, whose closed forms it uses.
+    Shape 1 is Frechet with tail index 1, whose closed forms ``__init__`` binds.
     """
 
     name = "inv_gamma"
@@ -301,7 +301,10 @@ class InverseGamma(_Shape):
 
     def __init__(self, gamma: float):
         super().__init__(gamma)
-        self._frechet = Frechet(1.0) if self.gamma == 1.0 else None
+        if self.gamma == 1.0:
+            frechet = Frechet(1.0)
+            self._sf, self._cdf, self._isf, self._quantile = (
+                frechet._sf, frechet._cdf, frechet._isf, frechet._quantile)
 
     def _tails(self, x):
         """(survival, cdf, y^g e^-y / Gamma(g)) at x, with y = 1/x."""
@@ -316,24 +319,16 @@ class InverseGamma(_Shape):
         return sf.reshape(x.shape), cdf.reshape(x.shape), dens.reshape(x.shape)
 
     def _sf(self, x):
-        if self._frechet:
-            return self._frechet._sf(x)
         return self._tails(x)[0]
 
     def _cdf(self, x):
-        if self._frechet:
-            return self._frechet._cdf(x)
         return self._tails(x)[1]
 
     def _isf(self, q):
-        if self._frechet:
-            return self._frechet._isf(q)
         upper = q <= 0.5
         return self._invert(upper, np.where(upper, q, 1.0 - q))
 
     def _quantile(self, u):
-        if self._frechet:
-            return self._frechet._quantile(u)
         upper = u > 0.5
         return self._invert(upper, np.where(upper, 1.0 - u, u))
 
@@ -552,18 +547,6 @@ class StudentT(_Shape):
         return -self._isf(u)
 
 
-def _truncation(gamma: float, p0: float) -> tuple[StudentT, float, float]:
-    """The parent t, c = Q_t(1 - p0) and the parent's survival at c.
-    ``DomainError`` where c overflows: +inf leaves an empty support."""
-    parent = StudentT(gamma)
-    c = float(parent.inverse_survival(p0))
-    denom = float(parent.survival(c))
-    if not math.isfinite(c) or denom == 0.0:
-        raise DomainError(f"trunc_t: truncation point overflows at tail index "
-                          f"{parent.gamma!r} and threshold {p0!r}")
-    return parent, c, denom
-
-
 class TruncatedT(_Shape):
     """Student t conditioned on [c, inf) with c the (1 - p0) parent quantile."""
 
@@ -574,8 +557,12 @@ class TruncatedT(_Shape):
             raise DomainError(f"{self.name}: truncation threshold must be in (0,1), got {p0!r}")
         super().__init__(gamma)
         self.p0 = float(p0)
-        self.parent, self.c, self._denom = _truncation(self.gamma, p0)
-        self.support_lower = self.c
+        self.parent = StudentT(self.gamma)
+        self.c = self.support_lower = float(self.parent.inverse_survival(p0))
+        self._denom = float(self.parent.survival(self.c))
+        if not math.isfinite(self.c) or self._denom == 0.0:  # +inf leaves an empty support
+            raise DomainError(f"{self.name}: truncation point overflows at tail index "
+                              f"{self.gamma!r} and threshold {p0!r}")
 
     @property
     def truncation_point(self) -> float:
@@ -602,12 +589,8 @@ class TruncatedT(_Shape):
 def truncation_point(gamma: float, p0: float) -> float:
     """Lower endpoint c = Q_t(1 - p0) of the truncated-t construction.
 
-    Raises ``DomainError`` where c overflows, as ``TruncatedT`` does."""
-    if not (gamma > 0.0):
-        raise DomainError(f"truncation_point: tail index must be positive, got {gamma!r}")
-    if not (0.0 < p0 < 1.0):
-        raise DomainError(f"truncation_point: threshold must be in (0,1), got {p0!r}")
-    return _truncation(gamma, p0)[1]
+    Raises ``DomainError`` where ``TruncatedT(gamma, p0)`` does."""
+    return TruncatedT(gamma, p0).c
 
 
 _FAMILIES = {cls.name: cls for cls in (Cauchy, LogCauchy, Levy, Pareto, LogGamma, Frechet,

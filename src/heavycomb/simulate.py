@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import numbers
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ import numpy as np
 from . import combine, special
 from .distributions import HeavyTailDistribution, StudentT, parse_distribution
 from .errors import ConfigError, DomainError, InsufficientEventsError, MethodMisuseError, ShapeError
-from .special import RootBracket, find_root
+from .special import find_root
 
 BLOCK_SIZE = 32768
 
@@ -42,6 +43,22 @@ _SIDES = ("one_sided", "two_sided")
 def _whole(value) -> bool:
     """Whether ``value`` is a whole real number and not a bool (numpy integers pass)."""
     return type(value) is not bool and isinstance(value, numbers.Real) and not value % 1
+
+
+def _number(key: str, value):
+    """``value`` if it is a real number, not a bool, that a double holds; else a
+    ConfigError naming ``key``."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{key} must be a number within the double range")
+    return value
+
+
+def _numbers(key: str, value) -> tuple:
+    """A list, tuple or array of numbers, or one number, as a tuple of the same values."""
+    items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+    return tuple(_number(key, v) for v in items)
 
 
 @dataclass(frozen=True)
@@ -70,17 +87,20 @@ class ExchangeableModel:
         if self.n > np.iinfo(np.intp).max:  # beyond any array's length
             raise ConfigError(f"n must fit an array dimension, got {self.n.bit_length()} bits")
         lower = -1.0 / (self.n - 1) if self.n > 1 else -1.0
-        if not (lower < self.rho <= 1.0):
+        if not (lower < _number("rho", self.rho) <= 1.0):
             raise ConfigError(
                 f"rho={self.rho} not admissible: the exchangeable covariance needs "
                 f"rho > -1/(n-1) = {lower:.6g} (and rho <= 1)"
             )
+        if self.nu is not None:
+            _number("nu", self.nu)
         if self.family == "student_t":
             if self.nu is None or not (self.nu > 0):
                 raise ConfigError("student_t family needs degrees of freedom nu > 0")
             if not math.isfinite(self.nu):
                 raise ConfigError(
                     f"student_t family needs finite degrees of freedom, got nu={self.nu!r}")
+        object.__setattr__(self, "mean", _numbers("mean", self.mean))  # a list is hashed as a tuple
         if self.mean and len(self.mean) != self.n:
             raise ConfigError(f"mean vector has length {len(self.mean)}, expected {self.n}")
         if any(math.isnan(m) for m in self.mean):
@@ -108,6 +128,16 @@ class MethodSpec:
     weights: tuple[float, ...] | None = None
     cutoff: float | None = None
     label: str | None = None
+
+    def __post_init__(self):
+        if self.weights is not None:
+            object.__setattr__(self, "weights", _numbers("weights", self.weights))
+        if self.cutoff is not None:
+            _number("cutoff", self.cutoff)
+        if self.label is not None and (type(self.label) is not str
+                                       or any(c in self.label for c in ",\r\n")):
+            raise ConfigError(
+                f"label must be a string with no comma or line break, got {self.label!r}")
 
     def resolved_label(self) -> str:
         if self.label:
@@ -137,9 +167,7 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
         for a in self.alphas:
-            if type(a) is bool or not isinstance(a, numbers.Real):
-                raise ConfigError(f"alphas must be a number, got {a!r}")
-            if not (0.0 < a < 1.0):
+            if not (0.0 < _number("alphas", a) < 1.0):
                 raise ConfigError(f"alpha must be in (0,1), got {a!r}")
 
 
@@ -251,7 +279,7 @@ def chi_square_upper_quantile(dof_pairs: float, alpha: float) -> float:
     hi = 4.0 * dof_pairs + 10.0
     while f(hi) > 0.0:
         hi *= 2.0
-    return find_root(f, RootBracket(1e-12, hi, rel_tol=1e-13))
+    return find_root(f, 1e-12, hi)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,13 @@ so that its exponent is exact (``expx2``), and the normal quantile is
 Wichura's AS 241 (PPND16).  The regularized incomplete gamma and beta are a
 series / continued-fraction split (modified Lentz) over arrays, inverted by
 a safeguarded Halley solver; ``reg_gamma_*`` and ``reg_beta`` are views of
-them.  Fisher's chi-square tail is the closed-form Poisson sum.
+them.  Fisher's chi-square tail is the closed-form Poisson sum, which
+``find_root(f, lo, hi)`` bisects to a fixed rule (width 1e-13 relative, 200 steps).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,53 +23,36 @@ _SQRT2 = math.sqrt(2.0)
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
 _MAX_ITER_CF = 500
+_ROOT_REL_TOL = 1e-13  # find_root's stopping rule
+_ROOT_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """Bracket and stopping rule for :func:`find_root`."""
-
-    lo: float
-    hi: float
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise DomainError(f"RootBracket: need lo < hi, got [{self.lo}, {self.hi}]")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("RootBracket: tolerances must be positive")
-        if self.max_iter < 1:
-            raise DomainError("RootBracket: max_iter must be a positive integer")
-
-
-def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
-    """Root of a monotone scalar function on a sign-changing bracket, by bisection.
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of a monotone scalar function on a sign-changing bracket [lo, hi], by bisection.
 
     Halves the bracket on the sign of ``f`` at its midpoint ``m`` until it is
-    no wider than ``2 eps |m| + max(abs_tol, rel_tol |m|)``, and returns ``m``.
+    no wider than ``2 eps |m| + max(1e-300, 1e-13 |m|)``, and returns ``m``:
+    ``BracketError`` if f(lo) and f(hi) share a sign, ``ConvergenceError`` after 200 halvings.
     """
-    a, b = bracket.lo, bracket.hi
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise BracketError(f"find_root: no sign change on [{a}, {b}] (f: {fa}, {fb})")
-    for _ in range(bracket.max_iter):
-        m = a + 0.5 * (b - a)
-        if b - a <= 2.0 * _EPS * abs(m) + max(bracket.abs_tol, bracket.rel_tol * abs(m)):
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise BracketError(f"find_root: no sign change on [{lo}, {hi}] (f: {flo}, {fhi})")
+    for _ in range(_ROOT_MAX_ITER):
+        m = lo + 0.5 * (hi - lo)
+        if hi - lo <= 2.0 * _EPS * abs(m) + max(_FPMIN, _ROOT_REL_TOL * abs(m)):
             return m
         fm = f(m)
         if fm == 0.0:
             return m
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = m, fm
         else:
-            b = m
-    raise ConvergenceError(f"find_root: no convergence in {bracket.max_iter} iterations")
+            hi = m
+    raise ConvergenceError(f"find_root: no convergence in {_ROOT_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------

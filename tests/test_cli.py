@@ -1035,6 +1035,80 @@ class TestFileLayout:
         assert out.read_text().splitlines() == expected
 
 
+class TestFileErrors:
+    """An input that cannot be read, or an output that cannot be created, is a
+    usage error that names the file: one line on stderr, nothing written."""
+
+    FILE_COMMANDS = [["combine", "--method", "fisher"],
+                     ["closed-test", "--dist", "cauchy", "--alpha", "0.05"], ["adjust-bh"]]
+
+    @staticmethod
+    def run(capsys, argv, out, fmt="csv"):
+        rc = main(argv + ["--format", fmt] + ([] if out is None else ["-o", str(out)]))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=["combine", "closed-test", "adjust-bh"])
+    def test_missing_input(self, tmp_path, capsys, argv, to_file, fmt):
+        missing = tmp_path / "nope.csv"
+        out = tmp_path / "out.csv" if to_file else None
+        err = self.run(capsys, argv[:1] + ["-i", str(missing)] + argv[1:], out, fmt)
+        assert err.startswith("config error: cannot read input file: ")
+        assert str(missing) in err
+        assert list(tmp_path.iterdir()) == []  # no output and no manifest
+
+    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=["combine", "closed-test", "adjust-bh"])
+    def test_directory_as_input(self, tmp_path, capsys, argv):
+        err = self.run(capsys, argv[:1] + ["-i", str(tmp_path)] + argv[1:],
+                       tmp_path / "out.csv")
+        assert err.startswith("config error: cannot read input file: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", FILE_COMMANDS + [
+        ["calibrate-minp", "--n", "2", "--rho", "0", "--reps", "500"]],
+        ids=["combine", "closed-test", "adjust-bh", "calibrate-minp"])
+    def test_output_in_a_missing_directory(self, tmp_path, capsys, argv, fmt):
+        inp = tmp_path / "in.csv"
+        inp.write_text("g1,0.01\ng2,0.5\n")
+        if argv[0] != "calibrate-minp":
+            argv = argv[:1] + ["-i", str(inp)] + argv[1:]
+        err = self.run(capsys, argv, tmp_path / "missing" / "out.csv", fmt)
+        assert err.startswith("config error: cannot write output file: ")
+        assert list(tmp_path.iterdir()) == [inp]
+
+
+class TestShapeOneThroughThePool:
+    """inv_gamma:1 runs Frechet(1)'s methods, bound in its constructor; the plan's
+    distributions reach the forked workers by pickle."""
+
+    def test_inv_gamma_1_is_frechet_1_at_any_workers(self, tmp_path):
+        cfg = {"command": "simulate",
+               "model": {"family": "student_t", "n": 3, "nu": 2, "rho": [0.0, 0.5],
+                         "sided": "two_sided"},
+               "methods": [{"kind": "standard", "distribution": "inv_gamma:1", "label": "ig"},
+                           {"kind": "standard", "distribution": "frechet:1", "label": "fr"}],
+               "alphas": [0.05, 0.01], "replications": 2 * cli.sim.BLOCK_SIZE + 1000, "seed": 11}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        outs = []
+        for workers in (1, 2, 3):
+            outs.append(tmp_path / f"w{workers}.csv")
+            assert main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                         "--workers", str(workers), "-o", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        counts = {}
+        for row in read_csv(outs[0]):
+            counts.setdefault((row["rho"], row["alpha"]), {})[row["method"]] = row["rejections"]
+        assert len(counts) == 4
+        for pair in counts.values():
+            assert pair["ig"] == pair["fr"] != "0"
+
+
 class TestParserReuse:
     """main builds its parser once; calls in one process give the bytes of
     calls that each build their own, with no flag default carried over."""

@@ -83,6 +83,44 @@ class TestModelValidation:
         assert [row.rejections for row in report.rows] == [1000] * 4
 
 
+class TestLibrarySettings:
+    """The dataclasses check the values they take, as the CLI's config reader did:
+    a ConfigError that names the key, and no conversion of a value's type."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ExchangeableModel("normal", 2, "0.5"), "rho must be a number, got '0.5'"),
+        (lambda: ExchangeableModel("student_t", 2, 0.5, nu="3"), "nu must be a number, got '3'"),
+        (lambda: ExchangeableModel("normal", 2, 0.5, nu=10**400),
+         "nu must be a number within the double range"),
+        (lambda: ExchangeableModel("normal", 2, 0.5, mean=("a", "b")),
+         "mean must be a number, got 'a'"),
+        (lambda: ExchangeableModel("normal", 2, True), "rho must be a number, got True"),
+        (lambda: MethodSpec("weighted", "cauchy", weights="ab"),
+         "weights must be a number, got 'ab'"),
+        (lambda: MethodSpec("bonferroni", weights=(1.0, None)), "weights must be a number, got None"),
+        (lambda: MethodSpec("minp", cutoff="0.1"), "cutoff must be a number, got '0.1'"),
+        (lambda: MethodSpec("minp", cutoff=0.1, label=3),
+         "label must be a string with no comma or line break, got 3"),
+        (lambda: MethodSpec("fisher", label="a\nb"),
+         "label must be a string with no comma or line break, got 'a\\nb'"),
+    ], ids=["rho-str", "nu-str", "nu-1e400-int", "mean-str", "rho-bool", "weights-str",
+            "weights-none", "cutoff-str", "label-int", "label-newline"])
+    def test_wrong_value_names_its_key(self, build, message):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_sequences_are_tuples_of_the_same_values(self):
+        listed = ExchangeableModel("normal", 2, 0.5, mean=[1.0, 2.0])
+        assert listed == ExchangeableModel("normal", 2, 0.5, mean=(1.0, 2.0))
+        assert hash(listed) == hash(ExchangeableModel("normal", 2, 0.5, mean=(1.0, 2.0)))
+        assert MethodSpec("bonferroni", weights=[1, 2]).weights == (1, 2)
+        assert MethodSpec("bonferroni", weights=np.ones(2)).weights == (1.0, 1.0)
+        model = ExchangeableModel("student_t", 2, 0, nu=3, mean=(0, 1))
+        assert (type(model.rho), type(model.nu), type(model.mean[1])) == (int, int, int)
+        assert type(MethodSpec("minp", cutoff=np.float64(0.1)).cutoff) is np.float64
+
+
 class TestSampler:
     def test_iid_moments(self):
         model = ExchangeableModel("normal", 4, 0.0)

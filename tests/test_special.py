@@ -15,7 +15,6 @@ from heavycomb.errors import (
     InfiniteQuantileError,
 )
 from heavycomb.special import (
-    RootBracket,
     erf_array,
     erfc_array,
     find_root,
@@ -262,14 +261,14 @@ class TestRegBeta:
 
 class TestFindRoot:
     def test_linear(self):
-        assert find_root(lambda x: x - 3.0, RootBracket(0.0, 10.0)) == pytest.approx(3.0, abs=1e-12)
+        assert find_root(lambda x: x - 3.0, 0.0, 10.0) == pytest.approx(3.0, abs=1e-12)
 
     def test_normal_quantile_equivalent(self):
-        root = find_root(lambda x: _phi(x) - 0.975, RootBracket(0.0, 10.0))
+        root = find_root(lambda x: _phi(x) - 0.975, 0.0, 10.0)
         assert root == pytest.approx(1.9599639845400545, abs=1e-10)
 
     def test_sqrt_two(self):
-        root = find_root(lambda x: x * x - 2.0, RootBracket(1.0, 2.0))
+        root = find_root(lambda x: x * x - 2.0, 1.0, 2.0)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_root_at_a_bracket_end(self):
@@ -279,35 +278,31 @@ class TestFindRoot:
             calls.append(x)
             return x - 1.0
 
-        assert find_root(f, RootBracket(1.0, 3.0)) == 1.0
+        assert find_root(f, 1.0, 3.0) == 1.0
         assert calls == [1.0, 3.0]  # the two ends only, no bisection step
         calls.clear()
-        assert find_root(f, RootBracket(-1.0, 1.0)) == 1.0
+        assert find_root(f, -1.0, 1.0) == 1.0
         assert calls == [-1.0, 1.0]
 
     def test_decreasing(self):
-        root = find_root(lambda x: 2.0 - x * x, RootBracket(0.0, 2.0))
+        root = find_root(lambda x: 2.0 - x * x, 0.0, 2.0)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_tiny_root_to_relative_precision(self):
         # the stopping rule scales with |m|, so a root near 1e-8 is not
         # settled at an absolute width of 1e-12
-        root = find_root(lambda x: x * x - 1e-16, RootBracket(0.0, 1.0, rel_tol=1e-12))
+        root = find_root(lambda x: x * x - 1e-16, 0.0, 1.0)
         assert root == pytest.approx(1e-8, rel=1e-12)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, RootBracket(-1.0, 1.0))
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_iteration_budget(self):
-        with pytest.raises(ConvergenceError):
-            find_root(lambda x: _phi(x) - 0.975, RootBracket(0.0, 10.0, max_iter=2))
-
-    def test_bracket_validation(self):
-        with pytest.raises(DomainError):
-            RootBracket(2.0, 1.0)
-        with pytest.raises(DomainError):
-            RootBracket(0.0, 1.0, rel_tol=0.0)
+        # 200 halvings of [0, 1] leave a width near 6e-61, far above the 1e-300
+        # floor that a root near 1e-310 needs
+        with pytest.raises(ConvergenceError, match="no convergence in 200 iterations"):
+            find_root(lambda x: x - 1e-310, 0.0, 1.0)
 
 
 class TestIncompleteArrays:
