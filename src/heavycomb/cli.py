@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: combine, closed-test, adjust-bh, simulate, calibrate-minp,
-tail-dep, equiv-ratio.  Exit codes: 0 success, 1 input validation error,
-2 configuration/usage error, 3 numerical failure.
+tail-dep, equiv-ratio.  Exit codes: 0 success, 1 input validation error (or a
+closed stdout), 2 configuration/usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 import time
 from array import array
@@ -51,10 +52,10 @@ _FLAGS = {"csv": ("false", "true"), "json": (False, True)}  # a flag column, per
 _CSV_FIELDS = {str: "%s", int: "%d", float: "%.17g"}  # no bool: flags come from _FLAGS
 
 
-def _open(path, mode: str, what: str):
+def _open(path, mode: str, what: str, errors=None):
     """``open(path, mode)``; an OSError is a ConfigError naming the file's role."""
     try:
-        return open(path, mode, newline="")
+        return open(path, mode, newline="", errors=errors)
     except OSError as exc:
         raise ConfigError(f"cannot {what} file: {exc}") from exc
 
@@ -102,15 +103,41 @@ def _emit(args, header, rows, config_echo) -> int:
     return 0
 
 
+def _open_input(path):
+    """The input file; a byte that is not text reads as a lone surrogate, so that
+    ``_iter_groups`` can name its line."""
+    return _open(path, "r", "read input", errors="surrogateescape")
+
+
+def _undecoded(text: str) -> bool:
+    """Whether ``text`` holds a byte that the input's encoding could not decode."""
+    return not text.isascii() and _SURROGATE.search(text) is not None
+
+
+_SURROGATE = re.compile("[\udc80-\udcff]")
+
+
 def _iter_groups(fh):
-    """Yield (line_no, group_id, p_values) from a ragged CSV file open as ``fh``.
+    """Yield (line_no, group_id, p_values) from a ragged CSV file open as ``fh``
+    (by ``_open_input``).
 
     A header line is detected by a non-numeric second field on line 1.
-    ``float`` ignores the whitespace around a token, as ``strip`` would.
+    ``float`` ignores the whitespace around a token, as ``strip`` would.  A
+    group id or p-value that is not text, or a line that ``csv`` cannot read,
+    is a ValidationError naming the line.
     """
-    for line_no, row in enumerate(csv.reader(fh), start=1):
+    rows = csv.reader(fh)
+    for line_no in count(1):
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValidationError(f"line {line_no}: {exc}") from None
         if not row or (len(row) == 1 and not row[0].strip()):
             raise ValidationError(f"line {line_no}: empty line")
+        if _undecoded(row[0]):  # the one field written out as read
+            raise ValidationError(f"line {line_no}: not {fh.encoding} text")
         if line_no == 1 and len(row) >= 2:
             try:
                 float(row[1])
@@ -126,8 +153,9 @@ def _iter_groups(fh):
                 try:
                     float(tok)
                 except ValueError:
-                    raise ValidationError(
-                        f"line {line_no}: unparseable p-value: {tok.strip()!r}") from None
+                    what = (f"not {fh.encoding} text" if _undecoded(tok)
+                            else f"unparseable p-value: {tok.strip()!r}")
+                    raise ValidationError(f"line {line_no}: {what}") from None
         for v in values:
             if not (0.0 < v <= 1.0):
                 raise ValidationError(f"line {line_no}: p-value {v!r} outside (0, 1]")
@@ -247,7 +275,7 @@ def cmd_combine(args) -> int:
 
     echo = {"input": args.input, "method": method, "dist": args.dist,
             "weights": args.weights, "alpha": args.alpha}
-    with _open(args.input, "r", "read input") as fh:  # before any output
+    with _open_input(args.input) as fh:  # before any output
         return _emit(args, header, chain.from_iterable(_batched_rows(fh, compute, to_rows)), echo)
 
 
@@ -266,14 +294,14 @@ def cmd_closed_test(args) -> int:
 
     header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
     echo = {"input": args.input, "dist": args.dist, "alpha": args.alpha}
-    with _open(args.input, "r", "read input") as fh:  # before any output
+    with _open_input(args.input) as fh:  # before any output
         return _emit(args, header, chain.from_iterable(_batched_rows(fh, compute, to_rows)), echo)
 
 
 def cmd_adjust_bh(args) -> int:
     _check_level("--q", args.q)
     ids, pvals = [], []
-    with _open(args.input, "r", "read input") as fh:
+    with _open_input(args.input) as fh:
         for line_no, group_id, values in _iter_groups(fh):
             if len(values) != 1:
                 raise ValidationError(
@@ -596,6 +624,10 @@ def main(argv=None) -> int:
     except HeavyCombError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # the reader of stdout has gone: stop quietly
+        # stdout is flushed again at exit; on devnull that flush is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

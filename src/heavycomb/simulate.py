@@ -284,7 +284,9 @@ def chi_square_upper_quantile(dof_pairs: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class _CompiledMethod:
-    """Per-alpha thresholds: Bonferroni and minP reject below, the rest above."""
+    """Per-alpha thresholds: Bonferroni and minP reject below, the rest above.
+    ``bound`` is the largest smallest p-value of a row that the method can
+    reject at any of its alphas (1: no bound)."""
 
     label: str
     kind: str
@@ -292,6 +294,7 @@ class _CompiledMethod:
     dist: HeavyTailDistribution | None = None
     weights: np.ndarray | None = None
     kappa: float | None = None
+    bound: float = 1.0
 
 
 _KINDS = {  # each method kind, and the MethodSpec parameters that apply to it
@@ -303,7 +306,7 @@ _KINDS = {  # each method kind, and the MethodSpec parameters that apply to it
 
 def _compile_method(spec: MethodSpec, alphas, n, dist=None) -> _CompiledMethod:
     """``spec`` on ``n`` p-values; a transform kind uses ``dist`` or parses its own."""
-    label, kind, w, kappa = spec.resolved_label(), spec.kind, None, None
+    label, kind, w, kappa, bound = spec.resolved_label(), spec.kind, None, None, 1.0
     if type(kind) is not str or kind not in _KINDS:
         raise ConfigError(f"unknown method kind {kind!r}")
     for name in ("distribution", "weights", "cutoff"):
@@ -316,18 +319,22 @@ def _compile_method(spec: MethodSpec, alphas, n, dist=None) -> _CompiledMethod:
         w = combine._sum_weights(kind, n, dist, spec.weights)
         kappa = combine._kappa(w, dist)
         thr = tuple(combine._threshold(dist, a, kappa) for a in alphas)
+        if all(map(math.isfinite, thr)):  # S <= sum(w) * Q(p_min)
+            bound = max(float(dist.survival(t / w.sum())) for t in thr)
     elif kind == "bonferroni":
         w, thr = combine._bonferroni_weights(spec.weights, n)[0], tuple(alphas)
+        bound = max(thr) * float(w.max())
     elif kind == "fisher":
         thr = tuple(chi_square_upper_quantile(float(n), a) for a in alphas)
+        bound = math.exp(-min(thr) / (2 * n))  # -2 sum log p_i <= -2n log p_min
     else:  # minp
         if spec.cutoff is None:
             raise ConfigError(f"method {label}: minp needs a calibrated cutoff")
         cutoff = float(spec.cutoff)
         if not 0.0 < cutoff <= 1.0:  # a NaN too
             raise ConfigError(f"method {label}: cutoff must be in (0, 1], got {spec.cutoff!r}")
-        thr = (cutoff,) * len(alphas)
-    return _CompiledMethod(label, kind, thr, dist, w, kappa)
+        thr, bound = (cutoff,) * len(alphas), cutoff
+    return _CompiledMethod(label, kind, thr, dist, w, kappa, bound)
 
 
 def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
@@ -340,21 +347,41 @@ def _compile_methods(methods, alphas, n) -> tuple[_CompiledMethod, ...]:
     return tuple(compiled)
 
 
+def _cut(model: ExchangeableModel, bound: float) -> float:
+    """The statistic at or below which a row's smallest p-value is above ``bound``
+    by a relative margin of 1e-6; -inf (no row) when that takes a tail of 1/2 or
+    more, a subnormal one (too coarse for the margin), or no finite statistic."""
+    q = bound * (1.0 + 1e-6) / (2.0 if model.sided == "two_sided" else 1.0)
+    if not sys.float_info.min <= q < 0.5:
+        return -math.inf
+    if model.family == "normal":
+        return float(-special.normal_quantile_array(np.array(q)))
+    cut = float(StudentT(model.nu).inverse_survival(q))
+    return cut if cut < math.inf else -math.inf
+
+
 def _range(payload):
     """``reduce_p(p, *args)`` of each row tile in rows ``lo:hi``, for every model;
-    ``p`` is a ``(tile rows, n)`` view of contiguous columns.  Every block that
-    the range enters is drawn whole, so a tile has the same bits in any range."""
-    models, seed, lo, hi, replications, block_size, tile_rows, reduce_p, args = payload
+    ``p`` is a ``(kept rows, n)`` view of contiguous columns.  The rows kept are
+    those that can have a smallest p-value of at most ``bound`` (see ``_cut``).
+    Every block that the range enters is drawn whole, so a tile has the same
+    bits in any range."""
+    models, seed, lo, hi, replications, block_size, tile_rows, bound, reduce_p, args = payload
+    cuts = [_cut(model, bound) for model in models]
     out = [[] for _ in models]
     for index in range(lo // block_size, -(-hi // block_size)):
         start = index * block_size
         rows = min(block_size, replications - start)
         centred, zbar, scale = _draw(models[0], replication_rng(seed, index), rows)
         for first in range(max(lo - start, 0), min(hi - start, rows), tile_rows):
-            cut = slice(first, first + tile_rows)
-            tile = (centred[:, cut], zbar[cut], None if scale is None else scale[cut])
-            for model, parts in zip(models, out):
-                p = statistics_to_pvalues(_shape(model, tile), model)
+            span = slice(first, first + tile_rows)
+            tile = (centred[:, span], zbar[span], None if scale is None else scale[span])
+            for model, cut, parts in zip(models, cuts, out):
+                x = _shape(model, tile)
+                if cut > -math.inf:  # a NaN row is kept, to fail the check below
+                    top = (np.abs(x) if model.sided == "two_sided" else x).max(axis=0)
+                    x = x[:, ~(top <= cut)]
+                p = statistics_to_pvalues(x, model)
                 if not (p <= 1.0).all():  # a NaN fails too; the floor keeps p > 0
                     raise DomainError(f"rho={model.rho}: p-values outside (0, 1] in block {index}")
                 parts.append(reduce_p(p.T, *args))
@@ -377,9 +404,11 @@ def _cuts(replications, parts, block_size, tile_rows):
 
 
 def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size=BLOCK_SIZE,
-                tile_rows=None):
+                tile_rows=None, bound=1.0):
     """``reduce_p(p, *args)`` of each row tile's p-values, one list per model in
-    row order, for models that share ``family``, ``n`` and ``nu``.
+    row order, for models that share ``family``, ``n`` and ``nu``; with
+    ``bound`` below 1 only of the rows whose smallest p-value can be at most
+    ``bound`` (see ``_range``).
 
     Block ``i`` holds the next ``block_size`` replications, drawn from
     ``replication_rng(seed, i)`` and shaped for every model ``tile_rows`` rows
@@ -390,7 +419,7 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     tile_rows = tile_rows or _tile_rows(models[0].n)
     blocks = -(-replications // block_size)
     cuts = _cuts(replications, min(workers, blocks), block_size, tile_rows)
-    payloads = [(models, seed, lo, hi, replications, block_size, tile_rows, reduce_p, args)
+    payloads = [(models, seed, lo, hi, replications, block_size, tile_rows, bound, reduce_p, args)
                 for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     if len(payloads) == 1:
         ranges = [_range(payloads[0])]
@@ -448,7 +477,7 @@ def _rejection_reports(config: ExperimentConfig, models):
         raise ConfigError("at least one method is required")
     plan = _compile_methods(config.methods, config.alphas, config.model.n)
     per_model = _run_blocks(models, config.seed, config.replications, config.workers,
-                            _rate_counts, plan, config.alphas)
+                            _rate_counts, plan, config.alphas, bound=max(m.bound for m in plan))
     runtime = time.perf_counter() - start
     r = config.replications
     for blocks in per_model:
@@ -519,7 +548,8 @@ def _equivalence_reports(config: ExperimentConfig, models, plan):
     ``models``; the pass runs at the call, each report when it is asked for."""
     start = time.perf_counter()
     per_model = _run_blocks(models, config.seed, config.replications, config.workers,
-                            _equivalence_tallies, plan, config.alphas)
+                            _equivalence_tallies, plan, config.alphas,
+                            bound=max(m.bound for m in plan))
     return _reports_from_tallies(config, per_model, time.perf_counter() - start)
 
 
@@ -578,11 +608,18 @@ def _minp_calibrations(config: ExperimentConfig, models):
     if any(any(model.mean) for model in models):
         raise ConfigError("minP calibration requires the null model (zero mean)")
     (alpha,), r, seed = config.alphas, config.replications, config.seed
-    # the smallest p-value of each replication
-    per_model = _run_blocks(models, seed, r, config.workers, combine._bonferroni_statistic)
     k = max(1, int(math.floor(alpha * r)))
-    for model, blocks in zip(models, per_model):
-        cutoff = float(np.partition(np.concatenate(blocks), k - 1)[k - 1])
+
+    def kth_minimum(models, bound=1.0):  # the k-th smallest p-value minimum of the rows kept
+        for blocks in _run_blocks(models, seed, r, config.workers, combine._bonferroni_statistic,
+                                  bound=bound):
+            minima = np.concatenate(blocks)
+            yield float(np.partition(minima, k - 1)[k - 1]) if minima.size >= k else math.inf
+
+    # a row screened at alpha has a minimum above alpha, so a k-th minimum below it is exact
+    for model, cutoff in zip(models, kth_minimum(models, alpha)):
+        if not cutoff < alpha:
+            cutoff = next(kth_minimum([model]))
         yield MinPCalibration(cutoff, cutoff / (alpha / model.n), alpha, model.n, r, seed,
                               alpha * r < 50.0)
 

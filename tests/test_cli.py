@@ -204,6 +204,31 @@ class TestValidation:
         assert main(["combine", "-i", str(inp), "--method", "fisher"]) == 1
         assert capsys.readouterr().err == "error: line 2: unparseable p-value: 'oops'\n"
 
+    @pytest.mark.parametrize("argv", [["combine", "--method", "fisher"],
+                                      ["closed-test", "--dist", "cauchy", "--alpha", "0.05"],
+                                      ["adjust-bh"]], ids=["combine", "closed-test", "adjust-bh"])
+    @pytest.mark.parametrize("line", [b"g\xff2,0.1", b"g2,0.1\xd0"], ids=["group-id", "p-value"])
+    def test_bytes_that_are_not_text_name_their_line(self, tmp_path, capsys, argv, line):
+        # the same error and the same output as a bad p-value on that line
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+
+        def run(second_line):
+            inp.write_bytes(b"g1,0.5\n" + second_line + b"\ng3,0.2\n")
+            assert main(argv[:1] + ["-i", str(inp), "-o", str(out)] + argv[1:]) == 1
+            return capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+        err, written = run(line)
+        assert err.startswith("error: line 2: not ") and err.endswith(" text\n")
+        assert err.count("\n") == 1
+        assert run(b"g2,1.5") == ("error: line 2: p-value 1.5 outside (0, 1]\n", written)
+
+    def test_binary_file_is_a_validation_error(self, tmp_path, capsys):
+        inp = tmp_path / "in.csv"
+        inp.write_bytes(bytes(range(256)) * 2)
+        assert main(["combine", "-i", str(inp), "--method", "fisher"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
     def test_overflowing_truncation_point_is_usage_error(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         write_groups(inp, [("g1", [0.1, 0.2])])
@@ -1388,6 +1413,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "heavycomb" in proc.stdout
+
+    def test_closed_stdout_stops_quietly(self, tmp_path):
+        # the reader leaves after one line, with many chunks still to write
+        inp = tmp_path / "in.csv"
+        write_groups(inp, [(f"g{i}", [0.5, 0.25, 0.125]) for i in range(20_000)])
+        argv = [sys.executable, "-m", "heavycomb.cli", "combine", "-i", str(inp), "--method",
+                "fisher"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"group_id,n,statistic,combined_p\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert err == b""
 
     def test_round_trip_float_formatting(self, tmp_path):
         # %.17g survives parse -> format -> parse exactly

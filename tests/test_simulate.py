@@ -8,9 +8,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import example, given, settings, strategies as hst
 
-from heavycomb import combine, presets, simulate
-from heavycomb.distributions import Cauchy, Levy, LogCauchy, Pareto, StudentT
+from heavycomb import cli, combine, presets, simulate
+from heavycomb.distributions import Cauchy, Levy, LogCauchy, Pareto, StudentT, parse_distribution
 from heavycomb.errors import ConfigError, DomainError, InsufficientEventsError
 from heavycomb.simulate import (
     BLOCK_SIZE,
@@ -22,6 +23,7 @@ from heavycomb.simulate import (
     estimate_equivalence_ratio,
     estimate_rejection_rate,
     pvalue_covariance,
+    _compile_method,
     _compile_methods,
     _cov_moments,
     _cuts,
@@ -989,3 +991,161 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             estimate_rejection_rate(config)
         assert str(err.value) == "method standard[zz]: unknown distribution spec 'zz'"
+
+
+def _unscreened(model, bound):
+    return -math.inf
+
+
+_SCREEN_DISTS = ("cauchy", "levy", "pareto:1", "frechet:1", "trunc_t:1:0.9", "t:3",
+                 "inv_gamma:1", "log_cauchy")
+
+
+@hst.composite
+def _screen_cases(draw):
+    """A model, a plan's specs, alphas, and an equivalence pair (distribution, weights)."""
+    family, nu = draw(hst.sampled_from([("normal", None), ("student_t", 2.0), ("student_t", 3.0)]))
+    n = draw(hst.integers(1, 6))
+    mean = draw(hst.sampled_from([(), (1.5,) + (0.0,) * (n - 1)]))
+    model = ExchangeableModel(family, n, draw(hst.sampled_from([0.0, 0.5, 0.95, 1.0, -0.15])),
+                              nu=nu, mean=mean,
+                              sided=draw(hst.sampled_from(["one_sided", "two_sided"])))
+    weights = tuple(draw(hst.lists(hst.floats(0.1, 10.0), min_size=n, max_size=n)))
+    dist = draw(hst.sampled_from(_SCREEN_DISTS))
+    specs = [MethodSpec("standard", dist), MethodSpec("average", "pareto:1"),
+             MethodSpec("weighted", dist, weights=weights), MethodSpec("bonferroni"),
+             MethodSpec("bonferroni", weights=weights, label="wbonf"), MethodSpec("fisher"),
+             MethodSpec("minp", cutoff=draw(hst.floats(1e-4, 0.1)))]
+    methods = draw(hst.lists(hst.sampled_from(specs), min_size=1, max_size=3,
+                             unique_by=MethodSpec.resolved_label))
+    alphas = draw(hst.lists(hst.sampled_from([0.2, 0.05, 0.01, 1e-3, 1e-6]), min_size=1,
+                            max_size=3, unique=True))
+    return model, tuple(methods), tuple(alphas), parse_distribution(dist), draw(
+        hst.sampled_from([None, weights]))
+
+
+def _near_the_cut(cuts):
+    """``_shape``, with two rows in three moved so that their largest statistic
+    (largest |x| when two-sided) is within 4 ulp of the model's cut: every
+    statistic of the first row, and one of the second, the rest clipped below."""
+    shape = simulate._shape
+
+    def moved(model, draw):
+        x, cut = shape(model, draw), cuts[model]
+        if cut == -math.inf:
+            return x
+        two = model.sided == "two_sided"
+        j = np.arange(x.shape[1])
+        c = cut + (j % 9 - 4) * np.spacing(cut)
+        sign = -1.0 if two else 1.0  # two-sided rows reach the cut from below too
+        every, one = j % 3 == 0, j % 3 == 1
+        x[:, every] = c[every]
+        x[1::2, every] *= sign
+        x[:, one] = np.clip(x[:, one], -c[one] if two else -np.inf, c[one])
+        x[0, one] = c[one] * np.where(j[one] % 2, sign, 1.0)
+        return x
+    return moved
+
+
+class TestRowScreen:
+    """A row whose largest statistic is at or below the cut of the plan's bound
+    rejects nothing; only the other rows get p-values."""
+
+    def test_bound_of_each_kind(self):
+        n, alphas, w = 4, (0.05, 1e-3), (1.0, 2.0, 0.5, 4.0)
+        specs = (MethodSpec("standard", "cauchy"), MethodSpec("weighted", "levy", weights=w),
+                 MethodSpec("bonferroni", weights=w), MethodSpec("fisher"),
+                 MethodSpec("minp", cutoff=0.02), MethodSpec("standard", "log_cauchy"))
+        cauchy, levy, bonf, fisher, minp, overflowed = _compile_methods(specs, alphas, n)
+        assert cauchy.bound == Cauchy().survival(cauchy.thresholds[0] / n)
+        assert levy.bound == Levy().survival(levy.thresholds[0] / sum(w))
+        assert bonf.bound == 0.05 * (4.0 / 7.5)
+        assert fisher.bound == math.exp(-fisher.thresholds[0] / (2 * n))
+        assert minp.bound == 0.02
+        assert overflowed.thresholds[1] == math.inf and overflowed.bound == 1.0
+        assert 0.0 < fisher.bound < 1.0 and 0.0 < cauchy.bound < 0.06
+
+    def test_cut(self):
+        normal = ExchangeableModel("normal", 3, 0.5)
+        t2 = ExchangeableModel("student_t", 3, 0.5, nu=2.0, sided="two_sided")
+        assert simulate._cut(normal, 0.01) == pytest.approx(st.norm.isf(0.01 * (1 + 1e-6)),
+                                                            rel=1e-14)
+        assert simulate._cut(t2, 0.01) == pytest.approx(st.t.isf(0.005 * (1 + 1e-6), 2),
+                                                        rel=1e-13)
+        assert simulate._cut(normal, 0.5) == simulate._cut(t2, 1.0) == -math.inf
+        # a subnormal tail has too few bits for the margin; a t tail past the doubles
+        # would screen a row of +inf statistics
+        assert simulate._cut(normal, 1e-310) == -math.inf
+        assert simulate._cut(ExchangeableModel("student_t", 3, 0.5, nu=0.005), 1e-3) == -math.inf
+
+    @settings(max_examples=80, deadline=None)
+    @given(_screen_cases(), hst.integers(0, 2**32 - 1))
+    @example((ExchangeableModel("normal", 3, 0.5), (MethodSpec("standard", "log_cauchy"),
+              MethodSpec("bonferroni")), (1e-6, 0.05), LogCauchy(), None), 5)  # overflowed
+    def test_counts_of_every_tile_are_the_unscreened_counts(self, case, seed):
+        model, specs, alphas, d, w = case
+        models = [model, dataclasses.replace(model, rho=0.25)]
+        config = ExperimentConfig(model, (), alphas, 700, seed)
+        passes = [(_rate_counts, _compile_methods(specs, alphas, model.n))]
+        try:
+            passes.append((_equivalence_tallies, _equivalence_plan(config, d, w)))
+        except DomainError:  # mapped weights outside the doubles
+            pass
+        for reduce_p, plan in passes:
+            bound = max(m.bound for m in plan)
+            cuts = {m: simulate._cut(m, bound) for m in models}
+            kept = []
+
+            def counting(p, *args):
+                kept.append(len(p))
+                return reduce_p(p, *args)
+
+            def run():
+                tiles = _run_blocks(models, seed, 700, 1, counting, plan, alphas,
+                                    block_size=300, tile_rows=64, bound=bound)
+                return [[t.tolist() for t in per_model] for per_model in tiles]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulate, "_shape", _near_the_cut(cuts))
+                screened = run()
+                rows_screened, kept[:] = sum(kept), []
+                mp.setattr(simulate, "_cut", _unscreened)
+                assert run() == screened
+            assert sum(kept) == 2 * 700
+            if cuts[model] > -math.inf:  # the rows at or below the cut got no p-values
+                assert rows_screened < sum(kept)
+
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    def test_preset_bytes_without_the_screen(self, tmp_path, monkeypatch, name):
+        command = presets.PRESETS[name]["command"]
+
+        def run(workers):
+            out = tmp_path / f"{name}.csv"
+            argv = [command, "--preset", name, "--workers", str(workers), "-o", str(out)]
+            assert cli.main(argv) == 0
+            return out.read_bytes()
+
+        screened = [run(workers) for workers in (1, 3)]
+        monkeypatch.setattr(simulate, "_cut", _unscreened)
+        assert [run(workers) for workers in (1, 3)] == screened
+        assert screened[0] == screened[1]
+
+    def test_minp_fallback_pass(self, monkeypatch):
+        # at rho = 1 a row's statistics are one draw; at seed 1 fewer than k = 5 of
+        # 100 rows have p below alpha, so the k-th minimum lies among the screened
+        # rows and the unscreened pass finds it
+        models = [ExchangeableModel("normal", 3, rho) for rho in (1.0, 0.5)]
+        config = ExperimentConfig(models[0], (), (0.05,), 100, 1)
+        bounds = []
+        run_blocks = simulate._run_blocks
+
+        def recording(models, *args, bound=1.0, **kw):
+            bounds.append((len(models), bound))
+            return run_blocks(models, *args, bound=bound, **kw)
+
+        monkeypatch.setattr(simulate, "_run_blocks", recording)
+        got = list(_minp_calibrations(config, models))
+        assert bounds == [(2, 0.05), (1, 1.0)]
+        assert got[0].cutoff >= 0.05 > got[1].cutoff
+        monkeypatch.setattr(simulate, "_cut", _unscreened)
+        assert list(_minp_calibrations(config, models)) == got
