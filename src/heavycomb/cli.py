@@ -262,8 +262,6 @@ def cmd_combine(args) -> int:
     flag = _FLAGS[args.format]
 
     def compute(block):
-        if method == "weighted" and weights is None:
-            raise ConfigError("method 'weighted' requires --weights")
         res = comb._combine_rows(method, block, dist, weights)
         cols = [repeat(block.shape[1]), res.statistic.tolist(), res.combined_p.tolist()]
         if args.alpha is not None:
@@ -276,7 +274,15 @@ def cmd_combine(args) -> int:
     echo = {"input": args.input, "method": method, "dist": args.dist,
             "weights": args.weights, "alpha": args.alpha}
     with _open_input(args.input) as fh:  # before any output
-        return _emit(args, header, chain.from_iterable(_batched_rows(fh, compute, to_rows)), echo)
+        rows = chain.from_iterable(_batched_rows(fh, compute, to_rows))
+        if method == "weighted" and weights is None:  # after the header, whatever the input
+            rows = _raising(ConfigError("method 'weighted' requires --weights"))
+        return _emit(args, header, rows, echo)
+
+
+def _raising(exc):  # rows whose first ``next`` raises ``exc``
+    raise exc
+    yield
 
 
 def cmd_closed_test(args) -> int:
@@ -317,15 +323,6 @@ def cmd_adjust_bh(args) -> int:
     return _emit(args, header, rows, {"input": args.input, "q": args.q})
 
 
-def _number(key: str, value, whole=False):
-    """``value`` if it is a number that a double holds, not a bool (with ``whole``, a
-    whole one, as an int)."""
-    if whole and not sim._whole(value):
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    sim._number(key, value)
-    return int(value) if whole else value
-
-
 def _numbers(key: str, value) -> tuple[float, ...]:
     """A nonempty list of numbers, or one number, as a tuple of floats."""
     items = sim._numbers(key, value)
@@ -341,13 +338,12 @@ def _typed(key: str, value, kind=dict):
 
 
 def _read_config(args, command: str, from_flags: dict | None = None):
-    """Return ``(config echo, models)`` from ``--preset`` or ``--config``; set
-    ``args.seed`` and ``args.workers`` to the run's.  Commands that pass
-    ``from_flags`` also run from ``--n``/``--rho``: their config is the model
-    flags, then ``from_flags``, then the seed.  ``--seed`` and ``--workers`` win
-    over the config, then ``$HEAVYCOMB_WORKERS``, then the defaults.  A value of
-    the wrong type is a ConfigError that names its key.
-    """
+    """Return ``(config echo, models)`` from ``--preset`` or ``--config``, or with
+    ``from_flags`` from ``--n``/``--rho`` (the model flags, then ``from_flags``);
+    set ``args.seed`` and ``args.workers`` to the run's, as ExperimentConfig checks
+    them.  ``--seed`` and ``--workers`` win over the config, then
+    ``$HEAVYCOMB_WORKERS``, then the defaults.  A value of the wrong type is a
+    ConfigError that names its key."""
     if args.preset:
         try:
             cfg = presets.get_preset(args.preset)
@@ -370,20 +366,17 @@ def _read_config(args, command: str, from_flags: dict | None = None):
     declared = _typed("config", cfg).pop("command", command)
     if declared != command:
         raise ConfigError(f"config declares command {declared!r} but was passed to {command!r}")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.workers is not None:
-        cfg["workers"] = args.workers
+    for key in ("seed", "workers"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     cfg.setdefault("seed", _DEFAULT_SEED)
     if "workers" not in cfg:  # the environment is read only when nothing else sets it
         env = os.environ.get(_ENV_WORKERS)
         try:
-            cfg["workers"] = max(1, int(env)) if env else 1
+            cfg["workers"] = int(env) if env else 1
         except ValueError:
             raise ConfigError(f"{_ENV_WORKERS} must be an integer, got {env!r}") from None
-    args.seed, args.workers = (_number(key, cfg[key], whole=True) for key in ("seed", "workers"))
-    if not (args.preset or args.config):
-        del cfg["workers"]  # the flags' echo has no workers
+    workers = cfg["workers"] if args.preset or args.config else cfg.pop("workers")  # flags: no echo
     if "model" not in cfg:
         raise ConfigError("config is missing the 'model' section")
     mc = _typed("model", cfg["model"])
@@ -392,18 +385,21 @@ def _read_config(args, command: str, from_flags: dict | None = None):
           "sided": mc.get("sided", "one_sided")}
     n = ExchangeableModel(n=mc.get("n", 0), rho=rhos[0], **kw).n  # n is checked before the mean
     mean = _build_mean(n, mc.get("mean"))
-    return cfg, [ExchangeableModel(n=n, rho=rho, mean=mean, **kw) for rho in rhos]
+    models = [ExchangeableModel(n=n, rho=rho, mean=mean, **kw) for rho in rhos]
+    run = ExperimentConfig(models[0], (), (), 1, cfg["seed"], workers)  # checks seed, workers
+    args.seed, args.workers = run.seed, run.workers
+    return cfg, models
 
 
 def _build_mean(n: int, spec):
     if spec is None or isinstance(spec, list):
         return spec or ()  # ExchangeableModel checks the values
     kind = _typed("mean", spec).get("kind")
-    value = float(_number("mean value", spec.get("value", 0.0)))
+    value = float(sim._number("mean value", spec.get("value", 0.0)))
     if kind == "dense":
         return (value,) * n
     if kind == "sparse":
-        count = _number("mean count", spec.get("count", 1), whole=True)
+        count = sim._count("mean count", spec.get("count", 1))
         if not (1 <= count <= n):
             raise ConfigError(f"sparse mean count must be in 1..{n}")
         return (0.0,) * (n - count) + (value,) * count
@@ -431,8 +427,8 @@ def cmd_simulate(args) -> int:
     cfg, models = _read_config(args, "simulate")
     methods = _method_specs(cfg)
     alphas = _numbers("alphas", cfg.get("alphas", [0.05]))
-    replications = _number("replications", cfg.get("replications", 0), whole=True)
-    config = ExperimentConfig(models[0], methods, alphas, replications, args.seed, args.workers)
+    config = ExperimentConfig(models[0], methods, alphas, cfg.get("replications", 0), args.seed,
+                              args.workers)
     # the whole run, and so every check of the config, before any output
     reports = list(sim._rejection_reports(config, models))
 
@@ -454,9 +450,9 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate_minp(args) -> int:
     flags = {"alpha": args.alpha, "replications": args.reps}
     cfg, models = _read_config(args, "calibrate-minp", flags)
-    alpha = float(_number("alpha", cfg.get("alpha", 0.05)))
-    replications = _number("replications", cfg.get("replications", 100_000), whole=True)
-    config = ExperimentConfig(models[0], (), (alpha,), replications, args.seed, args.workers)
+    alpha = float(sim._number("alpha", cfg.get("alpha", 0.05)))
+    config = ExperimentConfig(models[0], (), (alpha,), cfg.get("replications", 100_000),
+                              args.seed, args.workers)
     # the whole run, and so every check of the settings, before any output
     cals = list(sim._minp_calibrations(config, models))
     flag = _FLAGS[args.format]
@@ -486,10 +482,10 @@ def cmd_equiv_ratio(args) -> int:
     if weights is not None:  # the flag wins over the config, as --seed does
         cfg["weights"] = weights
     alphas = _numbers("alphas", cfg.get("alphas", [0.05]))
-    replications = _number("replications", cfg.get("replications", 100_000), whole=True)
     weights = None if cfg.get("weights") is None else _numbers("weights", cfg["weights"])
     dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
-    config = ExperimentConfig(models[0], (), alphas, replications, args.seed, args.workers)
+    config = ExperimentConfig(models[0], (), alphas, cfg.get("replications", 100_000),
+                              args.seed, args.workers)
     try:  # the weights, their mapped powers and kappa before any output
         plan = sim._equivalence_plan(config, dist, weights)
     except (DomainError, ShapeError) as exc:

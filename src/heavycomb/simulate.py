@@ -55,6 +55,13 @@ def _number(key: str, value):
     return value
 
 
+def _count(key: str, value) -> int:
+    """``value`` as an int if it is a whole number that a double holds; else a ConfigError."""
+    if not _whole(value):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(_number(key, value))
+
+
 def _numbers(key: str, value) -> tuple:
     """A list, tuple or array of numbers, or one number, as a tuple of the same values."""
     items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
@@ -157,11 +164,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for key in ("replications", "seed", "workers"):
-            value = getattr(self, key)
-            if not _whole(value):
-                raise ConfigError(f"{key} must be a whole number, got {value!r}")
-            object.__setattr__(self, key, int(value))
+        for key in ("replications", "seed", "workers"):  # the one check of a run's counts
+            object.__setattr__(self, key, _count(key, getattr(self, key)))
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications!r}")
         if self.workers < 1:
@@ -687,6 +691,6 @@ def pvalue_covariance(
     b = stats.shape[0]
     if b < 2:
         return CovarianceEstimate(cov, float("nan"), replications, seed)
-    loo = np.array([cov_from(total - stats[i]) for i in range(b)])
+    loo = cov_from((total - stats).T)
     se = math.sqrt((b - 1) / b * float(np.sum((loo - loo.mean()) ** 2)))
     return CovarianceEstimate(cov, se, replications, seed)

@@ -373,13 +373,22 @@ class TestAdjustBhCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["", "group_id,p\n"], ids=["empty", "header-only"])
-    def test_no_groups_writes_header(self, tmp_path, text):
-        # as combine and closed-test do
+    def test_no_groups_writes_header(self, tmp_path, capsys, text):
+        # as combine and closed-test do; combine's missing weights still fail
+        # after the header, as on an input with groups
         inp = tmp_path / "in.csv"
         out = tmp_path / "out.csv"
         inp.write_text(text)
         assert main(["adjust-bh", "-i", str(inp), "-o", str(out)]) == 0
         assert out.read_text() == "group_id,p_value,adjusted_p,discovery\n"
+        argv = ["combine", "-i", str(inp), "--method", "weighted", "--dist", "cauchy", "-o"]
+        for fmt, name, written in [("csv", "c.csv", "group_id,n,statistic,combined_p\n"),
+                                   ("json", "c.json", "")]:
+            assert main(argv + [str(tmp_path / name), "--format", fmt]) == 2
+            assert capsys.readouterr().err == (
+                "config error: method 'weighted' requires --weights\n")
+            assert (tmp_path / name).read_text() == written
+            assert not (tmp_path / "c.manifest.json").exists()
 
 
 class TestSimulateCommand:
@@ -1379,10 +1388,15 @@ class TestWorkerEnvVar:
         manifest = json.loads((tmp_path / "res.manifest.json").read_text())
         assert manifest["workers"] == 2
 
-    def test_env_invalid_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HEAVYCOMB_WORKERS", "many")
-        assert main(["calibrate-minp", "--n", "2", "--rho", "0",
-                     "--reps", "1000"]) == 2
+    def test_env_invalid_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # a value below 1 fails as --workers does; the parse error comes first
+        for env, message in [("many", "HEAVYCOMB_WORKERS must be an integer, got 'many'"),
+                             ("0", "workers must be >= 1, got 0"),
+                             ("-3", "workers must be >= 1, got -3")]:
+            monkeypatch.setenv("HEAVYCOMB_WORKERS", env)
+            assert main(["calibrate-minp", "--n", "2", "--rho", "0",
+                         "--reps", "1000"]) == 2
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
 
     def test_flag_wins_over_invalid_env_on_config_path(self, tmp_path, monkeypatch):
         # the environment default is read only when neither --workers nor the

@@ -889,6 +889,14 @@ class TestConfigValidation:
                              (0.05,), **settings)
         assert str(err.value) == f"{key} must be a whole number, got {value!r}"
 
+    @pytest.mark.parametrize("key", ["replications", "seed", "workers"])
+    def test_counts_are_within_the_doubles(self, key):
+        settings = {"replications": 1000, "seed": 1, "workers": 1, key: 10**400}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(ExchangeableModel("normal", 2, 0.0), (MethodSpec("fisher"),),
+                             (0.05,), **settings)
+        assert str(err.value) == f"{key} must be a number within the double range"
+
     def test_whole_counts_of_any_number_type(self):
         model = ExchangeableModel("normal", 2, 0.0)
         for count in (2000.0, np.int64(2000), np.float64(2000.0)):
@@ -959,7 +967,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("replications,workers,message", [
         (0, 1, "replications must be >= 1, got 0"),
         (1_000, 0, "workers must be >= 1, got 0"),
-    ], ids=["replications-0", "workers-0"])
+        (10**400, 1, "replications must be a number within the double range"),
+    ], ids=["replications-0", "workers-0", "replications-1e400"])
     def test_minp_and_covariance_check_their_settings(self, replications, workers, message):
         # the checks of ExperimentConfig, before any block is drawn
         model = ExchangeableModel("normal", 2, 0.0)
