@@ -337,13 +337,17 @@ def _typed(key: str, value, kind=dict):
     return value
 
 
-def _read_config(args, command: str, from_flags: dict | None = None):
-    """Return ``(config echo, models)`` from ``--preset`` or ``--config``, or with
-    ``from_flags`` from ``--n``/``--rho`` (the model flags, then ``from_flags``);
-    set ``args.seed`` and ``args.workers`` to the run's, as ExperimentConfig checks
-    them.  ``--seed`` and ``--workers`` win over the config, then
-    ``$HEAVYCOMB_WORKERS``, then the defaults.  A value of the wrong type is a
-    ConfigError that names its key."""
+_MODEL = {"family": "normal", "n": None, "rho": None, "nu": None, "sided": "one_sided"}
+_RUN_KEYS = ("alpha", "replications", "distribution", "alphas", "weights", "seed", "workers")
+
+
+def _read_config(args, command: str, defaults: dict):
+    """Return ``(config echo, run settings, models)``.  The echo starts as the preset,
+    the config file or, given ``--n`` and ``--rho``, ``_MODEL`` (also a config model's
+    defaults) and ``defaults``; each flag given then sets its key: in ``model`` for
+    ``_MODEL``'s keys, else at the top level.  The run settings are ``defaults`` overlaid by
+    the echo.  Set ``args.seed`` and ``args.workers`` to the run's, as ExperimentConfig
+    checks them; with no workers set, ``$HEAVYCOMB_WORKERS`` or 1.  A bad type names its key."""
     if args.preset:
         try:
             cfg = presets.get_preset(args.preset)
@@ -355,19 +359,20 @@ def _read_config(args, command: str, from_flags: dict | None = None):
                 cfg = json.load(fh)
             except ValueError as exc:  # also an integer past Python's int digit limit
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    elif from_flags is None:
+    elif not hasattr(args, "n"):  # simulate takes no model flags
         raise ConfigError("either --config FILE or --preset NAME is required")
     elif args.n is None or args.rho is None:
         raise ConfigError(f"{command} needs --config/--preset or --n and --rho")
     else:
-        model = {"family": args.family, "n": args.n, "rho": args.rho, "nu": args.nu,
-                 "sided": args.sided}
-        cfg = {"model": model, **from_flags}
+        cfg = {"model": dict(_MODEL), **defaults}
     declared = _typed("config", cfg).pop("command", command)
     if declared != command:
         raise ConfigError(f"config declares command {declared!r} but was passed to {command!r}")
-    for key in ("seed", "workers"):
-        if getattr(args, key) is not None:
+    model = {key: getattr(args, key) for key in _MODEL if getattr(args, key, None) is not None}
+    if model:
+        _typed("model", cfg.setdefault("model", {})).update(model)
+    for key in _RUN_KEYS:
+        if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     cfg.setdefault("seed", _DEFAULT_SEED)
     if "workers" not in cfg:  # the environment is read only when nothing else sets it
@@ -381,14 +386,13 @@ def _read_config(args, command: str, from_flags: dict | None = None):
         raise ConfigError("config is missing the 'model' section")
     mc = _typed("model", cfg["model"])
     rhos = _numbers("rho", mc.get("rho", 0.0))
-    kw = {"family": mc.get("family", "normal"), "nu": mc.get("nu"),
-          "sided": mc.get("sided", "one_sided")}
+    kw = {key: mc.get(key, _MODEL[key]) for key in ("family", "nu", "sided")}
     n = ExchangeableModel(n=mc.get("n", 0), rho=rhos[0], **kw).n  # n is checked before the mean
     mean = _build_mean(n, mc.get("mean"))
     models = [ExchangeableModel(n=n, rho=rho, mean=mean, **kw) for rho in rhos]
     run = ExperimentConfig(models[0], (), (), 1, cfg["seed"], workers)  # checks seed, workers
     args.seed, args.workers = run.seed, run.workers
-    return cfg, models
+    return cfg, {**defaults, **cfg}, models
 
 
 def _build_mean(n: int, spec):
@@ -424,10 +428,10 @@ def _model_cols(model: ExchangeableModel) -> tuple:
 
 
 def cmd_simulate(args) -> int:
-    cfg, models = _read_config(args, "simulate")
+    cfg, run, models = _read_config(args, "simulate", {"alphas": [0.05], "replications": 0})
     methods = _method_specs(cfg)
-    alphas = _numbers("alphas", cfg.get("alphas", [0.05]))
-    config = ExperimentConfig(models[0], methods, alphas, cfg.get("replications", 0), args.seed,
+    alphas = _numbers("alphas", run["alphas"])
+    config = ExperimentConfig(models[0], methods, alphas, run["replications"], args.seed,
                               args.workers)
     # the whole run, and so every check of the config, before any output
     reports = list(sim._rejection_reports(config, models))
@@ -448,11 +452,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate_minp(args) -> int:
-    flags = {"alpha": args.alpha, "replications": args.reps}
-    cfg, models = _read_config(args, "calibrate-minp", flags)
-    alpha = float(sim._number("alpha", cfg.get("alpha", 0.05)))
-    config = ExperimentConfig(models[0], (), (alpha,), cfg.get("replications", 100_000),
-                              args.seed, args.workers)
+    defaults = {"alpha": 0.05, "replications": 100_000}
+    cfg, run, models = _read_config(args, "calibrate-minp", defaults)
+    alpha = float(sim._number("alpha", run["alpha"]))
+    config = ExperimentConfig(models[0], (), (alpha,), run["replications"], args.seed, args.workers)
     # the whole run, and so every check of the settings, before any output
     cals = list(sim._minp_calibrations(config, models))
     flag = _FLAGS[args.format]
@@ -475,17 +478,13 @@ def cmd_tail_dep(args) -> int:
 
 
 def cmd_equiv_ratio(args) -> int:
-    weights = _parse_weights_arg(args.weights) if args.weights else None
-    flags = {"distribution": args.dist, "alphas": args.alphas, "replications": args.reps,
-             "weights": weights}
-    cfg, models = _read_config(args, "equiv-ratio", flags)
-    if weights is not None:  # the flag wins over the config, as --seed does
-        cfg["weights"] = weights
-    alphas = _numbers("alphas", cfg.get("alphas", [0.05]))
-    weights = None if cfg.get("weights") is None else _numbers("weights", cfg["weights"])
-    dist = _dist_from_arg(cfg.get("distribution", "cauchy"))
-    config = ExperimentConfig(models[0], (), alphas, cfg.get("replications", 100_000),
-                              args.seed, args.workers)
+    args.weights = _parse_weights_arg(args.weights) if args.weights else None
+    defaults = dict(distribution="cauchy", alphas=[0.05], replications=100_000, weights=None)
+    cfg, run, models = _read_config(args, "equiv-ratio", defaults)
+    alphas = _numbers("alphas", run["alphas"])
+    weights = None if run["weights"] is None else _numbers("weights", run["weights"])
+    dist = _dist_from_arg(run["distribution"])
+    config = ExperimentConfig(models[0], (), alphas, run["replications"], args.seed, args.workers)
     try:  # the weights, their mapped powers and kappa before any output
         plan = sim._equivalence_plan(config, dist, weights)
     except (DomainError, ShapeError) as exc:
@@ -510,7 +509,7 @@ def cmd_equiv_ratio(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (64-bit); overrides config/preset values")
+                        help="RNG seed, 0 to 2^64-1; overrides config/preset values")
     parser.add_argument("--workers", type=int, default=None,
                         help="processes that share an engine run's rows, this one "
                              f"included, at most one per {sim.BLOCK_SIZE}-row block "
@@ -523,16 +522,17 @@ def _add_common(parser):
 
 
 def _add_config(parser, model_flags=False):
-    """--config and --preset; with ``model_flags``, the flags that replace them."""
+    """--config and --preset; with ``model_flags``, the model flags and ``--reps``.  A flag
+    given sets its config key (see ``_read_config``); ``--n`` with ``--rho`` needs no config."""
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--preset", help=f"named preset: {', '.join(sorted(presets.PRESETS))}")
     if model_flags:
-        parser.add_argument("--family", choices=("normal", "student_t"), default="normal")
+        parser.add_argument("--family", choices=("normal", "student_t"))
         parser.add_argument("--n", type=int)
         parser.add_argument("--rho", type=_float_list, help="comma-separated correlation values")
         parser.add_argument("--nu", type=float)
-        parser.add_argument("--sided", choices=("one_sided", "two_sided"), default="one_sided")
-        parser.add_argument("--reps", type=int, default=100_000)
+        parser.add_argument("--sided", choices=("one_sided", "two_sided"))
+        parser.add_argument("--reps", type=int, dest="replications", metavar="REPS")
 
 
 def _float_list(text):
@@ -578,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate-minp", help="Monte Carlo calibration of the min-p cutoff")
     _add_config(p, model_flags=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float)
     _add_common(p)
     p.set_defaults(func=cmd_calibrate_minp)
 
@@ -590,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equiv-ratio", help="disagreement ratio vs the Bonferroni test")
     _add_config(p, model_flags=True)
-    p.add_argument("--dist", default="cauchy")
-    p.add_argument("--alphas", type=_float_list, default=(0.05,))
+    p.add_argument("--dist", dest="distribution", metavar="DIST")
+    p.add_argument("--alphas", type=_float_list)
     p.add_argument("--weights")
     _add_common(p)
     p.set_defaults(func=cmd_equiv_ratio)

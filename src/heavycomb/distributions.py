@@ -37,6 +37,8 @@ _TINY_NORMAL = np.finfo(np.float64).tiny
 _MAX = np.finfo(np.float64).max
 _WIDEN = 1e-9  # relative margin on computed bracket ends
 _MAX_FINITE_SUM_NU = 100  # the t's finite sums have about nu / 2 terms
+_NORMAL_NU = 1e150  # t quantiles past this nu are the normal's (they differ by O(z^3 / nu))
+_MAX_INV_GAMMA_SHAPE = 1e8  # the incomplete gamma takes ~8 sqrt(s) terms, 80000 at 1e8
 
 
 def _reject_nan(arr: np.ndarray) -> None:
@@ -293,7 +295,8 @@ class Frechet(_Shape):
 class InverseGamma(_Shape):
     """Inverse gamma on (0, inf); survival P(gamma, 1/x) (lower reg. gamma).
 
-    Shape 1 is Frechet with tail index 1, whose closed forms ``__init__`` binds.
+    Shape 1 is Frechet with tail index 1, whose closed forms ``__init__`` binds;
+    a shape above ``_MAX_INV_GAMMA_SHAPE`` is refused.
     """
 
     name = "inv_gamma"
@@ -301,6 +304,9 @@ class InverseGamma(_Shape):
 
     def __init__(self, gamma: float):
         super().__init__(gamma)
+        if self.gamma > _MAX_INV_GAMMA_SHAPE:
+            raise DomainError(f"{self.name}: tail index must be at most "
+                              f"{_MAX_INV_GAMMA_SHAPE:g}, got {gamma!r}")
         if self.gamma == 1.0:
             frechet = Frechet(1.0)
             self._sf, self._cdf, self._isf, self._quantile = (
@@ -468,6 +474,8 @@ class StudentT(_Shape):
         g = self.gamma
         if g == 1.0:
             return Cauchy()._isf(q)
+        if g > _NORMAL_NU:  # Hill's a^2 = (nu - 1/2)^-2 underflows from about 7e161
+            return -special.normal_quantile_array(q)
         if g == 2.0:
             # below 2^-1022, 2 / (4q(1 - q)) overflows, and 1 - 2q and 1 - q are 1
             with np.errstate(over="ignore"):

@@ -101,6 +101,8 @@ class ExchangeableModel:
             )
         if self.nu is not None:
             _number("nu", self.nu)
+            if self.family == "normal":
+                raise ConfigError(f"nu does not apply to the normal family, got nu={self.nu!r}")
         if self.family == "student_t":
             if self.nu is None or not (self.nu > 0):
                 raise ConfigError("student_t family needs degrees of freedom nu > 0")
@@ -168,6 +170,7 @@ class ExperimentConfig:
             object.__setattr__(self, key, _count(key, getattr(self, key)))
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications!r}")
+        _check_seed(self.seed)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
         for a in self.alphas:
@@ -193,9 +196,18 @@ class ExperimentReport:
     runtime_seconds: float
 
 
+_MAX_SEED = 2**64 - 1  # a seed is one word of the Philox key
+
+
+def _check_seed(seed: int) -> int:
+    if not 0 <= seed <= _MAX_SEED:
+        raise ConfigError(f"seed must be in 0..2**64-1, got {seed!r}")
+    return seed
+
+
 def replication_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one block/replication, keyed by (seed, index)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    """Counter-based stream for one block/replication, keyed by (seed in 0..2^64-1, index)."""
+    key = np.array([_check_seed(seed), index & _MAX_SEED], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -327,6 +327,22 @@ class TestGeneralNuTransforms:
             assert x[0] == np.inf
             assert float(row["combined_p"]) == sys.float_info.min
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["combine", "-i", "in.csv", "--method", "standard", "--dist", "t:1e200"],
+        ["closed-test", "-i", "in.csv", "--dist", "t:1e200", "--alpha", "0.05"],
+        ["calibrate-minp", "--family", "student_t", "--nu", "1e300", "--n", "2", "--rho", "0.5",
+         "--reps", "2000"],
+    ], ids=["combine", "closed-test", "calibrate-minp"])
+    def test_huge_nu_is_the_normal_limit(self, tmp_path, monkeypatch, argv):
+        # Hill's start for the t isf divided by (nu - 1/2)^-2, which underflows to 0
+        monkeypatch.chdir(tmp_path)
+        write_groups(tmp_path / "in.csv", [("g1", [0.01, 0.5]), ("g2", [0.3])])
+        assert main(argv + ["-o", "out.csv"]) == 0
+        if argv[0] == "combine":
+            assert float(read_csv(tmp_path / "out.csv")[0]["statistic"]) == pytest.approx(
+                st.norm.isf(0.01), abs=1e-12)
+
 
 class TestAdjustBhCommand:
     def test_all_discovered(self, tmp_path):
@@ -516,6 +532,61 @@ class TestOtherCommands:
         assert main(["equiv-ratio", "--config", str(path), "-o", str(again)]) == 0
         assert again.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("argv,echo,columns", [
+        (["calibrate-minp", "--preset", "tableS3", "--alpha", "0.01", "--reps", "2000",
+          "--n", "3"],
+         {"alpha": 0.01, "replications": 2000, "n": 3},
+         {"alpha": 0.01, "replications": 2000, "n": 3}),
+        (["equiv-ratio", "--preset", "fig3", "--reps", "3000", "--alphas", "0.1",
+          "--dist", "pareto:1"],
+         {"distribution": "pareto:1", "alphas": [0.1], "replications": 3000},
+         {"distribution": "pareto:1", "alpha": 0.1, "replications": 3000}),
+    ], ids=["calibrate-minp", "equiv-ratio"])
+    def test_flags_overlay_a_preset(self, tmp_path, argv, echo, columns):
+        # each flag given runs and is echoed; the echo run through --config gives the same CSV
+        out, again = tmp_path / "out.csv", tmp_path / "again.csv"
+        assert main(argv + ["-o", str(out)]) == 0
+        cfg = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+        assert {key: {**cfg, **cfg["model"]}[key] for key in echo} == echo
+        for key, value in columns.items():
+            assert {type(value)(row[key]) for row in read_csv(out)} == {value}
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(cfg))
+        assert main([argv[0], "--config", str(path), "-o", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_model_flags_and_reps_overlay_a_config(self, tmp_path):
+        # --n and --reps over a config run as the flags alone would, with its rho and seed
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"model": {"n": 2, "rho": [0.0, 0.5]},
+                                    "replications": 5000, "seed": 3}))
+        out, flags = tmp_path / "out.csv", tmp_path / "flags.csv"
+        assert main(["calibrate-minp", "--config", str(path), "--n", "4", "--reps", "1500",
+                     "-o", str(out)]) == 0
+        cfg = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+        assert (cfg["model"]["n"], cfg["replications"]) == (4, 1500)
+        assert main(["calibrate-minp", "--n", "4", "--rho", "0,0.5", "--reps", "1500",
+                     "--seed", "3", "-o", str(flags)]) == 0
+        assert out.read_bytes() == flags.read_bytes()
+
+    @pytest.mark.parametrize("source", [["--n", "2", "--rho", "0"], ["--config", "normal.json"]],
+                             ids=["flags", "config"])
+    def test_nu_on_a_normal_model_is_refused(self, tmp_path, monkeypatch, capsys, source):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "normal.json").write_text(json.dumps({"model": {"n": 2, "rho": 0.0}}))
+        assert main(["calibrate-minp", "--nu", "3", "--reps", "2000", "-o", "out.csv"]
+                    + source) == 2
+        assert capsys.readouterr().err == (
+            "config error: nu does not apply to the normal family, got nu=3.0\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        # the largest seed that one 64-bit word of the Philox key holds; test_flags refuses past it
+        argv = ["calibrate-minp", "--n", "2", "--rho", "0", "--reps", "2000", "-o",
+                str(tmp_path / "out.csv"), "--seed"]
+        assert main(argv + [str(2**64 - 1)]) == 0
+        assert read_csv(tmp_path / "out.csv")[0]["seed"] == str(2**64 - 1)
+
     def test_equiv_ratio_weights_flag_wins_over_config(self, tmp_path):
         outs = []
         for weights, flag in (([1, 1, 1], ["--weights", "1,2,3"]), ([1, 2, 3], [])):
@@ -543,8 +614,15 @@ class TestEngineCommandsBeforeOutput:
         (["equiv-ratio", "--n", "2", "--rho", "0", "--weights", "1,x"],
          "unparseable weights: '1,x'"),
         (["equiv-ratio", "--n", "2", "--rho", "0", "--weights", ","], "empty weight list"),
+        (["calibrate-minp", "--n", "2", "--rho", "0", "--reps", "1000", "--seed", "-1"],
+         "seed must be in 0..2**64-1, got -1"),
+        (["calibrate-minp", "--n", "2", "--rho", "0", "--reps", "1000", "--seed", str(2**64)],
+         "seed must be in 0..2**64-1, got 18446744073709551616"),
+        (["combine", "-i", "none.csv", "--method", "standard", "--dist", "inv_gamma:1e300"],
+         "inv_gamma: tail index must be at most 1e+08, got 1e+300"),
     ], ids=["calibrate-minp-alpha", "equiv-ratio-alphas", "tail-dep-rho", "tail-dep-nu",
-            "calibrate-minp-nu", "equiv-ratio-weights-x", "equiv-ratio-weights-empty"])
+            "calibrate-minp-nu", "equiv-ratio-weights-x", "equiv-ratio-weights-empty",
+            "seed-negative", "seed-2**64", "inv-gamma-huge-shape"])
     def test_flags(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
         assert main(argv + ["-o", str(out)]) == 2

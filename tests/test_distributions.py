@@ -528,6 +528,23 @@ class TestGeneralNuOracle:
         got = InverseGamma(1e4).inverse_survival(q)
         assert np.allclose(got, st.invgamma.isf(q, 1e4), rtol=1e-12, atol=0)
 
+    def test_inverse_gamma_shape_bound(self):
+        # the incomplete gamma's cost grows as sqrt(shape): inv_gamma:1e300 ran for minutes
+        with pytest.raises(DomainError) as err:
+            parse_distribution("inv_gamma:1e300")
+        assert str(err.value) == "inv_gamma: tail index must be at most 1e+08, got 1e+300"
+        assert InverseGamma(1e8).tail_index == 1e8
+
+    @pytest.mark.parametrize("nu", [1e200, 1e300, MAX_DOUBLE])
+    def test_huge_nu_is_the_normal_limit(self, nu):
+        # Hill's start divided by (nu - 1/2)^-2, which underflows to 0 from about 7e161
+        q = np.array([1e-300, 1e-20, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-9])
+        d = StudentT(nu)
+        assert np.allclose(d.inverse_survival(q), st.norm.isf(q), rtol=0, atol=1e-12)
+        assert np.allclose(d.quantile(q), st.norm.ppf(q), rtol=0, atol=1e-12)
+        assert parse_distribution(f"trunc_t:{nu!r}:0.5").inverse_survival(0.5) == pytest.approx(
+            st.norm.isf(0.25), abs=1e-12)
+
     def test_integer_nu_centre(self):
         # integer nu takes the centre (sf >= 1/20) from the finite sums of
         # A&S 26.7.3-4, 1.7e-16 (nu = 7) and 3.1e-16 (nu = 20) off here; the

@@ -94,6 +94,8 @@ class TestLibrarySettings:
         (lambda: ExchangeableModel("student_t", 2, 0.5, nu="3"), "nu must be a number, got '3'"),
         (lambda: ExchangeableModel("normal", 2, 0.5, nu=10**400),
          "nu must be a number within the double range"),
+        (lambda: ExchangeableModel("normal", 2, 0.5, nu=3),
+         "nu does not apply to the normal family, got nu=3"),
         (lambda: ExchangeableModel("normal", 2, 0.5, mean=("a", "b")),
          "mean must be a number, got 'a'"),
         (lambda: ExchangeableModel("normal", 2, True), "rho must be a number, got True"),
@@ -105,8 +107,8 @@ class TestLibrarySettings:
          "label must be a string with no comma or line break, got 3"),
         (lambda: MethodSpec("fisher", label="a\nb"),
          "label must be a string with no comma or line break, got 'a\\nb'"),
-    ], ids=["rho-str", "nu-str", "nu-1e400-int", "mean-str", "rho-bool", "weights-str",
-            "weights-none", "cutoff-str", "label-int", "label-newline"])
+    ], ids=["rho-str", "nu-str", "nu-1e400-int", "nu-on-normal", "mean-str", "rho-bool",
+            "weights-str", "weights-none", "cutoff-str", "label-int", "label-newline"])
     def test_wrong_value_names_its_key(self, build, message):
         with pytest.raises(ConfigError) as err:
             build()
@@ -896,6 +898,20 @@ class TestConfigValidation:
             ExperimentConfig(ExchangeableModel("normal", 2, 0.0), (MethodSpec("fisher"),),
                              (0.05,), **settings)
         assert str(err.value) == f"{key} must be a number within the double range"
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_is_a_philox_key_word(self, seed):
+        # the key was seed & (2^64 - 1): seeds 2^64 apart ran the same draws
+        model = ExchangeableModel("normal", 2, 0.0)
+        message = f"seed must be in 0..2**64-1, got {seed}"
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(model, (), (0.05,), 1000, seed)
+        assert str(err.value) == message
+        with pytest.raises(ConfigError) as err:
+            replication_rng(seed, 0)
+        assert str(err.value) == message
+        assert ExperimentConfig(model, (), (0.05,), 1000, 2**64 - 1).seed == 2**64 - 1
+        assert replication_rng(2**64 - 1, 0).random() != replication_rng(0, 0).random()
 
     def test_whole_counts_of_any_number_type(self):
         model = ExchangeableModel("normal", 2, 0.0)
