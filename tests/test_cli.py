@@ -1,3 +1,4 @@
+import argparse
 import csv
 import itertools
 import json
@@ -1278,6 +1279,55 @@ class TestParserReuse:
         half = len(texts) // 2
         assert texts[:half] == texts[half:]
         assert [code for _, code, _ in texts[:half]] == [0, 0, 0, 2, 2]
+
+
+class TestFlagsContract:
+    """The CLI flags, the second part of the behaviour contract: each subcommand's
+    actions, as (option strings, dest, choices, metavar, default, required).  The
+    structure, not the help text, so that every supported Python agrees."""
+
+    HELP = (["-h", "--help"], "help", None, None, argparse.SUPPRESS, False)
+    CONFIG = [(["--config"], "config", None, None, None, False),
+              (["--preset"], "preset", None, None, None, False)]
+    MODEL = [(["--family"], "family", ["normal", "student_t"], None, None, False),
+             (["--n"], "n", None, None, None, False),
+             (["--rho"], "rho", None, None, None, False),
+             (["--nu"], "nu", None, None, None, False),
+             (["--sided"], "sided", ["one_sided", "two_sided"], None, None, False),
+             (["--reps"], "replications", None, "REPS", None, False)]
+    COMMON = [(["--seed"], "seed", None, None, None, False),
+              (["--workers"], "workers", None, None, None, False),
+              (["--output", "-o"], "output", None, None, None, False),
+              (["--format"], "format", ["csv", "json"], None, "csv", False)]
+    INPUT = (["--input", "-i"], "input", None, None, None, True)
+    FLAGS = {
+        "combine": [HELP, INPUT,
+                    (["--method"], "method",
+                     ["standard", "average", "weighted", "bonferroni", "fisher"], None, None, True),
+                    (["--dist"], "dist", None, None, None, False),
+                    (["--weights"], "weights", None, None, None, False),
+                    (["--alpha"], "alpha", None, None, None, False), *COMMON],
+        "closed-test": [HELP, INPUT, (["--dist"], "dist", None, None, None, True),
+                        (["--alpha"], "alpha", None, None, None, True), *COMMON],
+        "adjust-bh": [HELP, INPUT, (["--q"], "q", None, None, 0.05, False), *COMMON],
+        "simulate": [HELP, *CONFIG, *COMMON],
+        "calibrate-minp": [HELP, *CONFIG, *MODEL,
+                           (["--alpha"], "alpha", None, None, None, False), *COMMON],
+        "tail-dep": [HELP, (["--nu"], "nu", None, None, None, True),
+                     (["--rho"], "rho", None, None, None, True), *COMMON],
+        "equiv-ratio": [HELP, *CONFIG, *MODEL,
+                        (["--dist"], "distribution", None, "DIST", None, False),
+                        (["--alphas"], "alphas", None, None, None, False),
+                        (["--weights"], "weights", None, None, None, False), *COMMON],
+    }
+
+    def test_every_subcommand_action(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {name: [(a.option_strings, a.dest, None if a.choices is None else list(a.choices),
+                       a.metavar, a.default, a.required) for a in p._actions]
+               for name, p in sub.choices.items()}
+        assert got == self.FLAGS
 
 
 class TestBatchedFileCommands:
