@@ -4,97 +4,19 @@ Global tests on dependent p-values via regularly varying tailed
 transforms, baseline tests (Bonferroni, Fisher), a closed-testing
 shortcut for individual-hypothesis decisions, and a seeded Monte Carlo
 engine for validity/power/equivalence experiments.
+
+Each module's ``__all__`` is its public list.  The package's is
+``__version__``, then the lists of combine, closed_testing, distributions
+and simulate.
 """
 
 __version__ = "0.1.0"
 
-from .combine import (
-    CombinedResult,
-    bh_adjust,
-    bonferroni,
-    bonferroni_as_max_statistic,
-    combine_average,
-    combine_standard,
-    combine_weighted,
-    fisher,
-    transform,
-)
-from .closed_testing import (
-    ClosedTestingResult,
-    closed_test_bruteforce,
-    closed_test_shortcut,
-)
-from .distributions import (
-    Cauchy,
-    Frechet,
-    HeavyTailDistribution,
-    InverseGamma,
-    Levy,
-    LogCauchy,
-    LogGamma,
-    Pareto,
-    StudentT,
-    TruncatedT,
-    parse_distribution,
-    truncation_point,
-)
-from .simulate import (
-    CovarianceEstimate,
-    EquivalenceReport,
-    ExchangeableModel,
-    ExperimentConfig,
-    ExperimentReport,
-    MethodSpec,
-    MinPCalibration,
-    calibrate_minp,
-    estimate_equivalence_ratio,
-    estimate_rejection_rate,
-    pvalue_covariance,
-    replication_rng,
-    sample_statistics,
-    statistics_to_pvalues,
-    tail_dependence_t,
-)
+from . import closed_testing, combine, distributions, simulate
+from .closed_testing import *  # noqa: F403
+from .combine import *  # noqa: F403
+from .distributions import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "CombinedResult",
-    "bh_adjust",
-    "bonferroni",
-    "bonferroni_as_max_statistic",
-    "combine_average",
-    "combine_standard",
-    "combine_weighted",
-    "fisher",
-    "transform",
-    "ClosedTestingResult",
-    "closed_test_bruteforce",
-    "closed_test_shortcut",
-    "Cauchy",
-    "Frechet",
-    "HeavyTailDistribution",
-    "InverseGamma",
-    "Levy",
-    "LogCauchy",
-    "LogGamma",
-    "Pareto",
-    "StudentT",
-    "TruncatedT",
-    "parse_distribution",
-    "truncation_point",
-    "CovarianceEstimate",
-    "EquivalenceReport",
-    "ExchangeableModel",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "MethodSpec",
-    "MinPCalibration",
-    "calibrate_minp",
-    "estimate_equivalence_ratio",
-    "estimate_rejection_rate",
-    "pvalue_covariance",
-    "replication_rng",
-    "sample_statistics",
-    "statistics_to_pvalues",
-    "tail_dependence_t",
-]
+__all__ = ["__version__", *combine.__all__, *closed_testing.__all__, *distributions.__all__,
+           *simulate.__all__]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -232,9 +233,9 @@ def _parse_weights_arg(text):
 
 
 def cmd_combine(args) -> int:
-    method = args.method
+    method, takes = args.method, sim._KINDS[args.method]
     dist = None
-    if method in ("standard", "average", "weighted"):
+    if "distribution" in takes:
         if not args.dist:
             raise ConfigError(f"method {method!r} requires --dist")
         dist = _dist_from_arg(args.dist)
@@ -245,10 +246,12 @@ def cmd_combine(args) -> int:
                 raise ConfigError(
                     f"method 'average' needs a tail-index-1 distribution, got {args.dist!r}"
                 ) from None
+    elif args.dist is not None:
+        raise ConfigError(f"--dist does not apply to method {method!r}")
     _check_level("--alpha", args.alpha)
-    if args.weights is not None and method not in ("weighted", "bonferroni"):
+    if args.weights is not None and "weights" not in takes:
         raise ConfigError(f"--weights does not apply to method {method!r}")
-    weights = _parse_weights_arg(args.weights) if args.weights else None
+    weights = None if args.weights is None else _parse_weights_arg(args.weights)
     if weights is not None:
         try:  # the values and kappa once, before any output; the count is per group
             checked = comb._validate_weights(weights, len(weights))
@@ -337,17 +340,38 @@ def _typed(key: str, value, kind=dict):
     return value
 
 
+def _known(where: str, section, keys):
+    """``section``, a dict whose every key is in ``keys``; else a ConfigError naming
+    the first other key, since nothing would read it."""
+    for key in _typed(where, section):
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return section
+
+
+def _fields(cls) -> set:
+    return {field.name for field in dataclasses.fields(cls)}
+
+
 _MODEL = {"family": "normal", "n": None, "rho": None, "nu": None, "sided": "one_sided"}
-_RUN_KEYS = ("alpha", "replications", "distribution", "alphas", "weights", "seed", "workers")
+_DEFAULTS = {  # each engine command's run settings, with their defaults
+    "simulate": {"alphas": [0.05], "replications": 0, "methods": []},
+    "calibrate-minp": {"alpha": 0.05, "replications": 100_000},
+    "equiv-ratio": {"distribution": "cauchy", "alphas": [0.05], "replications": 100_000,
+                    "weights": None},
+}
+_CONFIG_KEYS = {"command", "model", "seed", "workers"}.union(*_DEFAULTS.values())
 
 
-def _read_config(args, command: str, defaults: dict):
+def _read_config(args, command: str):
     """Return ``(config echo, run settings, models)``.  The echo starts as the preset,
     the config file or, given ``--n`` and ``--rho``, ``_MODEL`` (also a config model's
-    defaults) and ``defaults``; each flag given then sets its key: in ``model`` for
-    ``_MODEL``'s keys, else at the top level.  The run settings are ``defaults`` overlaid by
-    the echo.  Set ``args.seed`` and ``args.workers`` to the run's, as ExperimentConfig
-    checks them; with no workers set, ``$HEAVYCOMB_WORKERS`` or 1.  A bad type names its key."""
+    defaults) and the command's ``_DEFAULTS``; each flag given then sets its key: in
+    ``model`` for ``_MODEL``'s keys, else at the top level.  The run settings are the
+    defaults overlaid by the echo.  A key that no engine command reads is refused.  Set
+    ``args.seed`` and ``args.workers`` to the run's, as ExperimentConfig checks them; with
+    no workers set, ``$HEAVYCOMB_WORKERS`` or 1.  A bad type names its key."""
+    defaults = _DEFAULTS[command]
     if args.preset:
         try:
             cfg = presets.get_preset(args.preset)
@@ -365,13 +389,13 @@ def _read_config(args, command: str, defaults: dict):
         raise ConfigError(f"{command} needs --config/--preset or --n and --rho")
     else:
         cfg = {"model": dict(_MODEL), **defaults}
-    declared = _typed("config", cfg).pop("command", command)
+    declared = _known("config", cfg, _CONFIG_KEYS).pop("command", command)
     if declared != command:
         raise ConfigError(f"config declares command {declared!r} but was passed to {command!r}")
     model = {key: getattr(args, key) for key in _MODEL if getattr(args, key, None) is not None}
     if model:
         _typed("model", cfg.setdefault("model", {})).update(model)
-    for key in _RUN_KEYS:
+    for key in (*defaults, "seed", "workers"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     cfg.setdefault("seed", _DEFAULT_SEED)
@@ -384,12 +408,12 @@ def _read_config(args, command: str, defaults: dict):
     workers = cfg["workers"] if args.preset or args.config else cfg.pop("workers")  # flags: no echo
     if "model" not in cfg:
         raise ConfigError("config is missing the 'model' section")
-    mc = _typed("model", cfg["model"])
+    mc = _known("model", cfg["model"], _fields(ExchangeableModel))
     rhos = _numbers("rho", mc.get("rho", 0.0))
-    kw = {key: mc.get(key, _MODEL[key]) for key in ("family", "nu", "sided")}
-    n = ExchangeableModel(n=mc.get("n", 0), rho=rhos[0], **kw).n  # n is checked before the mean
-    mean = _build_mean(n, mc.get("mean"))
-    models = [ExchangeableModel(n=n, rho=rho, mean=mean, **kw) for rho in rhos]
+    # n is checked before the mean, which needs it
+    model = ExchangeableModel(**{**_MODEL, "n": 0, **mc, "rho": rhos[0], "mean": ()})
+    mean = _build_mean(model.n, mc.get("mean"))
+    models = [dataclasses.replace(model, rho=rho, mean=mean) for rho in rhos]
     run = ExperimentConfig(models[0], (), (), 1, cfg["seed"], workers)  # checks seed, workers
     args.seed, args.workers = run.seed, run.workers
     return cfg, {**defaults, **cfg}, models
@@ -398,7 +422,7 @@ def _read_config(args, command: str, defaults: dict):
 def _build_mean(n: int, spec):
     if spec is None or isinstance(spec, list):
         return spec or ()  # ExchangeableModel checks the values
-    kind = _typed("mean", spec).get("kind")
+    kind = _known("mean", spec, ("kind", "value", "count")).get("kind")
     value = float(sim._number("mean value", spec.get("value", 0.0)))
     if kind == "dense":
         return (value,) * n
@@ -410,17 +434,16 @@ def _build_mean(n: int, spec):
     raise ConfigError(f"unknown mean kind {kind!r}")
 
 
-def _method_specs(cfg: dict) -> tuple[MethodSpec, ...]:
-    methods = (_typed("method", m) for m in _typed("methods", cfg.get("methods", []), list))
-    out = tuple(MethodSpec(kind=m.get("kind"), distribution=m.get("distribution"),
-                           weights=m.get("weights"), cutoff=m.get("cutoff"), label=m.get("label"))
-                for m in methods)
+def _method_specs(methods) -> tuple[MethodSpec, ...]:
+    keys = _fields(MethodSpec)
+    out = tuple(MethodSpec(**{"kind": None, **_known("method", m, keys)})
+                for m in _typed("methods", methods, list))
     if not out:
         raise ConfigError("config lists no methods")
     return out
 
 
-_MODEL_HEADER = ["family", "n", "rho", "nu", "sided"]
+_MODEL_HEADER = list(_MODEL)
 
 
 def _model_cols(model: ExchangeableModel) -> tuple:
@@ -428,8 +451,8 @@ def _model_cols(model: ExchangeableModel) -> tuple:
 
 
 def cmd_simulate(args) -> int:
-    cfg, run, models = _read_config(args, "simulate", {"alphas": [0.05], "replications": 0})
-    methods = _method_specs(cfg)
+    cfg, run, models = _read_config(args, "simulate")
+    methods = _method_specs(run["methods"])
     alphas = _numbers("alphas", run["alphas"])
     config = ExperimentConfig(models[0], methods, alphas, run["replications"], args.seed,
                               args.workers)
@@ -452,8 +475,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate_minp(args) -> int:
-    defaults = {"alpha": 0.05, "replications": 100_000}
-    cfg, run, models = _read_config(args, "calibrate-minp", defaults)
+    cfg, run, models = _read_config(args, "calibrate-minp")
     alpha = float(sim._number("alpha", run["alpha"]))
     config = ExperimentConfig(models[0], (), (alpha,), run["replications"], args.seed, args.workers)
     # the whole run, and so every check of the settings, before any output
@@ -478,9 +500,8 @@ def cmd_tail_dep(args) -> int:
 
 
 def cmd_equiv_ratio(args) -> int:
-    args.weights = _parse_weights_arg(args.weights) if args.weights else None
-    defaults = dict(distribution="cauchy", alphas=[0.05], replications=100_000, weights=None)
-    cfg, run, models = _read_config(args, "equiv-ratio", defaults)
+    args.weights = None if args.weights is None else _parse_weights_arg(args.weights)
+    cfg, run, models = _read_config(args, "equiv-ratio")
     alphas = _numbers("alphas", run["alphas"])
     weights = None if run["weights"] is None else _numbers("weights", run["weights"])
     dist = _dist_from_arg(run["distribution"])
@@ -517,7 +538,7 @@ def _add_common(parser):
                              "for any value")
     parser.add_argument("--output", "-o", default=None,
                         help="output file ('-' or omitted: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+    parser.add_argument("--format", choices=tuple(_FLAGS), default="csv",
                         help="output format (default csv)")
 
 
@@ -527,11 +548,11 @@ def _add_config(parser, model_flags=False):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--preset", help=f"named preset: {', '.join(sorted(presets.PRESETS))}")
     if model_flags:
-        parser.add_argument("--family", choices=("normal", "student_t"))
+        parser.add_argument("--family", choices=sim._FAMILIES)
         parser.add_argument("--n", type=int)
         parser.add_argument("--rho", type=_float_list, help="comma-separated correlation values")
         parser.add_argument("--nu", type=float)
-        parser.add_argument("--sided", choices=("one_sided", "two_sided"))
+        parser.add_argument("--sided", choices=sim._SIDES)
         parser.add_argument("--reps", type=int, dest="replications", metavar="REPS")
 
 
@@ -550,8 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("combine", help="combine p-values per group from a CSV file")
     p.add_argument("--input", "-i", required=True, help="CSV: group_id,p1,p2,... (ragged)")
-    p.add_argument("--method", required=True,
-                   choices=("standard", "average", "weighted", "bonferroni", "fisher"))
+    p.add_argument("--method", required=True, choices=[k for k in sim._KINDS if k != "minp"])
     p.add_argument("--dist", help="distribution spec, e.g. cauchy or trunc_t:1:0.9")
     p.add_argument("--weights", help="comma-separated positive weights")
     p.add_argument("--alpha", type=float, default=None, help="emit reject flag at this level")

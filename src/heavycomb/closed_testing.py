@@ -17,6 +17,8 @@ from .combine import _CHUNK, _check_alpha, _validate_pvalues
 from .distributions import HeavyTailDistribution
 from .errors import CapacityError
 
+__all__ = ["ClosedTestingResult", "closed_test_bruteforce", "closed_test_shortcut"]
+
 _BRUTE_FORCE_MAX_N = 20
 
 

@@ -20,6 +20,9 @@ from . import special
 from .distributions import HeavyTailDistribution
 from .errors import DomainError, MethodMisuseError, ShapeError
 
+__all__ = ["CombinedResult", "bh_adjust", "bonferroni", "bonferroni_as_max_statistic",
+           "combine_average", "combine_standard", "combine_weighted", "fisher", "transform"]
+
 _MAX_FLOAT = sys.float_info.max
 _MIN_P = sys.float_info.min  # combined p-values are clamped into (0, 1]
 _CHUNK = 1 << 14  # elements in one working set: engine row tiles, closed-testing blocks

@@ -30,6 +30,10 @@ from . import special
 from .errors import DomainError, InfiniteQuantileError
 from .special import find_root  # noqa: F401  (perfbench/tracing.py patches this name)
 
+__all__ = ["Cauchy", "Frechet", "HeavyTailDistribution", "InverseGamma", "Levy", "LogCauchy",
+           "LogGamma", "Pareto", "StudentT", "TruncatedT", "parse_distribution",
+           "truncation_point"]
+
 ArrayLike = Union[float, np.ndarray]
 
 _TINY = np.finfo(np.float64).smallest_subnormal

@@ -34,6 +34,11 @@ from .distributions import HeavyTailDistribution, StudentT, parse_distribution
 from .errors import ConfigError, DomainError, InsufficientEventsError, MethodMisuseError, ShapeError
 from .special import find_root
 
+__all__ = ["CovarianceEstimate", "EquivalenceReport", "ExchangeableModel", "ExperimentConfig",
+           "ExperimentReport", "MethodSpec", "MinPCalibration", "calibrate_minp",
+           "estimate_equivalence_ratio", "estimate_rejection_rate", "pvalue_covariance",
+           "replication_rng", "sample_statistics", "statistics_to_pvalues", "tail_dependence_t"]
+
 BLOCK_SIZE = 32768
 
 _FAMILIES = ("normal", "student_t")

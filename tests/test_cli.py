@@ -253,6 +253,30 @@ class TestValidation:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["bonferroni", "fisher"])
+    def test_dist_of_a_method_without_one(self, tmp_path, capsys, method):
+        # the flag would be dropped while the manifest echoes it
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_groups(inp, [("g1", [0.1, 0.2])])
+        argv = ["combine", "-i", str(inp), "--method", method, "--dist", "cauchy", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --dist does not apply to method '{method}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["combine", "--method", "fisher"],
+                                      ["closed-test", "--dist", "cauchy", "--alpha", "0.05"]],
+                             ids=["combine", "closed-test"])
+    def test_line_that_csv_cannot_read(self, tmp_path, capsys, argv):
+        # a field past csv's size limit: the rows before its line, then its error
+        inp = tmp_path / "in.csv"
+        inp.write_text("g1,0.5\ng2," + "1" * (csv.field_size_limit() + 1) + "\ng3,0.2\n")
+        assert main(argv[:1] + ["-i", str(inp)] + argv[1:]) == 1
+        out, err = capsys.readouterr()
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["g1"]
+        assert err == (f"error: line 2: field larger than field limit "
+                       f"({csv.field_size_limit()})\n")
+
 
 class TestClosedTestCommand:
     def test_single_p(self, tmp_path):
@@ -615,6 +639,9 @@ class TestEngineCommandsBeforeOutput:
         (["equiv-ratio", "--n", "2", "--rho", "0", "--weights", "1,x"],
          "unparseable weights: '1,x'"),
         (["equiv-ratio", "--n", "2", "--rho", "0", "--weights", ","], "empty weight list"),
+        (["equiv-ratio", "--n", "2", "--rho", "0", "--weights", ""], "empty weight list"),
+        (["combine", "-i", "none.csv", "--method", "bonferroni", "--weights", ""],
+         "empty weight list"),
         (["calibrate-minp", "--n", "2", "--rho", "0", "--reps", "1000", "--seed", "-1"],
          "seed must be in 0..2**64-1, got -1"),
         (["calibrate-minp", "--n", "2", "--rho", "0", "--reps", "1000", "--seed", str(2**64)],
@@ -623,6 +650,7 @@ class TestEngineCommandsBeforeOutput:
          "inv_gamma: tail index must be at most 1e+08, got 1e+300"),
     ], ids=["calibrate-minp-alpha", "equiv-ratio-alphas", "tail-dep-rho", "tail-dep-nu",
             "calibrate-minp-nu", "equiv-ratio-weights-x", "equiv-ratio-weights-empty",
+            "equiv-ratio-weights-blank", "combine-weights-blank",
             "seed-negative", "seed-2**64", "inv-gamma-huge-shape"])
     def test_flags(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
@@ -792,6 +820,14 @@ class TestConfigValues:
          "method bonferroni[cauchy]: 'distribution' does not apply to kind 'bonferroni'"),
         ("simulate", ("methods", 2, "cutoff"), 1.5,
          "method minp: cutoff must be in (0, 1], got 1.5"),
+        # a key that nothing reads, at each level: a misspelling would run the default
+        ("simulate", ("seeed",), 3, "unknown key 'seeed' in config"),
+        ("calibrate-minp", ("alphas_",), [0.01], "unknown key 'alphas_' in config"),
+        ("simulate", ("model", "sidd"), "two_sided", "unknown key 'sidd' in model"),
+        ("equiv-ratio", ("model", "sigma"), 1.0, "unknown key 'sigma' in model"),
+        ("simulate", ("methods", 1, "weigths"), [1, 3], "unknown key 'weigths' in method"),
+        ("simulate", ("model", "mean"), {"kind": "sparse", "value": 1.0, "counts": 1},
+         "unknown key 'counts' in mean"),
     ], ids=["replications-abc", "alphas-x", "method-no-kind", "methods-string", "n-x", "rho-a",
             "seed-s", "dense-mean-q", "minp-cutoff-x", "bonferroni-weights-5", "top-level-list",
             "equiv-weights-ab", "n-2.5", "n-true", "replications-1000.9", "seed-3.7",
@@ -801,7 +837,9 @@ class TestConfigValues:
             "bonferroni-weights-false", "bonferroni-weights-0", "bonferroni-weights-empty",
             "equiv-weights-false", "equiv-weights-0", "equiv-weights-empty", "no-model",
             "sparse-mean-count-3", "mean-kind-spiky", "methods-empty", "method-kind-list",
-            "standard-weights", "bonferroni-distribution", "minp-cutoff-1.5"])
+            "standard-weights", "bonferroni-distribution", "minp-cutoff-1.5",
+            "unknown-top-level", "unknown-top-level-calibrate-minp", "unknown-model",
+            "unknown-model-equiv-ratio", "unknown-method", "unknown-mean"])
     def test_bad_value(self, tmp_path, capsys, command, path, value, message):
         cfg = with_value(engine_config(command), path, value) if path else value
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
