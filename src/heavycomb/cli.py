@@ -232,7 +232,17 @@ def _parse_weights_arg(text):
     return weights
 
 
+def _check_run_flags(args):
+    """``--seed`` and ``--workers`` of a command that runs no engine: nothing reads
+    them, but the manifest records them, so they meet the engine commands' rule."""
+    if args.seed is not None:
+        sim._check_seed(args.seed)
+    if args.workers is not None:
+        sim._check_workers(args.workers)
+
+
 def cmd_combine(args) -> int:
+    _check_run_flags(args)
     method, takes = args.method, sim._KINDS[args.method]
     dist = None
     if "distribution" in takes:
@@ -289,6 +299,7 @@ def _raising(exc):  # rows whose first ``next`` raises ``exc``
 
 
 def cmd_closed_test(args) -> int:
+    _check_run_flags(args)
     dist = _dist_from_arg(args.dist)
     _check_level("--alpha", args.alpha)
     flag = _FLAGS[args.format]
@@ -308,6 +319,7 @@ def cmd_closed_test(args) -> int:
 
 
 def cmd_adjust_bh(args) -> int:
+    _check_run_flags(args)
     _check_level("--q", args.q)
     ids, pvals = [], []
     with _open_input(args.input) as fh:
@@ -422,16 +434,17 @@ def _read_config(args, command: str):
 def _build_mean(n: int, spec):
     if spec is None or isinstance(spec, list):
         return spec or ()  # ExchangeableModel checks the values
-    kind = _known("mean", spec, ("kind", "value", "count")).get("kind")
+    kind = _typed("mean", spec).get("kind")
+    if kind not in ("dense", "sparse"):
+        raise ConfigError(f"unknown mean kind {kind!r}")
+    _known("mean", spec, ("kind", "value", "count") if kind == "sparse" else ("kind", "value"))
     value = float(sim._number("mean value", spec.get("value", 0.0)))
     if kind == "dense":
         return (value,) * n
-    if kind == "sparse":
-        count = sim._count("mean count", spec.get("count", 1))
-        if not (1 <= count <= n):
-            raise ConfigError(f"sparse mean count must be in 1..{n}")
-        return (0.0,) * (n - count) + (value,) * count
-    raise ConfigError(f"unknown mean kind {kind!r}")
+    count = sim._count("mean count", spec.get("count", 1))
+    if not (1 <= count <= n):
+        raise ConfigError(f"sparse mean count must be in 1..{n}")
+    return (0.0,) * (n - count) + (value,) * count
 
 
 def _method_specs(methods) -> tuple[MethodSpec, ...]:
@@ -490,6 +503,7 @@ def cmd_calibrate_minp(args) -> int:
 
 
 def cmd_tail_dep(args) -> int:
+    _check_run_flags(args)
     rhos = _numbers("rho", args.rho)  # an empty list is a usage error
     try:  # every value before any output
         rows = [(args.nu, rho, tail_dependence_t(args.nu, rho)) for rho in rhos]

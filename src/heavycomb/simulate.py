@@ -12,9 +12,11 @@ tile boundaries, the calling process the first, and partial results are
 reduced in row order, so results are bit-identical for any worker count.
 The scenarios of one command (its values of ``rho``) share each block's
 draws and one pass over the blocks, so a scenario gets the bits it would
-get on its own.  A block is held as n contiguous columns and computed in
-row tiles of about ``combine._CHUNK`` elements; reductions are per row or
-counts (see README).
+get on its own.  A block is held as n contiguous columns.  Each block's part
+of a range is screened once, on each row's extreme draws, for the rows that
+can reject (see ``_screen``); only those are shaped, turned into p-values and
+reduced, in row tiles of about ``combine._CHUNK`` elements.  Reductions are
+per row or counts (see README).
 """
 
 from __future__ import annotations
@@ -176,8 +178,7 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications!r}")
         _check_seed(self.seed)
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
+        _check_workers(self.workers)
         for a in self.alphas:
             if not (0.0 < _number("alphas", a) < 1.0):
                 raise ConfigError(f"alpha must be in (0,1), got {a!r}")
@@ -208,6 +209,11 @@ def _check_seed(seed: int) -> int:
     if not 0 <= seed <= _MAX_SEED:
         raise ConfigError(f"seed must be in 0..2**64-1, got {seed!r}")
     return seed
+
+
+def _check_workers(workers: int):
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers!r}")
 
 
 def replication_rng(seed: int, index: int) -> np.random.Generator:
@@ -252,17 +258,25 @@ def _draw(model: ExchangeableModel, rng: np.random.Generator, rows: int):
     return z, zbar, scale
 
 
-def _shape(model: ExchangeableModel, draw) -> np.ndarray:
-    """The statistics of ``model`` from a block's draws, as ``(n, rows)`` columns
-    (see sample_statistics)."""
+def _shape(model: ExchangeableModel, draw, mean) -> np.ndarray:
+    """The statistics of ``model`` from draws ``(centred, zbar, scale)`` plus ``mean``
+    (None: no mean), as ``(n, rows)`` columns (see sample_statistics).
+
+    Each step is monotone in ``centred``, and rounding is too, so shaping the largest
+    centred draw of a row's coordinates that share a mean, with that mean, gives
+    their largest statistic bit for bit (the same for the smallest)."""
     centred, zbar, scale = draw
     x = math.sqrt(max(1.0 - model.rho, 0.0)) * centred
     x += math.sqrt(max(1.0 + (model.n - 1) * model.rho, 0.0)) * zbar
     if scale is not None:
         x /= scale
-    if model.mean:
-        x += model.mean_vector()[:, None]
+    if mean is not None:
+        x += mean
     return x
+
+
+def _mean_column(model: ExchangeableModel):
+    return model.mean_vector()[:, None] if model.mean else None
 
 
 def sample_statistics(model: ExchangeableModel, rng: np.random.Generator, size: int | None = None):
@@ -274,7 +288,7 @@ def sample_statistics(model: ExchangeableModel, rng: np.random.Generator, size: 
     coordinates, then the mean shift is applied.
     """
     rows = 1 if size is None else int(size)
-    t = np.ascontiguousarray(_shape(model, _draw(model, rng, rows)).T)
+    t = np.ascontiguousarray(_shape(model, _draw(model, rng, rows), _mean_column(model)).T)
     return t[0] if size is None else t
 
 
@@ -381,32 +395,64 @@ def _cut(model: ExchangeableModel, bound: float) -> float:
     return cut if cut < math.inf else -math.inf
 
 
+def _screen(models, cut, draw, first, last, tile_rows):
+    """Per model, the rows of ``first:last`` whose largest statistic (largest |x| when
+    two-sided) is above ``cut`` or NaN, as index arrays of at most ``tile_rows`` rows,
+    at least one array (maybe empty).  In each run of coordinates that share a mean,
+    each row's largest centred draw (and smallest, two-sided) is taken once; each
+    model shapes it to the run's largest (smallest) statistic of the row, bit for
+    bit (see ``_shape``)."""
+    centred, zbar, scale = draw
+    mean, n, two = models[0].mean, models[0].n, models[0].sided == "two_sided"
+    span = slice(first, last)
+    rest = (zbar[span], None if scale is None else scale[span])
+    edges = [0, *(i for i in range(1, n) if mean and mean[i] != mean[i - 1]), n]
+    ends = [(mean[a] if mean else None, centred[a:b, span].max(axis=0),
+             centred[a:b, span].min(axis=0) if two else None) for a, b in zip(edges, edges[1:])]
+    kept = []
+    for model in models:
+        top = None
+        for value, high, low in ends:
+            x = _shape(model, (high, *rest), value)
+            if two:
+                np.maximum(x, -_shape(model, (low, *rest), value), out=x)
+            top = x if top is None else np.maximum(top, x, out=top)
+        rows = np.flatnonzero(~(top <= cut)) + first  # a NaN row is kept, to fail the check
+        kept.append([rows[k:k + tile_rows] for k in range(0, max(len(rows), 1), tile_rows)])
+    return kept
+
+
 def _range(payload):
-    """``reduce_p(p, *args)`` of each row tile in rows ``lo:hi``, for every model;
-    ``p`` is a ``(kept rows, n)`` view of contiguous columns.  The rows kept are
-    those that can have a smallest p-value of at most ``bound`` (see ``_cut``).
-    Every block that the range enters is drawn whole, so a tile has the same
-    bits in any range."""
+    """``reduce_p(p, *args)`` of rows ``lo:hi``, at most ``tile_rows`` rows a call,
+    for every model; ``p`` is a ``(rows, n)`` view of contiguous columns.  Only the
+    rows that can have a smallest p-value of at most ``bound`` are reduced (see
+    ``_cut``): each block's part of the range is screened once on its rows' extreme
+    draws (see ``_screen``), then its kept rows are gathered, shaped and reduced.
+    Unscreened, a part is reduced in contiguous tiles.  Every block that the range
+    enters is drawn whole, so a row has the same bits in any range."""
     models, seed, lo, hi, replications, block_size, tile_rows, bound, reduce_p, args = payload
-    cuts = [_cut(model, bound) for model in models]
+    cut, mean = _cut(models[0], bound), _mean_column(models[0])
     out = [[] for _ in models]
     for index in range(lo // block_size, -(-hi // block_size)):
         start = index * block_size
         rows = min(block_size, replications - start)
-        centred, zbar, scale = _draw(models[0], replication_rng(seed, index), rows)
-        for first in range(max(lo - start, 0), min(hi - start, rows), tile_rows):
-            span = slice(first, first + tile_rows)
-            tile = (centred[:, span], zbar[span], None if scale is None else scale[span])
-            for model, cut, parts in zip(models, cuts, out):
-                x = _shape(model, tile)
-                if cut > -math.inf:  # a NaN row is kept, to fail the check below
-                    top = (np.abs(x) if model.sided == "two_sided" else x).max(axis=0)
-                    x = x[:, ~(top <= cut)]
+        draw = _draw(models[0], replication_rng(seed, index), rows)
+        first, last = max(lo - start, 0), min(hi - start, rows)
+        if cut == -math.inf:
+            tiles = [slice(k, min(k + tile_rows, last)) for k in range(first, last, tile_rows)]
+            kept = [tiles] * len(models)
+        else:
+            kept = _screen(models, cut, draw, first, last, tile_rows)
+        centred, zbar, scale = draw
+        for model, tiles, parts in zip(models, kept, out):
+            for tile in tiles:
+                x = _shape(model, (centred[:, tile], zbar[tile],
+                                   None if scale is None else scale[tile]), mean)
                 p = statistics_to_pvalues(x, model)
                 if not (p <= 1.0).all():  # a NaN fails too; the floor keeps p > 0
                     raise DomainError(f"rho={model.rho}: p-values outside (0, 1] in block {index}")
                 parts.append(reduce_p(p.T, *args))
-        del centred, zbar, scale, tile  # freed before the next draw, which reuses their pages
+        del draw, centred, zbar, scale, kept  # freed before the next draw reuses their pages
     return out
 
 
@@ -427,13 +473,13 @@ def _cuts(replications, parts, block_size, tile_rows):
 def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size=BLOCK_SIZE,
                 tile_rows=None, bound=1.0):
     """``reduce_p(p, *args)`` of each row tile's p-values, one list per model in
-    row order, for models that share ``family``, ``n`` and ``nu``; with
+    row order, for models that differ only in ``rho``; with
     ``bound`` below 1 only of the rows whose smallest p-value can be at most
     ``bound`` (see ``_range``).
 
     Block ``i`` holds the next ``block_size`` replications, drawn from
-    ``replication_rng(seed, i)`` and shaped for every model ``tile_rows`` rows
-    (default ``combine._CHUNK // n``) at a time.  The rows are cut into
+    ``replication_rng(seed, i)`` and shaped for every model at most ``tile_rows``
+    rows (default ``combine._CHUNK // n``) at a time.  The rows are cut into
     ``min(workers, blocks)`` ranges (see ``_cuts``); the calling process computes
     the first while a pool of forked workers computes the rest.
     """

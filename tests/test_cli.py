@@ -510,6 +510,41 @@ class TestSimulateCommand:
         assert doc["manifest"]["config"]["replications"] == 20_000
 
 
+class TestRunFlagsWithoutAnEngine:
+    """combine, closed-test, adjust-bh and tail-dep read no seed or workers, but
+    record them in the manifest, so they hold them to the engine commands' rule."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        groups, combined = tmp_path / "groups.csv", tmp_path / "combined.csv"
+        write_groups(groups, [("g1", [0.01, 0.2]), ("g2", [0.5, 0.7])])
+        write_groups(combined, [("g1", [0.01]), ("g2", [0.5])])
+        return [["combine", "-i", str(groups), "--method", "fisher"],
+                ["closed-test", "-i", str(groups), "--dist", "cauchy", "--alpha", "0.05"],
+                ["adjust-bh", "-i", str(combined)],
+                ["tail-dep", "--nu", "2", "--rho", "0.5"]]
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--workers", "-3"], "workers must be >= 1, got -3"),
+        (["--seed", "-1"], "seed must be in 0..2**64-1, got -1"),
+        (["--seed", str(2**64)], "seed must be in 0..2**64-1, got 18446744073709551616"),
+    ], ids=["workers-0", "workers-neg", "seed-negative", "seed-2**64"])
+    def test_refused_before_any_output(self, tmp_path, capsys, commands, flags, message):
+        out = tmp_path / "out.csv"
+        for argv in commands:
+            assert main(argv + flags + ["-o", str(out)]) == 2, argv
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
+
+    def test_given_values_are_recorded(self, tmp_path, commands):
+        out = tmp_path / "out.csv"
+        for argv in commands:
+            assert main(argv + ["--seed", str(2**64 - 1), "--workers", "3", "-o", str(out)]) == 0
+            manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+            assert (manifest["seed"], manifest["workers"]) == (2**64 - 1, 3), argv
+
+
 class TestOtherCommands:
     def test_tail_dep_values(self, tmp_path):
         out = tmp_path / "td.csv"
@@ -828,6 +863,8 @@ class TestConfigValues:
         ("simulate", ("methods", 1, "weigths"), [1, 3], "unknown key 'weigths' in method"),
         ("simulate", ("model", "mean"), {"kind": "sparse", "value": 1.0, "counts": 1},
          "unknown key 'counts' in mean"),
+        ("simulate", ("model", "mean"), {"kind": "dense", "value": 1.0, "count": 2},
+         "unknown key 'count' in mean"),
     ], ids=["replications-abc", "alphas-x", "method-no-kind", "methods-string", "n-x", "rho-a",
             "seed-s", "dense-mean-q", "minp-cutoff-x", "bonferroni-weights-5", "top-level-list",
             "equiv-weights-ab", "n-2.5", "n-true", "replications-1000.9", "seed-3.7",
@@ -839,7 +876,7 @@ class TestConfigValues:
             "sparse-mean-count-3", "mean-kind-spiky", "methods-empty", "method-kind-list",
             "standard-weights", "bonferroni-distribution", "minp-cutoff-1.5",
             "unknown-top-level", "unknown-top-level-calibrate-minp", "unknown-model",
-            "unknown-model-equiv-ratio", "unknown-method", "unknown-mean"])
+            "unknown-model-equiv-ratio", "unknown-method", "unknown-mean", "dense-mean-count"])
     def test_bad_value(self, tmp_path, capsys, command, path, value, message):
         cfg = with_value(engine_config(command), path, value) if path else value
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))

@@ -1049,26 +1049,50 @@ def _screen_cases(draw):
         hst.sampled_from([None, weights]))
 
 
-def _near_the_cut(cuts):
-    """``_shape``, with two rows in three moved so that their largest statistic
-    (largest |x| when two-sided) is within 4 ulp of the model's cut: every
-    statistic of the first row, and one of the second, the rest clipped below."""
-    shape = simulate._shape
+def _near_the_cut(models, cuts):
+    """``_draw``, with two rows in three moved so that one model's largest statistic
+    (largest |x| when two-sided, of either sign) is within 4 ulp of its cut, and so
+    is the screen's bound on it.  Every centred draw of the first row is the
+    extreme one; in the second the rest are clipped between the extremes.  The
+    models take turns.  A moved row has row mean 0 and scale 1, and its extreme
+    centred draw is solved for (its row mean, where rho = 1 zeroes the centred
+    part) at the coordinate of the largest mean (the smallest, for a negative
+    statistic)."""
+    draw = simulate._draw
 
-    def moved(model, draw):
-        x, cut = shape(model, draw), cuts[model]
-        if cut == -math.inf:
-            return x
-        two = model.sided == "two_sided"
-        j = np.arange(x.shape[1])
-        c = cut + (j % 9 - 4) * np.spacing(cut)
-        sign = -1.0 if two else 1.0  # two-sided rows reach the cut from below too
-        every, one = j % 3 == 0, j % 3 == 1
-        x[:, every] = c[every]
-        x[1::2, every] *= sign
-        x[:, one] = np.clip(x[:, one], -c[one] if two else -np.inf, c[one])
-        x[0, one] = c[one] * np.where(j[one] % 2, sign, 1.0)
-        return x
+    def moved(model, rng, rows):
+        centred, zbar, scale = draw(model, rng, rows)
+        j = np.arange(rows)
+        for turn, m in enumerate(models):
+            cut, mu = cuts[m], m.mean_vector()
+            if cut == -math.inf:
+                continue
+            a, b = math.sqrt(max(1.0 - m.rho, 0.0)), math.sqrt(max(1.0 + (m.n - 1) * m.rho, 0.0))
+            r = j[(j // 3 % len(models) == turn) & (j % 3 < 2)]
+            two = m.sided == "two_sided"
+            sign = np.where(two & (r // (3 * len(models)) % 2 == 1), -1.0, 1.0)
+            target = sign * (cut + (r % 5 - 2) * np.spacing(cut))
+            k = np.where(sign > 0, np.argmax(mu), np.argmin(mu))
+            c, z = np.zeros(len(r)), np.zeros(len(r))
+            for _ in range(4):  # Newton steps on the exact shape
+                x = simulate._shape(m, (c, z, None), mu[k])
+                if a > 0.0:
+                    c += (target - x) / a
+                else:
+                    z += (target - x) / b
+            zbar[r] = z
+            if scale is not None:
+                scale[r] = 1.0
+            if a > 0.0:
+                hi = np.where(sign > 0, c, (cut - mu.max()) / a)
+                lo = np.where(sign < 0, c, (-cut - mu.min()) / a if two else -np.inf)
+                rest = np.clip(centred[:, r], lo, hi)
+                rest[k, np.arange(len(r))] = c
+                centred[:, r] = np.where(r % 3 == 0, c, rest)
+            x = simulate._shape(m, (centred[:, r], zbar[r], None), mu[:, None])
+            ulps = ((np.abs(x) if two else x).max(axis=0) - cut) / np.spacing(cut)
+            assert (np.abs(ulps) <= 4).all(), ulps
+        return centred, zbar, scale
     return moved
 
 
@@ -1128,10 +1152,10 @@ class TestRowScreen:
             def run():
                 tiles = _run_blocks(models, seed, 700, 1, counting, plan, alphas,
                                     block_size=300, tile_rows=64, bound=bound)
-                return [[t.tolist() for t in per_model] for per_model in tiles]
+                return [sum(per_model).tolist() for per_model in tiles]  # kept rows regroup
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(simulate, "_shape", _near_the_cut(cuts))
+                mp.setattr(simulate, "_draw", _near_the_cut(models, cuts))
                 screened = run()
                 rows_screened, kept[:] = sum(kept), []
                 mp.setattr(simulate, "_cut", _unscreened)
@@ -1139,6 +1163,49 @@ class TestRowScreen:
             assert sum(kept) == 2 * 700
             if cuts[model] > -math.inf:  # the rows at or below the cut got no p-values
                 assert rows_screened < sum(kept)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.data())
+    def test_screen_keeps_the_rows_above_the_cut(self, data):
+        # shaped with their mean, the extreme draws of each run of coordinates that
+        # share a mean give the row's largest statistic (largest |x| when two-sided)
+        # bit for bit, so at a cut of that statistic, or one step below it, the
+        # screen drops or keeps the row as the full shape would
+        n, rows = data.draw(hst.integers(1, 12), "n"), data.draw(hst.integers(1, 8), "rows")
+        rho = data.draw(hst.sampled_from([r for r in (-0.25, 0.0, 0.99, 1.0)
+                                          if n < 5 or r > -0.25]))  # admissible
+        family, nu = data.draw(hst.sampled_from([("normal", None), ("student_t", 2.0)]))
+        value = hst.one_of(hst.sampled_from([0.0, 1.25, -1.25]), hst.floats(-30.0, 30.0))  # ties
+        mean = data.draw(hst.one_of(hst.just([]), hst.lists(value, min_size=n, max_size=n)))
+        model = ExchangeableModel(family, n, rho, nu=nu, mean=mean,
+                                  sided=data.draw(hst.sampled_from(["one_sided", "two_sided"])))
+        centred = np.array(data.draw(hst.lists(value, min_size=n * rows, max_size=n * rows)))
+        draw = (centred.reshape(n, rows), np.array(data.draw(
+            hst.lists(hst.floats(-30.0, 30.0), min_size=rows, max_size=rows))), None)
+        if family == "student_t":
+            draw = draw[:2] + (np.array(data.draw(
+                hst.lists(hst.floats(0.05, 20.0), min_size=rows, max_size=rows))),)
+        x = simulate._shape(model, draw, model.mean_vector()[:, None] if mean else None)
+        largest = (np.abs(x) if model.sided == "two_sided" else x).max(axis=0)
+        for cut in [*largest, *np.nextafter(largest, -np.inf)]:
+            kept = np.concatenate(simulate._screen([model], cut, draw, 0, rows, 3)[0])
+            assert np.array_equal(kept, np.flatnonzero(largest > cut)), (cut, largest)
+
+    def test_a_part_with_no_kept_row_yields_zero_counts(self):
+        # no normal row of 700 reaches isf(1e-12), about 7.03: each of the three
+        # blocks still makes one call per model, on no rows
+        models = [ExchangeableModel("normal", 3, rho) for rho in (0.0, 0.5)]
+        plan = _compile_methods((MethodSpec("bonferroni"),), (1e-12,), 3)
+        shapes = []
+
+        def recording(p, *args):
+            shapes.append(p.shape)
+            return _rate_counts(p, *args)
+
+        got = _run_blocks(models, 3, 700, 1, recording, plan, (1e-12,), block_size=300,
+                          tile_rows=64, bound=plan[0].bound)
+        assert shapes == [(0, 3)] * 6
+        assert [[c.tolist() for c in per_model] for per_model in got] == [[[[0]]] * 3] * 2
 
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_preset_bytes_without_the_screen(self, tmp_path, monkeypatch, name):
