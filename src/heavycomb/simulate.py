@@ -8,8 +8,11 @@ calibration cutoffs, and empirical p-value covariance.
 Reproducibility contract: replications are split into fixed-size blocks,
 each driven by its own counter-based Philox stream keyed by
 ``(seed, block index)``.  Workers take contiguous ranges of rows cut at
-tile boundaries, the calling process the first, and partial results are
-reduced in row order, so results are bit-identical for any worker count.
+tile boundaries, each covering at least two blocks' rows: the calling process
+computes the first, and a child forked with ``os.fork`` each other one, on the
+memory it inherits, sending back only its pickled result.  Partial results are
+reduced in row order, so results are bit-identical for any worker count, and
+where ``os.fork`` is missing the calling process computes every range.
 The scenarios of one command (its values of ``rho``) share each block's
 draws and one pass over the blocks, so a scenario gets the bits it would
 get on its own.  A block is held as n contiguous columns.  Each block's part
@@ -21,12 +24,14 @@ per row or counts (see README).
 
 from __future__ import annotations
 
+import contextlib
 import math
-import multiprocessing
 import numbers
+import os
+import pickle
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,25 +485,81 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     Block ``i`` holds the next ``block_size`` replications, drawn from
     ``replication_rng(seed, i)`` and shaped for every model at most ``tile_rows``
     rows (default ``combine._CHUNK // n``) at a time.  The rows are cut into
-    ``min(workers, blocks)`` ranges (see ``_cuts``); the calling process computes
-    the first while a pool of forked workers computes the rest.
+    ``max(1, min(workers, blocks // 2))`` ranges (see ``_cuts``), so each covers
+    at least two blocks' rows; the calling process computes the first while a
+    forked child computes each other one (see ``_forked_ranges``).  Without
+    ``os.fork`` the calling process computes every range, with the same bits.
     """
     tile_rows = tile_rows or _tile_rows(models[0].n)
     blocks = -(-replications // block_size)
-    cuts = _cuts(replications, min(workers, blocks), block_size, tile_rows)
+    cuts = _cuts(replications, max(1, min(workers, blocks // 2)), block_size, tile_rows)
     payloads = [(models, seed, lo, hi, replications, block_size, tile_rows, bound, reduce_p, args)
                 for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    if len(payloads) == 1:
-        ranges = [_range(payloads[0])]
+    if len(payloads) == 1 or not hasattr(os, "fork"):
+        ranges = [_range(payload) for payload in payloads]
     else:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platforms without fork
-            ctx = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=len(payloads) - 1, mp_context=ctx) as pool:
-            rest = pool.map(_range, payloads[1:])  # submitted before the caller computes
-            ranges = [_range(payloads[0]), *rest]
+        ranges = _forked_ranges(payloads)
     return [[tile for part in ranges for tile in part[m]] for m in range(len(models))]
+
+
+def _fork_range(payload):
+    """A forked child that computes ``_range(payload)`` on the memory it inherits
+    and pickles ``(ok, result or exception)`` into a pipe: (its pid, the read end)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:  # the child never returns into the caller's frames nor flushes their buffers
+            os.close(read)
+            try:
+                result = (True, _range(payload))
+            except BaseException as exc:
+                result = (False, exc)
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)  # whole, or nothing is sent
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _forked_ranges(payloads):
+    """``_range`` of each payload: the first in the calling process, each other one
+    in a forked child (see ``_fork_range``), whose errors are raised in range order.
+    On any error every child still at work is killed; every child is reaped."""
+    for stream in (sys.stdout, sys.stderr):  # so a child's write cannot repeat their buffers
+        with contextlib.suppress(AttributeError, ValueError):  # None or closed
+            stream.flush()
+    children, ranges, lost = [], [], None
+    try:
+        for payload in payloads[1:]:
+            children.append(_fork_range(payload))
+        ranges.append(_range(payloads[0]))
+        for pid, pipe in children:
+            data = pipe.read()  # to EOF before waitpid: a result may outgrow the pipe
+            if not data:
+                lost = pid
+                break
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            ranges.append(value)
+    finally:
+        status = {}
+        for pid, pipe in children:
+            if len(ranges) < len(payloads):
+                os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped
+            pipe.close()
+            status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if lost is not None:
+        raise ChildProcessError(f"an engine worker ended without a result "
+                                f"(exit status {status[lost]})")
+    return ranges
 
 
 def _rejections(p, plan, alphas):

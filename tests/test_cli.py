@@ -1272,8 +1272,8 @@ class TestFileErrors:
 
 
 class TestShapeOneThroughThePool:
-    """inv_gamma:1 runs Frechet(1)'s methods, bound in its constructor; the plan's
-    distributions reach the forked workers by pickle."""
+    """inv_gamma:1 runs Frechet(1)'s methods, bound in its constructor; a forked
+    worker inherits the plan's distributions, and only its results are pickled."""
 
     def test_inv_gamma_1_is_frechet_1_at_any_workers(self, tmp_path):
         cfg = {"command": "simulate",
@@ -1281,7 +1281,7 @@ class TestShapeOneThroughThePool:
                          "sided": "two_sided"},
                "methods": [{"kind": "standard", "distribution": "inv_gamma:1", "label": "ig"},
                            {"kind": "standard", "distribution": "frechet:1", "label": "fr"}],
-               "alphas": [0.05, 0.01], "replications": 2 * cli.sim.BLOCK_SIZE + 1000, "seed": 11}
+               "alphas": [0.05, 0.01], "replications": 4 * cli.sim.BLOCK_SIZE + 1000, "seed": 11}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         outs = []
         for workers in (1, 2, 3):
@@ -1643,6 +1643,23 @@ class TestEntryPoint:
             err = proc.stderr.read()
             assert proc.wait(timeout=120) == 1
         assert err == b""
+
+    def test_same_stdout_at_any_workers(self):
+        # five blocks, two ranges from 2 workers on: a child never flushes the
+        # stdout buffer it inherits, so every line is written once
+        argv = [sys.executable, "-m", "heavycomb.cli", "calibrate-minp", "--n", "3", "--rho",
+                "0.3", "--reps", "140000", "--seed", "5", "--workers"]
+        outs = [subprocess.run(argv + [str(workers)], capture_output=True, check=True).stdout
+                for workers in (1, 2, 3)]
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0].count(b"family,") == 1 and len(outs[0].splitlines()) == 2
+
+    def test_import_loads_no_process_pool(self):
+        code = ("import sys, heavycomb.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout == "[]\n"
 
     def test_round_trip_float_formatting(self, tmp_path):
         # %.17g survives parse -> format -> parse exactly

@@ -1,9 +1,9 @@
 import dataclasses
 import math
-import multiprocessing
+import os
+import time
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -464,8 +464,9 @@ class TestWorkerSplit:
     @pytest.mark.parametrize("family,nu", [("normal", None), ("student_t", 2.5)])
     def test_results_do_not_depend_on_workers(self, family, nu):
         # 600-row blocks in 70-row tiles (the last one of 40), and a short last
-        # block: from 2 workers on, some cut falls inside a block
-        rows, block_size, tile_rows, alphas = 2750, 600, 70, (0.05, 0.01)
+        # block: from 2 workers on, some cut falls inside a block; ten blocks
+        # make ranges of two blocks' rows for up to 5 workers
+        rows, block_size, tile_rows, alphas = 5750, 600, 70, (0.05, 0.01)
         models = [ExchangeableModel(family, 4, rho, nu=nu, mean=(0.0, 0.5, 0.0, 1.0))
                   for rho in (0.0, 0.6)]
         pairs = [ExchangeableModel(family, 2, rho, nu=nu) for rho in (0.0, -0.5)]
@@ -485,6 +486,7 @@ class TestWorkerSplit:
         for workers in range(2, 6):
             cuts = _cuts(rows, workers, block_size, tile_rows)
             assert any(cut % block_size for cut in cuts[1:-1])
+            assert -(-rows // block_size) // 2 >= workers  # as many ranges as workers
             assert run(workers) == serial, workers
 
     @pytest.mark.parametrize("rows,block_size,tile_rows", [
@@ -511,23 +513,27 @@ class TestWorkerSplit:
                 assert sizes.max() - sizes.min() <= tile_rows, (parts, cuts)
 
     def test_pool_size(self, monkeypatch):
-        # no pool while the rows fit one block, whatever the workers (the
-        # heavy-tails path); otherwise min(workers, blocks) - 1 children
-        sizes = []
+        # a range covers at least two blocks: no child while the rows fit three
+        # blocks, whatever the workers (the heavy-tails path); otherwise
+        # min(workers, blocks // 2) - 1 children
+        children = []
+        fork = os.fork
 
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kw):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kw)
+        def counting_fork():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(simulate.os, "fork", counting_fork)
         model = [ExchangeableModel("normal", 3, 0.2)]
-        for workers in (1, 2, 8):
-            _run_blocks(model, 50, 600, workers, combine._bonferroni_statistic, block_size=600)
-        assert sizes == []
-        for rows, workers in [(601, 8), (2750, 8), (2750, 3)]:
+        for rows, workers in [(600, 1), (600, 2), (600, 8), (601, 8), (1800, 8)]:
             _run_blocks(model, 50, rows, workers, combine._bonferroni_statistic, block_size=600)
-        assert sizes == [1, 4, 2]
+        assert children == []
+        for rows, workers, forked in [(2750, 8, 1), (2750, 3, 1), (2750, 2, 1), (3600, 8, 2)]:
+            _run_blocks(model, 50, rows, workers, combine._bonferroni_statistic, block_size=600)
+            assert len(children) == forked, (rows, workers)
+            children.clear()
 
     def test_error_in_a_child_range(self):
         # at nu = 0.02 and seed 0 only the last of five blocks has a divisor
@@ -545,21 +551,69 @@ class TestWorkerSplit:
             assert str(got.value) == str(serial.value), workers
 
     def test_without_fork(self, monkeypatch):
-        # where the fork start method is missing, the pool takes the default
-        # one: spawn here
-        get_context = multiprocessing.get_context
+        # where os.fork is missing, the calling process computes every range
+        monkeypatch.delattr(simulate.os, "fork")
+        callers = []
+        range_ = simulate._range
 
-        def no_fork(method=None):
-            if method == "fork":
-                raise ValueError("cannot find context for 'fork'")
-            return get_context("spawn")
+        def recording(payload):
+            callers.append(os.getpid())
+            return range_(payload)
 
-        monkeypatch.setattr(simulate.multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(simulate, "_range", recording)
         models = [ExchangeableModel("student_t", 3, rho, nu=2.5) for rho in (0.0, 0.5)]
-        runs = [_run_blocks(models, 51, 1500, workers, combine._bonferroni_statistic,
+        runs = [_run_blocks(models, 51, 2750, workers, combine._bonferroni_statistic,
                             block_size=600, tile_rows=70) for workers in (1, 2)]
-        for serial, pooled in zip(*runs):
-            assert [tile.tobytes() for tile in serial] == [tile.tobytes() for tile in pooled]
+        for serial, split in zip(*runs):
+            assert [tile.tobytes() for tile in serial] == [tile.tobytes() for tile in split]
+        assert callers == [os.getpid()] * 3  # one range at 1 worker, two at 2
+
+
+class TestChildProcesses:
+    """Each range after the first runs in a forked child; on success or error,
+    every child is reaped before ``_run_blocks`` returns or raises."""
+
+    model = [ExchangeableModel("normal", 3, 0.2)]
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def run(self, workers=2, reduce_p=combine._bonferroni_statistic, rows=2750):
+        return _run_blocks(self.model, 50, rows, workers, reduce_p, block_size=600)
+
+    def test_error_in_the_callers_range_kills_the_child(self, monkeypatch):
+        range_ = simulate._range
+
+        def failing(payload):
+            if payload[2] == 0:  # the first range: the calling process's
+                raise DomainError("first range")
+            time.sleep(60)  # the child's: only a kill ends it in time
+            return range_(payload)
+
+        monkeypatch.setattr(simulate, "_range", failing)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="first range"):
+            self.run()
+        assert time.perf_counter() - start < 30
+        self.assert_no_child()
+
+    def test_a_child_without_a_result(self, monkeypatch):
+        range_ = simulate._range
+        monkeypatch.setattr(simulate, "_range",
+                            lambda payload: range_(payload) if payload[2] == 0 else os._exit(3))
+        with pytest.raises(ChildProcessError, match=r"without a result \(exit status 3\)"):
+            self.run()
+        self.assert_no_child()
+
+    def test_a_result_larger_than_the_pipe(self):
+        # every p-value comes back, 72 kB from the child: more than a pipe's
+        # 64 kB buffer; the reducer is a lambda, since only results are pickled
+        serial, split = (self.run(workers, lambda p: p.copy(), 6000) for workers in (1, 2))
+        assert [tile.tobytes() for tile in serial[0]] == [tile.tobytes() for tile in split[0]]
+        assert (6000 - _cuts(6000, 2, 600, 16384 // 3)[1]) * 3 * 8 > 2**16  # the child's rows
+        self.assert_no_child()
 
 
 class TestColumnBlocks:
