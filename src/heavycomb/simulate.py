@@ -8,11 +8,12 @@ calibration cutoffs, and empirical p-value covariance.
 Reproducibility contract: replications are split into fixed-size blocks,
 each driven by its own counter-based Philox stream keyed by
 ``(seed, block index)``.  Workers take contiguous ranges of rows cut at
-tile boundaries, each covering at least two blocks' rows: the calling process
-computes the first, and a child forked with ``os.fork`` each other one, on the
-memory it inherits, sending back only its pickled result.  Partial results are
-reduced in row order, so results are bit-identical for any worker count, and
-where ``os.fork`` is missing the calling process computes every range.
+tile boundaries, at most one per block: the calling process computes the
+first, and a child forked with ``os.fork`` each other one, on the memory it
+inherits, sending back only its pickled result.  Partial results are reduced
+in row order, so results are bit-identical for any worker count.  Below two
+blocks' rows, or where ``os.fork`` is missing, the calling process computes
+all the rows.
 The scenarios of one command (its values of ``rho``) share each block's
 draws and one pass over the blocks, so a scenario gets the bits it would
 get on its own.  A block is held as n contiguous columns.  Each block's part
@@ -485,26 +486,27 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     Block ``i`` holds the next ``block_size`` replications, drawn from
     ``replication_rng(seed, i)`` and shaped for every model at most ``tile_rows``
     rows (default ``combine._CHUNK // n``) at a time.  The rows are cut into
-    ``max(1, min(workers, blocks // 2))`` ranges (see ``_cuts``), so each covers
-    at least two blocks' rows; the calling process computes the first while a
-    forked child computes each other one (see ``_forked_ranges``).  Without
-    ``os.fork`` the calling process computes every range, with the same bits.
+    ``min(workers, blocks)`` ranges (see ``_cuts``); the calling process computes
+    the first while a forked child computes each other one (see
+    ``_forked_ranges``).  A range draws every block it enters whole, so below two
+    blocks' rows, where the second of two ranges would draw both blocks, the
+    calling process computes all the rows, as it does where ``os.fork`` is
+    missing.  The bits are the same.
     """
     tile_rows = tile_rows or _tile_rows(models[0].n)
     blocks = -(-replications // block_size)
-    cuts = _cuts(replications, max(1, min(workers, blocks // 2)), block_size, tile_rows)
+    split = hasattr(os, "fork") and replications >= 2 * block_size
+    cuts = _cuts(replications, min(workers, blocks) if split else 1, block_size, tile_rows)
     payloads = [(models, seed, lo, hi, replications, block_size, tile_rows, bound, reduce_p, args)
                 for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    if len(payloads) == 1 or not hasattr(os, "fork"):
-        ranges = [_range(payload) for payload in payloads]
-    else:
-        ranges = _forked_ranges(payloads)
+    ranges = _forked_ranges(payloads) if len(payloads) > 1 else [_range(payloads[0])]
     return [[tile for part in ranges for tile in part[m]] for m in range(len(models))]
 
 
 def _fork_range(payload):
     """A forked child that computes ``_range(payload)`` on the memory it inherits
-    and pickles ``(ok, result or exception)`` into a pipe: (its pid, the read end)."""
+    and pickles ``(ok, result or exception)`` into a pipe: (its pid, the read end).
+    The child exits with status 0 only once the whole pickle is written."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -513,17 +515,19 @@ def _fork_range(payload):
         os.close(write)
         raise
     if pid == 0:
+        status = 1
         try:  # the child never returns into the caller's frames nor flushes their buffers
             os.close(read)
             try:
                 result = (True, _range(payload))
             except BaseException as exc:
                 result = (False, exc)
-            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)  # whole, or nothing is sent
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
             with open(write, "wb") as pipe:
                 pipe.write(data)
+            status = 0
         finally:
-            os._exit(0)
+            os._exit(status)
     os.close(write)
     return pid, open(read, "rb")
 
@@ -531,34 +535,34 @@ def _fork_range(payload):
 def _forked_ranges(payloads):
     """``_range`` of each payload: the first in the calling process, each other one
     in a forked child (see ``_fork_range``), whose errors are raised in range order.
-    On any error every child still at work is killed; every child is reaped."""
+    A child that exits with a non-zero status sent no whole result.  On any error
+    every child still at work is killed; every child is reaped."""
     for stream in (sys.stdout, sys.stderr):  # so a child's write cannot repeat their buffers
         with contextlib.suppress(AttributeError, ValueError):  # None or closed
             stream.flush()
-    children, ranges, lost = [], [], None
+    children, ranges = {}, []  # the read end of each child not yet reaped, in range order
     try:
         for payload in payloads[1:]:
-            children.append(_fork_range(payload))
+            pid, pipe = _fork_range(payload)
+            children[pid] = pipe
         ranges.append(_range(payloads[0]))
-        for pid, pipe in children:
+        for pid, pipe in list(children.items()):
             data = pipe.read()  # to EOF before waitpid: a result may outgrow the pipe
-            if not data:
-                lost = pid
-                break
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            pipe.close()
+            if status != 0:
+                raise ChildProcessError(f"an engine worker ended without a result "
+                                        f"(exit status {status})")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
             ranges.append(value)
     finally:
-        status = {}
-        for pid, pipe in children:
-            if len(ranges) < len(payloads):
-                os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped
+        for pid, pipe in children.items():
+            os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped
             pipe.close()
-            status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if lost is not None:
-        raise ChildProcessError(f"an engine worker ended without a result "
-                                f"(exit status {status[lost]})")
+            os.waitpid(pid, 0)
     return ranges
 
 

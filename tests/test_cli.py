@@ -1281,7 +1281,7 @@ class TestShapeOneThroughThePool:
                          "sided": "two_sided"},
                "methods": [{"kind": "standard", "distribution": "inv_gamma:1", "label": "ig"},
                            {"kind": "standard", "distribution": "frechet:1", "label": "fr"}],
-               "alphas": [0.05, 0.01], "replications": 4 * cli.sim.BLOCK_SIZE + 1000, "seed": 11}
+               "alphas": [0.05, 0.01], "replications": 2 * cli.sim.BLOCK_SIZE + 1000, "seed": 11}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         outs = []
         for workers in (1, 2, 3):
@@ -1645,8 +1645,8 @@ class TestEntryPoint:
         assert err == b""
 
     def test_same_stdout_at_any_workers(self):
-        # five blocks, two ranges from 2 workers on: a child never flushes the
-        # stdout buffer it inherits, so every line is written once
+        # five blocks, two ranges at 2 workers and three at 3: a child never
+        # flushes the stdout buffer it inherits, so every line is written once
         argv = [sys.executable, "-m", "heavycomb.cli", "calibrate-minp", "--n", "3", "--rho",
                 "0.3", "--reps", "140000", "--seed", "5", "--workers"]
         outs = [subprocess.run(argv + [str(workers)], capture_output=True, check=True).stdout

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import signal
 import time
 import tracemalloc
 import warnings
@@ -464,9 +465,8 @@ class TestWorkerSplit:
     @pytest.mark.parametrize("family,nu", [("normal", None), ("student_t", 2.5)])
     def test_results_do_not_depend_on_workers(self, family, nu):
         # 600-row blocks in 70-row tiles (the last one of 40), and a short last
-        # block: from 2 workers on, some cut falls inside a block; ten blocks
-        # make ranges of two blocks' rows for up to 5 workers
-        rows, block_size, tile_rows, alphas = 5750, 600, 70, (0.05, 0.01)
+        # block: from 2 workers on, some cut falls inside a block
+        rows, block_size, tile_rows, alphas = 2750, 600, 70, (0.05, 0.01)
         models = [ExchangeableModel(family, 4, rho, nu=nu, mean=(0.0, 0.5, 0.0, 1.0))
                   for rho in (0.0, 0.6)]
         pairs = [ExchangeableModel(family, 2, rho, nu=nu) for rho in (0.0, -0.5)]
@@ -486,7 +486,7 @@ class TestWorkerSplit:
         for workers in range(2, 6):
             cuts = _cuts(rows, workers, block_size, tile_rows)
             assert any(cut % block_size for cut in cuts[1:-1])
-            assert -(-rows // block_size) // 2 >= workers  # as many ranges as workers
+            assert -(-rows // block_size) >= workers  # as many ranges as workers
             assert run(workers) == serial, workers
 
     @pytest.mark.parametrize("rows,block_size,tile_rows", [
@@ -513,9 +513,8 @@ class TestWorkerSplit:
                 assert sizes.max() - sizes.min() <= tile_rows, (parts, cuts)
 
     def test_pool_size(self, monkeypatch):
-        # a range covers at least two blocks: no child while the rows fit three
-        # blocks, whatever the workers (the heavy-tails path); otherwise
-        # min(workers, blocks // 2) - 1 children
+        # no child below two blocks' rows, whatever the workers (the
+        # heavy-tails path and tableS1); otherwise min(workers, blocks) - 1
         children = []
         fork = os.fork
 
@@ -527,10 +526,10 @@ class TestWorkerSplit:
 
         monkeypatch.setattr(simulate.os, "fork", counting_fork)
         model = [ExchangeableModel("normal", 3, 0.2)]
-        for rows, workers in [(600, 1), (600, 2), (600, 8), (601, 8), (1800, 8)]:
+        for rows, workers in [(600, 1), (600, 2), (600, 8), (601, 8), (1199, 8)]:
             _run_blocks(model, 50, rows, workers, combine._bonferroni_statistic, block_size=600)
         assert children == []
-        for rows, workers, forked in [(2750, 8, 1), (2750, 3, 1), (2750, 2, 1), (3600, 8, 2)]:
+        for rows, workers, forked in [(1200, 8, 1), (2750, 8, 4), (2750, 3, 2), (2750, 2, 1)]:
             _run_blocks(model, 50, rows, workers, combine._bonferroni_statistic, block_size=600)
             assert len(children) == forked, (rows, workers)
             children.clear()
@@ -566,7 +565,7 @@ class TestWorkerSplit:
                             block_size=600, tile_rows=70) for workers in (1, 2)]
         for serial, split in zip(*runs):
             assert [tile.tobytes() for tile in serial] == [tile.tobytes() for tile in split]
-        assert callers == [os.getpid()] * 3  # one range at 1 worker, two at 2
+        assert callers == [os.getpid()] * 2  # one range at each worker count
 
 
 class TestChildProcesses:
@@ -605,6 +604,40 @@ class TestChildProcesses:
                             lambda payload: range_(payload) if payload[2] == 0 else os._exit(3))
         with pytest.raises(ChildProcessError, match=r"without a result \(exit status 3\)"):
             self.run()
+        self.assert_no_child()
+
+    def test_a_child_killed_while_writing(self, monkeypatch):
+        # the child writes half its pickle, then a SIGKILL ends it: the error
+        # names the signal, not the truncated pickle
+        open_ = open
+
+        class HalfWrite:
+            def __init__(self, fd):
+                self.file = open_(fd, "wb")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.file.write(data[:len(data) // 2])
+                self.file.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(simulate, "open",
+                            lambda fd, mode: HalfWrite(fd) if mode == "wb" else open_(fd, mode),
+                            raising=False)
+        with pytest.raises(ChildProcessError,
+                           match=rf"without a result \(exit status {-signal.SIGKILL}\)"):
+            self.run()
+        self.assert_no_child()
+
+    def test_a_result_that_cannot_be_pickled(self):
+        # the child sends nothing and exits with status 1, not 0
+        with pytest.raises(ChildProcessError, match=r"without a result \(exit status 1\)"):
+            self.run(reduce_p=lambda p: lambda: p)
         self.assert_no_child()
 
     def test_a_result_larger_than_the_pipe(self):
