@@ -106,9 +106,10 @@ def _kappa(weights: np.ndarray, d: HeavyTailDistribution) -> float:
     return kappa
 
 
-def _threshold(d: HeavyTailDistribution, alpha: float, kappa: float) -> float:
-    """Q_F(1 - alpha/kappa); the lower support bound once alpha/kappa >= 1."""
-    return float(d.inverse_survival(min(alpha / kappa, 1.0)))
+def _thresholds(d: HeavyTailDistribution, alphas, kappa: float) -> np.ndarray:
+    """Q_F(1 - alpha/kappa) of each of ``alphas``, from one ``inverse_survival``
+    call; the lower support bound once alpha/kappa >= 1."""
+    return d.inverse_survival(np.minimum(np.array(alphas, dtype=np.float64) / kappa, 1.0))
 
 
 def _weighted_sum(x: np.ndarray, weights: np.ndarray):
@@ -268,7 +269,7 @@ def bonferroni_as_max_statistic(p, w, d: HeavyTailDistribution, alpha: float) ->
     weights = _validate_weights(w, arr.size)
     _check_alpha(alpha)
     x, _ = _transform(arr, d)
-    return bool(np.max(weights * x) > _threshold(d, alpha, _kappa(weights, d)))
+    return bool(np.max(weights * x) > _thresholds(d, [alpha], _kappa(weights, d))[0])
 
 
 def fisher(p) -> CombinedResult:

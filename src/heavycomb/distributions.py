@@ -288,12 +288,14 @@ class Frechet(_Shape):
             inner = np.where(x > 0, x, 1.0) ** -self.gamma
         return np.where(x > 0, np.exp(-inner), 0.0)
 
+    # np.power, not **: a ufunc of a 0-d array returns a numpy scalar, whose ** is
+    # C pow, not the array loop, so a scalar call would round differently
     def _isf(self, q):
         with np.errstate(over="ignore"):
-            return (-np.log1p(-q)) ** (-1.0 / self.gamma)
+            return np.power(-np.log1p(-q), -1.0 / self.gamma)
 
     def _quantile(self, u):
-        return (-np.log(u)) ** (-1.0 / self.gamma)
+        return np.power(-np.log(u), -1.0 / self.gamma)
 
 
 class InverseGamma(_Shape):

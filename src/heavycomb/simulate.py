@@ -359,9 +359,10 @@ def _compile_method(spec: MethodSpec, alphas, n, dist=None) -> _CompiledMethod:
         dist = parse_distribution(spec.distribution) if dist is None else dist
         w = combine._sum_weights(kind, n, dist, spec.weights)
         kappa = combine._kappa(w, dist)
-        thr = tuple(combine._threshold(dist, a, kappa) for a in alphas)
-        if all(map(math.isfinite, thr)):  # S <= sum(w) * Q(p_min)
-            bound = max(float(dist.survival(t / w.sum())) for t in thr)
+        thr = combine._thresholds(dist, alphas, kappa)
+        if np.isfinite(thr).all():  # S <= sum(w) * Q(p_min)
+            bound = float(dist.survival(thr / w.sum()).max())
+        thr = tuple(thr.tolist())
     elif kind == "bonferroni":
         w, thr = combine._bonferroni_weights(spec.weights, n)[0], tuple(alphas)
         bound = max(thr) * float(w.max())
@@ -431,13 +432,13 @@ def _screen(models, cut, draw, first, last, tile_rows):
 def _range(payload):
     """``reduce_p(p, *args)`` of rows ``lo:hi``, at most ``tile_rows`` rows a call,
     for every model; ``p`` is a ``(rows, n)`` view of contiguous columns.  Only the
-    rows that can have a smallest p-value of at most ``bound`` are reduced (see
-    ``_cut``): each block's part of the range is screened once on its rows' extreme
-    draws (see ``_screen``), then its kept rows are gathered, shaped and reduced.
-    Unscreened, a part is reduced in contiguous tiles.  Every block that the range
-    enters is drawn whole, so a row has the same bits in any range."""
-    models, seed, lo, hi, replications, block_size, tile_rows, bound, reduce_p, args = payload
-    cut, mean = _cut(models[0], bound), _mean_column(models[0])
+    rows whose largest statistic is above ``cut`` are reduced (see ``_cut``): each
+    block's part of the range is screened once on its rows' extreme draws (see
+    ``_screen``), then its kept rows are gathered, shaped and reduced.  At a cut of
+    -inf, a part is reduced in contiguous tiles.  Every block that the range enters
+    is drawn whole, so a row has the same bits in any range."""
+    models, seed, lo, hi, replications, block_size, tile_rows, cut, reduce_p, args = payload
+    mean = _mean_column(models[0])
     out = [[] for _ in models]
     for index in range(lo // block_size, -(-hi // block_size)):
         start = index * block_size
@@ -481,7 +482,8 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     """``reduce_p(p, *args)`` of each row tile's p-values, one list per model in
     row order, for models that differ only in ``rho``; with
     ``bound`` below 1 only of the rows whose smallest p-value can be at most
-    ``bound`` (see ``_range``).
+    ``bound``: its cut (see ``_cut``) is made once, before any child is forked,
+    and each range screens on it (see ``_range``).
 
     Block ``i`` holds the next ``block_size`` replications, drawn from
     ``replication_rng(seed, i)`` and shaped for every model at most ``tile_rows``
@@ -497,7 +499,8 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     blocks = -(-replications // block_size)
     split = hasattr(os, "fork") and replications >= 2 * block_size
     cuts = _cuts(replications, min(workers, blocks) if split else 1, block_size, tile_rows)
-    payloads = [(models, seed, lo, hi, replications, block_size, tile_rows, bound, reduce_p, args)
+    cut = _cut(models[0], bound)
+    payloads = [(models, seed, lo, hi, replications, block_size, tile_rows, cut, reduce_p, args)
                 for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     ranges = _forked_ranges(payloads) if len(payloads) > 1 else [_range(payloads[0])]
     return [[tile for part in ranges for tile in part[m]] for m in range(len(models))]
@@ -607,6 +610,8 @@ def _rejection_reports(config: ExperimentConfig, models):
     start = time.perf_counter()
     if not config.methods:
         raise ConfigError("at least one method is required")
+    if not config.alphas:
+        raise ConfigError("at least one alpha is required")
     plan = _compile_methods(config.methods, config.alphas, config.model.n)
     per_model = _run_blocks(models, config.seed, config.replications, config.workers,
                             _rate_counts, plan, config.alphas, bound=max(m.bound for m in plan))
@@ -667,6 +672,8 @@ def _equivalence_tallies(p, plan, alphas):
 def _equivalence_plan(config: ExperimentConfig, d: HeavyTailDistribution, w=None):
     """The weighted test on ``d`` (standard without ``w``) and Bonferroni on the
     mapped weights w_i^gamma / kappa, compiled at ``config``'s alphas."""
+    if not config.alphas:
+        raise ConfigError("at least one alpha is required")
     n, kind = config.model.n, "standard" if w is None else "weighted"
     # the mapped weights first: a power outside the doubles would make kappa 0 or inf
     mapped = combine._mapped_weights(combine._sum_weights(kind, n, d, w), d)

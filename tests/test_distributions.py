@@ -376,6 +376,22 @@ class TestInvariants:
                 assert float(d.survival(x)) == float(d.cdf(-x)), d
 
 
+    @pytest.mark.parametrize("spec", ["cauchy", "log_cauchy", "levy", "pareto:2.5", "frechet:1",
+                                      "frechet:0.5", "frechet:2", "log_gamma:1.5",
+                                      "inv_gamma:0.7", "t:3", "trunc_t:3:0.9"])
+    def test_scalar_call_has_the_bits_of_an_array_call(self, spec):
+        # a 0-d argument takes the array loops too (Frechet's ** of a numpy scalar
+        # was C pow, one ulp off the array value of some levels)
+        d = parse_distribution(spec)
+        rng = np.random.default_rng(52)
+        q = 10.0 ** rng.uniform(-14.0, 0.0, 400)
+        x = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-3.0, 6.0, 400)
+        for name, args in (("inverse_survival", q), ("quantile", q[q < 1.0]), ("survival", x)):
+            array = getattr(d, name)(args)
+            scalar = np.array([getattr(d, name)(float(v)) for v in args])
+            assert scalar.tobytes() == array.tobytes(), name
+
+
 class TestAgainstScipy:
     CASES = [
         (Cauchy(), st.cauchy),

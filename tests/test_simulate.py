@@ -734,7 +734,7 @@ class TestStrongSignal:
         # exp(cot(pi alpha/n)) is +inf once alpha/n < 4.5e-4; the engine then
         # decides as CombinedResult.reject does, on kappa * sf(S) < alpha
         d, alpha, reps = LogCauchy(), 1e-6, 1000
-        assert combine._threshold(d, alpha, 3.0) == math.inf
+        assert combine._thresholds(d, [alpha], 3.0)[0] == math.inf
         model = ExchangeableModel("normal", 3, 0.5, mean=(45.0,) * 3)
         methods = (MethodSpec("standard", "log_cauchy"),
                    MethodSpec("weighted", "log_cauchy", weights=(1.0, 2.0, 3.0)))
@@ -785,6 +785,14 @@ class TestEquivalenceRatio:
                 ExperimentConfig(model, (), (1e-9,), 2_000, seed=19), Cauchy()
             )
         assert "bonferroni" in info.value.counts
+
+    @pytest.mark.parametrize("w", [None, (1.0, 2.0)], ids=["standard", "weighted"])
+    def test_no_alphas_is_a_config_error(self, w):
+        # it was a ValueError from max() of the empty thresholds
+        config = ExperimentConfig(ExchangeableModel("normal", 2, 0.0), (), (), 2000, 22)
+        with pytest.raises(ConfigError) as err:
+            estimate_equivalence_ratio(config, Cauchy(), w)
+        assert str(err.value) == "at least one alpha is required"
 
     @pytest.mark.parametrize("w", [(1e-300, 1.0), (1e-200, 1e-200)], ids=["one", "all"])
     def test_underflowed_mapped_weight_is_named(self, w):
@@ -1048,13 +1056,17 @@ class TestConfigValidation:
         ((MethodSpec("minp"),), "method minp: minp needs a calibrated cutoff"),
         ((MethodSpec("standard"),), "method standard: transform kinds need a distribution"),
         ((), "at least one method is required"),
+        ((MethodSpec("fisher"), MethodSpec("bonferroni")), "at least one alpha is required"),
     ], ids=["unknown-kind-first", "standard-weights", "average-cutoff", "fisher-distribution",
             "fisher-weights", "bonferroni-distribution", "bonferroni-cutoff",
             "minp-distribution", "minp-weights", "minp-cutoff-nan", "minp-cutoff-0",
-            "minp-cutoff-1.5", "minp-no-cutoff", "standard-no-distribution", "no-methods"])
+            "minp-cutoff-1.5", "minp-no-cutoff", "standard-no-distribution", "no-methods",
+            "no-alphas"])
     def test_method_parameters(self, methods, message):
-        # a parameter that does not apply to its kind is refused, not ignored
-        config = ExperimentConfig(ExchangeableModel("normal", 2, 0.0), methods, (0.05,), 10, 1)
+        # a parameter that does not apply to its kind is refused, not ignored; the
+        # last row's config has no alphas (a config of calibrate_minp has none either)
+        alphas = () if message == "at least one alpha is required" else (0.05,)
+        config = ExperimentConfig(ExchangeableModel("normal", 2, 0.0), methods, alphas, 10, 1)
         with pytest.raises(ConfigError) as err:
             estimate_rejection_rate(config)
         assert str(err.value) == message
@@ -1103,6 +1115,61 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             estimate_rejection_rate(config)
         assert str(err.value) == "method standard[zz]: unknown distribution spec 'zz'"
+
+
+_THRESHOLD_KINDS = {"standard": None, "average": None, "weighted": (1.0, 2.0, 0.5),
+                    "weighted-small": (1e-3, 4e-3, 1e-3)}  # alpha/kappa >= 1 at gamma <= 1
+_THRESHOLD_CASES = [
+    (spec, kind) for spec in ("t:2.5", "t:3", "trunc_t:3:0.9", "inv_gamma:0.7", "cauchy",
+                              "log_cauchy", "levy", "pareto:1", "pareto:2.5", "frechet:1",
+                              "frechet:0.5", "log_gamma:1.5", "inv_gamma:1", "trunc_t:1:0.9")
+    for kind in _THRESHOLD_KINDS
+    if kind != "average" or parse_distribution(spec).tail_index == 1.0]  # needs tail index 1
+
+
+class TestCompiledThresholds:
+    """A transform method's thresholds come from one inverse_survival call and its
+    bound from one survival call, with the bits of one scalar call each."""
+
+    @pytest.mark.parametrize("spec,kind", _THRESHOLD_CASES)
+    def test_bits_of_the_scalar_calls(self, spec, kind):
+        d, n, alphas = parse_distribution(spec), 3, (0.05, 1e-3, 1e-12)
+        weights, kind = _THRESHOLD_KINDS[kind], kind.removesuffix("-small")
+        method = _compile_method(MethodSpec(kind, weights=weights), alphas, n, d)
+        w = combine._sum_weights(kind, n, d, weights)
+        kappa = combine._kappa(w, d)
+        thr = [float(d.inverse_survival(min(a / kappa, 1.0))) for a in alphas]
+        bound = (max(float(d.survival(t / w.sum())) for t in thr)
+                 if all(map(math.isfinite, thr)) else 1.0)
+        assert np.array(method.thresholds).tobytes() == np.array(thr).tobytes()
+        assert np.float64(method.bound).tobytes() == np.float64(bound).tobytes()
+        assert method.kappa == kappa
+
+    def test_overflowed_threshold_leaves_no_bound(self):
+        # exp(cot(pi alpha/n)) is past the doubles at alpha = 1e-6
+        method = _compile_method(MethodSpec("standard"), (0.05, 1e-6), 3, LogCauchy())
+        assert method.thresholds[0] < math.inf == method.thresholds[1]
+        assert method.bound == 1.0
+
+    @pytest.mark.parametrize("alphas", [(0.05,), (0.05, 0.01), (0.2, 0.05, 0.01, 1e-3, 1e-6)])
+    @pytest.mark.parametrize("spec", ["t:3", "trunc_t:3:0.9", "inv_gamma:1", "cauchy"])
+    def test_one_call_each(self, spec, alphas, monkeypatch):
+        d, calls = parse_distribution(spec), []
+
+        def counted(name):
+            method = getattr(d, name)
+
+            def call(x):
+                calls.append(name)
+                return method(x)
+            return call
+
+        for name in ("inverse_survival", "survival"):
+            monkeypatch.setattr(d, name, counted(name))
+        for kind, weights in (("standard", None), ("weighted", (1.0, 2.0, 0.5, 4.0, 3.0))):
+            calls.clear()
+            _compile_method(MethodSpec(kind, weights=weights), alphas, 5, d)
+            assert sorted(calls) == ["inverse_survival", "survival"], kind
 
 
 def _unscreened(model, bound):
