@@ -8,18 +8,13 @@ closed stdout), 2 configuration/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
 import os
-import re
 import sys
 import time
-from array import array
 from itertools import chain, count, repeat
-
-import numpy as np
 
 from . import __version__, closed_testing, combine as comb, presets, simulate as sim
 from .closed_testing import closed_test_shortcut  # noqa: F401  (perfbench/tracing.py patches it)
@@ -61,26 +56,35 @@ def _open(path, mode: str, what: str, errors=None):
         raise ConfigError(f"cannot {what} file: {exc}") from exc
 
 
-def _emit(args, header, rows, config_echo) -> int:
+def _csv_lines(rows):
+    """``rows`` (tuples) as CSV lines: ``fmt % row``, ``fmt`` built from the first
+    row's field types (a bool or numpy scalar is a KeyError)."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return iter(())
+    fmt = ",".join(_CSV_FIELDS[type(field)] for field in first) + "\n"
+    return map(fmt.__mod__, chain((first,), rows))
+
+
+def _emit(args, header, rows, config_echo, tail=(), few_events=()) -> int:
     """Write ``rows`` (tuples) and the run's manifest to ``--output`` (default stdout).
 
-    A CSV row is ``fmt % row``, ``fmt`` built from the first row's field types
-    (a bool or numpy scalar is a KeyError).  CSV rows are written as they are
-    produced, so an error part-way leaves the rows so far and no manifest; a
-    JSON document is written only once complete.  The manifest takes the run's
-    seed, workers and start time from ``args``; an output file gets it as
-    ``<stem>.manifest.json``.
+    CSV rows (see ``_csv_lines``) are written as they are produced, then the
+    CSV text of ``tail``, so an error part-way leaves the rows so far and no
+    manifest; a JSON document is written only once complete.  The manifest
+    takes the run's seed, workers and start time from ``args``, and, when
+    ``few_events`` (filled as the rows are made, see ``_flag_few_events``)
+    is not empty, a ``health`` section that lists them; an output file gets it
+    as ``<stem>.manifest.json``.
     """
     to_file = args.output not in (None, "-")
     stream = _open(args.output, "w", "write output") if to_file else sys.stdout
     try:
         if args.format == "csv":
             stream.write(",".join(header) + "\n")
-            rows = iter(rows)
-            first = next(rows, None)
-            if first is not None:
-                fmt = ",".join(_CSV_FIELDS[type(field)] for field in first) + "\n"
-                stream.writelines(map(fmt.__mod__, chain((first,), rows)))
+            stream.writelines(_csv_lines(rows))
+            stream.writelines(tail)
         else:
             records = [dict(zip(header, row)) for row in rows]
         manifest = {
@@ -91,6 +95,8 @@ def _emit(args, header, rows, config_echo) -> int:
             "version": __version__,
             "runtime_seconds": time.perf_counter() - args.start,
         }
+        if few_events:
+            manifest["health"] = {"few_events": few_events}
         if args.format == "json":
             json.dump({"rows": records, "manifest": manifest}, stream, indent=2)
             stream.write("\n")
@@ -106,108 +112,19 @@ def _emit(args, header, rows, config_echo) -> int:
 
 def _open_input(path):
     """The input file; a byte that is not text reads as a lone surrogate, so that
-    ``_iter_groups`` can name its line."""
+    ``groupfile._iter_groups`` can name its line."""
     return _open(path, "r", "read input", errors="surrogateescape")
 
 
-def _undecoded(text: str) -> bool:
-    """Whether ``text`` holds a byte that the input's encoding could not decode."""
-    return not text.isascii() and _SURROGATE.search(text) is not None
+def _emit_groups(args, fh, header, compute, to_rows, echo, workers: int) -> int:
+    """``_emit`` of the rows of every group of the input open as ``fh``, a CSV
+    split across up to ``workers`` processes (see ``groupfile._rows``); a JSON
+    document is written whole, by this process alone."""
+    from . import groupfile  # only the file commands read one, so no other command loads it
 
-
-_SURROGATE = re.compile("[\udc80-\udcff]")
-
-
-def _iter_groups(fh):
-    """Yield (line_no, group_id, p_values) from a ragged CSV file open as ``fh``
-    (by ``_open_input``).
-
-    A header line is detected by a non-numeric second field on line 1.
-    ``float`` ignores the whitespace around a token, as ``strip`` would.  A
-    group id or p-value that is not text, or a line that ``csv`` cannot read,
-    is a ValidationError naming the line.
-    """
-    rows = csv.reader(fh)
-    for line_no in count(1):
-        try:
-            row = next(rows)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ValidationError(f"line {line_no}: {exc}") from None
-        if not row or (len(row) == 1 and not row[0].strip()):
-            raise ValidationError(f"line {line_no}: empty line")
-        if _undecoded(row[0]):  # the one field written out as read
-            raise ValidationError(f"line {line_no}: not {fh.encoding} text")
-        if line_no == 1 and len(row) >= 2:
-            try:
-                float(row[1])
-            except ValueError:
-                continue  # header
-        group_id = row[0].strip()
-        if len(row) < 2:
-            raise ValidationError(f"line {line_no}: group {group_id!r} has no p-values")
-        try:  # every token parses before any range is checked
-            values = list(map(float, row[1:]))
-        except ValueError:
-            for tok in row[1:]:  # name the first bad token
-                try:
-                    float(tok)
-                except ValueError:
-                    what = (f"not {fh.encoding} text" if _undecoded(tok)
-                            else f"unparseable p-value: {tok.strip()!r}")
-                    raise ValidationError(f"line {line_no}: {what}") from None
-        for v in values:
-            if not (0.0 < v <= 1.0):
-                raise ValidationError(f"line {line_no}: p-value {v!r} outside (0, 1]")
-        yield line_no, group_id, values
-
-
-def _batched_rows(fh, compute, to_rows):
-    """The rows of each group of a file command, in input order, computed a
-    chunk at a time (``itertools.chain.from_iterable`` flattens them).
-
-    A chunk is groups of up to ``combine._CHUNK`` p-values in all (one group
-    at least), cut short by a read error.  It is held as one flat ``array`` of
-    doubles per group length, so its working set is bounded whatever the
-    lengths.  ``compute`` maps a length's ``(groups, n)`` block to one result
-    per group, in order, and ``to_rows(group_id, *result)`` returns a group's
-    rows.  A block fails only for its length and the flags, so blocks run in
-    the order of their first group, to which a failed block's error belongs:
-    every row before that group's line is yielded, then the error is raised,
-    named by the line for a p-value or shape error.
-    """
-    groups = _iter_groups(fh)
-    while True:
-        ids, lengths, blocks, results, size, error = [], [], {}, {}, 0, None
-        try:
-            for line_no, group_id, values in groups:
-                n = len(values)
-                if n not in blocks:
-                    blocks[n] = (line_no, len(ids), array("d"))
-                blocks[n][2].extend(values)
-                ids.append(group_id)
-                lengths.append(n)
-                size += n
-                if size >= comb._CHUNK:
-                    break
-        except ValidationError as exc:
-            error = exc
-        stop = len(ids)
-        for n, (line_no, first, flat) in blocks.items():
-            try:
-                results[n] = iter(compute(np.frombuffer(flat).reshape(-1, n)))
-            except HeavyCombError as exc:
-                stop, bad_line, error = first, line_no, exc
-                break
-        for group_id, n in zip(ids[:stop], lengths):
-            yield to_rows(group_id, *next(results[n]))
-        if isinstance(error, (DomainError, ShapeError)):
-            raise ValidationError(f"line {bad_line}: {error}") from error
-        if error is not None:
-            raise error
-        if size < comb._CHUNK:
-            return
+    workers = workers if args.format == "csv" else 1
+    with groupfile._rows(args.input, fh, compute, to_rows, _csv_lines, workers) as (rows, tail):
+        return _emit(args, header, rows, echo, tail)
 
 
 def _dist_from_arg(spec: str):
@@ -233,16 +150,38 @@ def _parse_weights_arg(text):
 
 
 def _check_run_flags(args):
-    """``--seed`` and ``--workers`` of a command that runs no engine: nothing reads
-    them, but the manifest records them, so they meet the engine commands' rule."""
+    """``--seed`` and ``--workers`` of a command that runs no engine: the manifest
+    records them as given, so they meet the engine commands' rule.  Nothing
+    reads the seed; combine and closed-test read the worker count through
+    ``_file_workers``, while adjust-bh and tail-dep read no workers."""
     if args.seed is not None:
         sim._check_seed(args.seed)
     if args.workers is not None:
         sim._check_workers(args.workers)
 
 
+def _env_workers() -> int:
+    """``$HEAVYCOMB_WORKERS``, or 1 when it is unset or empty."""
+    env = os.environ.get(_ENV_WORKERS)
+    try:
+        return int(env) if env else 1
+    except ValueError:
+        raise ConfigError(f"{_ENV_WORKERS} must be an integer, got {env!r}") from None
+
+
+def _file_workers(args) -> int:
+    """The processes that share combine's or closed-test's input (see
+    ``_emit_groups``): ``--workers``, else ``$HEAVYCOMB_WORKERS``, else 1."""
+    if args.workers is not None:
+        return args.workers
+    workers = _env_workers()
+    sim._check_workers(workers)
+    return workers
+
+
 def cmd_combine(args) -> int:
     _check_run_flags(args)
+    workers = _file_workers(args)
     method, takes = args.method, sim._KINDS[args.method]
     dist = None
     if "distribution" in takes:
@@ -287,10 +226,10 @@ def cmd_combine(args) -> int:
     echo = {"input": args.input, "method": method, "dist": args.dist,
             "weights": args.weights, "alpha": args.alpha}
     with _open_input(args.input) as fh:  # before any output
-        rows = chain.from_iterable(_batched_rows(fh, compute, to_rows))
         if method == "weighted" and weights is None:  # after the header, whatever the input
-            rows = _raising(ConfigError("method 'weighted' requires --weights"))
-        return _emit(args, header, rows, echo)
+            missing = ConfigError("method 'weighted' requires --weights")
+            return _emit(args, header, _raising(missing), echo)
+        return _emit_groups(args, fh, header, compute, to_rows, echo, workers)
 
 
 def _raising(exc):  # rows whose first ``next`` raises ``exc``
@@ -300,6 +239,7 @@ def _raising(exc):  # rows whose first ``next`` raises ``exc``
 
 def cmd_closed_test(args) -> int:
     _check_run_flags(args)
+    workers = _file_workers(args)
     dist = _dist_from_arg(args.dist)
     _check_level("--alpha", args.alpha)
     flag = _FLAGS[args.format]
@@ -315,15 +255,17 @@ def cmd_closed_test(args) -> int:
     header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
     echo = {"input": args.input, "dist": args.dist, "alpha": args.alpha}
     with _open_input(args.input) as fh:  # before any output
-        return _emit(args, header, chain.from_iterable(_batched_rows(fh, compute, to_rows)), echo)
+        return _emit_groups(args, fh, header, compute, to_rows, echo, workers)
 
 
 def cmd_adjust_bh(args) -> int:
+    from . import groupfile  # as in _emit_groups
+
     _check_run_flags(args)
     _check_level("--q", args.q)
     ids, pvals = [], []
     with _open_input(args.input) as fh:
-        for line_no, group_id, values in _iter_groups(fh):
+        for line_no, group_id, values in groupfile._iter_groups(fh):
             if len(values) != 1:
                 raise ValidationError(
                     f"line {line_no}: adjust-bh expects one combined p-value per group, "
@@ -412,11 +354,7 @@ def _read_config(args, command: str):
             cfg[key] = getattr(args, key)
     cfg.setdefault("seed", _DEFAULT_SEED)
     if "workers" not in cfg:  # the environment is read only when nothing else sets it
-        env = os.environ.get(_ENV_WORKERS)
-        try:
-            cfg["workers"] = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(f"{_ENV_WORKERS} must be an integer, got {env!r}") from None
+        cfg["workers"] = _env_workers()
     workers = cfg["workers"] if args.preset or args.config else cfg.pop("workers")  # flags: no echo
     if "model" not in cfg:
         raise ConfigError("config is missing the 'model' section")
@@ -463,6 +401,23 @@ def _model_cols(model: ExchangeableModel) -> tuple:
     return model.family, model.n, model.rho, "" if model.nu is None else model.nu, model.sided
 
 
+_FEW_EVENTS = 10  # a rate's row that rests on fewer events is flagged
+
+
+def _flag_few_events(flagged: list, row: int, where: dict, events: dict) -> None:
+    """Flag data row ``row`` (counted from 1) when one of its ``events`` counts is
+    below ``_FEW_EVENTS``: a line on stderr, and an entry in ``flagged`` for the
+    manifest.  Its estimate and delta-method std_error then rest on a handful
+    of events, so they can be far off; the counts are also CSV columns."""
+    if min(events.values()) < _FEW_EVENTS:
+        flagged.append({"row": row, **where, "events": events})
+        place = ", ".join(f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
+                          for key, value in where.items())
+        counts = ", ".join(f"{value} {key}" for key, value in events.items())
+        print(f"warning: row {row} ({place}) rests on {counts}: fewer than {_FEW_EVENTS} "
+              "events", file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     cfg, run, models = _read_config(args, "simulate")
     methods = _method_specs(run["methods"])
@@ -472,9 +427,15 @@ def cmd_simulate(args) -> int:
     # the whole run, and so every check of the config, before any output
     reports = list(sim._rejection_reports(config, models))
 
+    few = []
+
     def rows():
+        lines = count(1)
         for model, report in zip(models, reports):
             for row in report.rows:
+                _flag_few_events(few, next(lines), {"rho": model.rho, "method": row.method,
+                                                    "alpha": row.alpha},
+                                 {"rejections": row.rejections})
                 yield _model_cols(model) + (
                     row.method, row.alpha, row.estimate, row.std_error,
                     row.rejections, report.replications, report.seed,
@@ -484,7 +445,7 @@ def cmd_simulate(args) -> int:
 
     header = _MODEL_HEADER + ["method", "alpha", "estimate", "std_error", "rejections",
                               "replications", "seed"]
-    return _emit(args, header, rows(), cfg)
+    return _emit(args, header, rows(), cfg, few_events=few)
 
 
 def cmd_calibrate_minp(args) -> int:
@@ -527,9 +488,16 @@ def cmd_equiv_ratio(args) -> int:
     # the block pass before any output; a scenario without rejections fails at its rows
     reports = sim._equivalence_reports(config, models, plan)
 
+    few = []
+
     def rows():
+        lines = count(1)
         for model, report in zip(models, reports):
             for row in report.rows:
+                _flag_few_events(few, next(lines), {"rho": model.rho, "alpha": row.alpha},
+                                 {"disagreements": row.disagreements,
+                                  "weighted_rejections": row.weighted_rejections,
+                                  "bonferroni_rejections": row.bonferroni_rejections})
                 yield _model_cols(model) + (
                     dist.spec_string(), row.alpha, row.ratio, row.std_error,
                     row.disagreements, row.weighted_rejections,
@@ -539,17 +507,19 @@ def cmd_equiv_ratio(args) -> int:
     header = _MODEL_HEADER + ["distribution", "alpha", "ratio", "std_error", "disagreements",
                               "weighted_rejections", "bonferroni_rejections",
                               "replications", "seed"]
-    return _emit(args, header, rows(), cfg)
+    return _emit(args, header, rows(), cfg, few_events=few)
 
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed, 0 to 2^64-1; overrides config/preset values")
     parser.add_argument("--workers", type=int, default=None,
-                        help="processes that share an engine run's rows, this one "
-                             f"included, at most one per {sim.BLOCK_SIZE}-row block "
-                             f"(default: ${_ENV_WORKERS} or 1); results are identical "
-                             "for any value")
+                        help="processes that share the work, this one included "
+                             f"(default: ${_ENV_WORKERS} or 1): an engine run's rows, at "
+                             f"most one per {sim.BLOCK_SIZE}-row block, or a combine or "
+                             "closed-test input, at most one per "
+                             f"{comb._CHUNK} p-values; adjust-bh and tail-dep use one. "
+                             "Results are identical for any value")
     parser.add_argument("--output", "-o", default=None,
                         help="output file ('-' or omitted: stdout)")
     parser.add_argument("--format", choices=tuple(_FLAGS), default="csv",

@@ -210,8 +210,7 @@ def _combine_rows(kind: str, p: np.ndarray, d: HeavyTailDistribution | None = No
         return _Rows(statistic, _clamp_p(statistic), weights_normalized=normalized)
     if kind == "fisher":
         statistic = _fisher_statistic(p)
-        tail = [special._poisson_tail(n, s / 2.0) for s in statistic.tolist()]
-        return _Rows(statistic, _clamp_p(np.array(tail)))
+        return _Rows(statistic, _clamp_p(special._poisson_tail_array(n, statistic / 2.0)))
     weights = _sum_weights(kind, n, d, w)
     x, low = _transform(p, d)
     statistic = _weighted_sum(x, weights)

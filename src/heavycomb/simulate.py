@@ -489,11 +489,11 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     ``replication_rng(seed, i)`` and shaped for every model at most ``tile_rows``
     rows (default ``combine._CHUNK // n``) at a time.  The rows are cut into
     ``min(workers, blocks)`` ranges (see ``_cuts``); the calling process computes
-    the first while a forked child computes each other one (see
-    ``_forked_ranges``).  A range draws every block it enters whole, so below two
-    blocks' rows, where the second of two ranges would draw both blocks, the
-    calling process computes all the rows, as it does where ``os.fork`` is
-    missing.  The bits are the same.
+    the first while a forked child computes each other one (see ``_forked``).
+    A range draws every block it enters whole, so below two blocks' rows,
+    where the second of two ranges would draw both blocks, the calling process
+    computes all the rows, as it does where ``os.fork`` is missing.  The bits
+    are the same.
     """
     tile_rows = tile_rows or _tile_rows(models[0].n)
     blocks = -(-replications // block_size)
@@ -502,12 +502,13 @@ def _run_blocks(models, seed, replications, workers, reduce_p, *args, block_size
     cut = _cut(models[0], bound)
     payloads = [(models, seed, lo, hi, replications, block_size, tile_rows, cut, reduce_p, args)
                 for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    ranges = _forked_ranges(payloads) if len(payloads) > 1 else [_range(payloads[0])]
+    with _forked(_range, payloads[1:]) as others:
+        ranges = [_range(payloads[0]), *others]
     return [[tile for part in ranges for tile in part[m]] for m in range(len(models))]
 
 
-def _fork_range(payload):
-    """A forked child that computes ``_range(payload)`` on the memory it inherits
+def _fork(run, payload):
+    """A forked child that computes ``run(payload)`` on the memory it inherits
     and pickles ``(ok, result or exception)`` into a pipe: (its pid, the read end).
     The child exits with status 0 only once the whole pickle is written."""
     read, write = os.pipe()
@@ -522,7 +523,7 @@ def _fork_range(payload):
         try:  # the child never returns into the caller's frames nor flushes their buffers
             os.close(read)
             try:
-                result = (True, _range(payload))
+                result = (True, run(payload))
             except BaseException as exc:
                 result = (False, exc)
             data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
@@ -535,38 +536,42 @@ def _fork_range(payload):
     return pid, open(read, "rb")
 
 
-def _forked_ranges(payloads):
-    """``_range`` of each payload: the first in the calling process, each other one
-    in a forked child (see ``_fork_range``), whose errors are raised in range order.
-    A child that exits with a non-zero status sent no whole result.  On any error
-    every child still at work is killed; every child is reaped."""
+@contextlib.contextmanager
+def _forked(run, payloads):
+    """Fork a child that computes ``run(payload)`` for each of ``payloads`` (see
+    ``_fork``), and give an iterator over their results in order, which raises
+    a child's error in its turn.  A child that exits with a non-zero status
+    sent no whole result.  On leaving, every child still at work is killed;
+    every child is reaped."""
     for stream in (sys.stdout, sys.stderr):  # so a child's write cannot repeat their buffers
         with contextlib.suppress(AttributeError, ValueError):  # None or closed
             stream.flush()
-    children, ranges = {}, []  # the read end of each child not yet reaped, in range order
+    children = {}  # the read end of each child not yet reaped, in payload order
     try:
-        for payload in payloads[1:]:
-            pid, pipe = _fork_range(payload)
+        for payload in payloads:
+            pid, pipe = _fork(run, payload)
             children[pid] = pipe
-        ranges.append(_range(payloads[0]))
-        for pid, pipe in list(children.items()):
-            data = pipe.read()  # to EOF before waitpid: a result may outgrow the pipe
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            pipe.close()
-            if status != 0:
-                raise ChildProcessError(f"an engine worker ended without a result "
-                                        f"(exit status {status})")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            ranges.append(value)
+        yield _results(children)
     finally:
         for pid, pipe in children.items():
             os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until reaped
             pipe.close()
             os.waitpid(pid, 0)
-    return ranges
+
+
+def _results(children):
+    """Each child's result, in order, once it has exited (see ``_forked``)."""
+    for pid, pipe in list(children.items()):
+        data = pipe.read()  # to EOF before waitpid: a result may outgrow the pipe
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del children[pid]
+        pipe.close()
+        if status != 0:
+            raise ChildProcessError(f"a worker ended without a result (exit status {status})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        yield value
 
 
 def _rejections(p, plan, alphas):

@@ -584,28 +584,44 @@ def reg_beta(x: float, a: float, b: float) -> float:
 
 
 def _poisson_tail(k: int, y: float) -> float:
-    """Q(k, y) = e^-y sum_{j<k} y^j / j!, the chi-square(2k) survival at 2y (k >= 1, y >= 0).
+    """Q(k, y) = e^-y sum_{j<k} y^j / j!, the chi-square(2k) survival at 2y (k >= 1, y >= 0)."""
+    return float(_poisson_tail_array(k, np.array([float(y)]))[0])
+
+
+def _poisson_tail_array(k: int, y: np.ndarray) -> np.ndarray:
+    """Q(k, y) of each element of a 1-D array ``y >= 0`` (see ``_poisson_tail``).
 
     The terms are summed by recursion from e^-y.  Beyond y = 708, where e^-y
-    underflows, it is taken as m = 2^i factors e^(-y/m), each exponent exact:
-    the sum starts from one factor, takes in another whenever it passes 1e280,
-    and the rest at the end.
+    underflows, it is taken as m = 2^i factors e^(-y/m), each exponent exact
+    and each factor from ``math.exp`` (numpy's SIMD ``exp`` may differ by an
+    ulp): the sum starts from one factor, takes in another whenever it passes
+    1e280, and the rest at the end.  The recursion stops once, for every
+    element, j > y and the term is below 1e-20 of the sum: past the largest
+    term they fall geometrically, so an element that reached that point
+    earlier has since only added terms below half an ulp, which leave its sum
+    as it was.  So each element has the bits of a one-element call.
     """
-    m = 1
-    while y / m >= 708.0:
-        m *= 2
-    factor = math.exp(-y / m)
-    term = total = factor
-    left = m - 1
+    top = float(y.max(initial=0.0))
+    split = top >= 708.0
+    m = np.ones_like(y) if split else 1.0
+    while split and (big := y / m >= 708.0).any():
+        m[big] *= 2.0
+    factor = np.array([math.exp(v) for v in (-y / m).tolist()])
+    term, total = factor.copy(), factor.copy()
+    left = m - 1.0  # factors still to take in
     for j in range(1, k):
         term *= y / j
         total += term
-        if left and total > 1e280:
-            term *= factor
-            total *= factor
-            left -= 1
-        if j > y and term < 1e-20 * total:  # past the largest term they fall geometrically
+        if split and (total > 1e280).any():
+            take = (left > 0.0) & (total > 1e280)
+            term[take] *= factor[take]
+            total[take] *= factor[take]
+            left[take] -= 1.0
+        if j > top and (term < 1e-20 * total).all():
             break
-    for _ in range(left):
-        total *= factor
+    while split:
+        take = left > 0.0
+        split = bool(take.any())
+        total[take] *= factor[take]
+        left[take] -= 1.0
     return total

@@ -2,6 +2,8 @@ import argparse
 import csv
 import itertools
 import json
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,7 +25,7 @@ from heavycomb import (
     fisher,
     parse_distribution,
 )
-from heavycomb import cli, combine as combine_module
+from heavycomb import cli, combine as combine_module, groupfile
 from heavycomb.cli import main
 
 _CHUNK_GROUPS = 256  # 3-value groups in one chunk of TestBatchedFileCommands
@@ -511,8 +513,9 @@ class TestSimulateCommand:
 
 
 class TestRunFlagsWithoutAnEngine:
-    """combine, closed-test, adjust-bh and tail-dep read no seed or workers, but
-    record them in the manifest, so they hold them to the engine commands' rule."""
+    """combine, closed-test, adjust-bh and tail-dep read no seed (and adjust-bh and
+    tail-dep no workers), but record them in the manifest, so they hold them to
+    the engine commands' rule."""
 
     @pytest.fixture
     def commands(self, tmp_path):
@@ -1539,6 +1542,221 @@ class TestBatchedFileCommands:
         assert out.read_bytes() == want.read_bytes()
 
 
+
+class TestSplitFileCommands:
+    """combine and closed-test split a CSV input across ``--workers``: the
+    output bytes, the stderr and the exit status are those of one process.
+
+    The chunk budget is cut to 192 p-values, so the file of about 1000
+    p-values makes three ranges at 3 workers and two at 2.
+    """
+
+    COMMANDS = {
+        "cauchy": ["combine", "--method", "standard", "--dist", "cauchy"],
+        "cauchy-alpha": ["combine", "--method", "standard", "--dist", "cauchy", "--alpha", "0.05"],
+        "fisher": ["combine", "--method", "fisher"],
+        "fisher-alpha": ["combine", "--method", "fisher", "--alpha", "0.01"],
+        "closed-test": ["closed-test", "--dist", "cauchy", "--alpha", "0.05"],
+    }
+    GROUPS = 240
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(combine_module, "_CHUNK", 192)
+        monkeypatch.delenv("HEAVYCOMB_WORKERS", raising=False)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = cli.sim._fork
+
+        def counting(run, payload):
+            calls.append(payload[2])  # the range's first line
+            return fork(run, payload)
+
+        monkeypatch.setattr(cli.sim, "_fork", counting)
+        return calls
+
+    @classmethod
+    def groups(cls):
+        return TestBatchedFileCommands.groups(
+            np.random.default_rng(71).integers(1, 8, cls.GROUPS).tolist(), 72)
+
+    @staticmethod
+    def write(path, groups, end="\n", header=None):
+        lines = ([header] if header else []) + [
+            ",".join([gid] + [repr(float(p)) if isinstance(p, float) else p for p in ps])
+            for gid, ps in groups]
+        path.write_bytes("".join(line + end for line in lines).encode())
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def outcomes(self, capsys, argv, inp, tmp_path, to_stdout=False, workers=(1, 2, 3)):
+        """(exit status, output bytes, stderr) at each worker count."""
+        found = []
+        for w in workers:
+            out = tmp_path / f"out.w{w}.csv"
+            target = [] if to_stdout else ["-o", str(out)]
+            capsys.readouterr()
+            code = main(argv[:1] + ["-i", str(inp)] + argv[1:] + target + ["--workers", str(w)])
+            captured = capsys.readouterr()
+            data = captured.out.encode() if to_stdout else out.read_bytes()
+            found.append((code, data, captured.err))
+            self.assert_no_child()
+        return found
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("layout", ["plain", "header", "crlf", "cr", "stdout"])
+    def test_same_output_at_any_workers(self, tmp_path, capsys, forks, command, layout):
+        inp = tmp_path / "in.csv"
+        self.write(inp, self.groups(), end={"crlf": "\r\n", "cr": "\r"}.get(layout, "\n"),
+                   header="group_id,p1,p2" if layout == "header" else None)
+        with cli._open_input(inp) as fh:
+            assert len(groupfile._ranges(fh, 3)) == 3
+        found = self.outcomes(capsys, self.COMMANDS[command], inp, tmp_path,
+                              to_stdout=layout == "stdout")
+        assert found[0][0] == 0 and found[0][2] == ""
+        assert found[0][1].count(b"\n") > self.GROUPS
+        assert found[1] == found[0] and found[2] == found[0]
+        assert len(forks) == 1 + 2  # one child at 2 workers, two at 3
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("at", [5, 230], ids=["first-range", "last-range"])
+    def test_bad_p_value(self, tmp_path, capsys, forks, command, at):
+        groups = self.groups()
+        groups[at - 1] = ("bad", [0.5, 1.5])
+        inp = tmp_path / "in.csv"
+        self.write(inp, groups)
+        found = self.outcomes(capsys, self.COMMANDS[command], inp, tmp_path)
+        assert found[0][0] == 1 and found[0][2] == f"error: line {at}: p-value 1.5 outside (0, 1]\n"
+        assert found[1] == found[0] and found[2] == found[0]
+        assert len(forks) == 3
+
+    def test_unparseable_token_in_a_later_range(self, tmp_path, capsys):
+        groups = self.groups()
+        groups[200] = ("bad", [0.5, "x0.2"])
+        inp = tmp_path / "in.csv"
+        self.write(inp, groups)
+        found = self.outcomes(capsys, self.COMMANDS["closed-test"], inp, tmp_path)
+        assert found[0][2] == "error: line 201: unparseable p-value: 'x0.2'\n"
+        assert found[1] == found[0] and found[2] == found[0]
+
+    def test_weight_count_in_a_later_range(self, tmp_path, capsys, forks):
+        groups = [(f"g{i}", [0.5, 0.25, 0.125 + i / 1000]) for i in range(self.GROUPS)]
+        groups[210] = ("short", [0.5, 0.2])
+        inp = tmp_path / "in.csv"
+        self.write(inp, groups)
+        argv = ["combine", "--method", "weighted", "--dist", "cauchy", "--weights", "1,2,3"]
+        found = self.outcomes(capsys, argv, inp, tmp_path)
+        assert found[0][0] == 1
+        assert found[0][2] == "error: line 211: weight vector has length 3, expected 2\n"
+        assert found[0][1].count(b"\n") == 211  # the header and every row before line 211
+        assert found[1] == found[0] and found[2] == found[0]
+        assert len(forks) == 3
+
+    def test_a_quote_keeps_one_process(self, tmp_path, capsys, forks):
+        # a quoted field may hold a line end, so no line end is known to end a record
+        groups = self.groups()
+        groups[100] = ('"g,100"', [0.5, 0.25])
+        inp = tmp_path / "in.csv"
+        self.write(inp, groups)
+        with cli._open_input(inp) as fh:
+            assert groupfile._ranges(fh, 3) is None
+        for command in ("fisher", "closed-test"):
+            found = self.outcomes(capsys, self.COMMANDS[command], inp, tmp_path)
+            assert found[0][0] == 0 and b"g,100" in found[0][1]
+            assert found[1] == found[0] and found[2] == found[0]
+        assert forks == []
+
+    @pytest.mark.parametrize("command", ["fisher-alpha", "closed-test"])
+    def test_json_rows(self, tmp_path, capsys, command):
+        inp = tmp_path / "in.csv"
+        self.write(inp, self.groups())
+        argv = self.COMMANDS[command] + ["--format", "json"]
+        found = self.outcomes(capsys, argv, inp, tmp_path)
+        rows = [json.loads(data)["rows"] for _, data, _ in found]
+        assert len(rows[0]) >= self.GROUPS and rows[1] == rows[0] and rows[2] == rows[0]
+
+    def test_environment_sets_the_workers(self, tmp_path, capsys, forks, monkeypatch):
+        inp = tmp_path / "in.csv"
+        self.write(inp, self.groups())
+        out = tmp_path / "out.csv"
+        monkeypatch.setenv("HEAVYCOMB_WORKERS", "2")
+        assert main(["combine", "-i", str(inp), "--method", "fisher", "-o", str(out)]) == 0
+        assert len(forks) == 1
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["workers"] is None  # the manifest records the flag as given
+        monkeypatch.setenv("HEAVYCOMB_WORKERS", "0")
+        assert main(["closed-test", "-i", str(inp), "--dist", "cauchy", "--alpha", "0.05"]) == 2
+        assert capsys.readouterr().err == "config error: workers must be >= 1, got 0\n"
+
+    def test_unseekable_input_keeps_one_process(self, tmp_path, capsys, forks):
+        inp = tmp_path / "in.csv"
+        self.write(inp, self.groups())
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        found = []
+        for w in (1, 2):
+            with subprocess.Popen(["sh", "-c", f"cat {inp} > {fifo}"]) as writer:
+                out = tmp_path / f"fifo.w{w}.csv"
+                assert main(["combine", "-i", str(fifo), "--method", "fisher", "-o", str(out),
+                             "--workers", str(w)]) == 0
+                assert writer.wait(timeout=60) == 0
+            found.append(out.read_bytes())
+        assert found[0] == found[1] and forks == []
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ranges_start_at_line_starts(self, tmp_path, monkeypatch, seed):
+        # 16-byte pre-pass blocks, so lines, CRLF pairs and runs of CRs span
+        # them; each range must start just past a line end, with that line's
+        # number, and hold whole lines
+        monkeypatch.setattr(groupfile, "_SCAN", 16)
+        monkeypatch.setattr(combine_module, "_CHUNK", 8)
+        rng = np.random.default_rng(seed)
+        ends = [b"\n", b"\r\n", b"\r", b"\r\r\n"]
+        data = b"".join(b"g" + b",0.5" * int(rng.integers(0, 12)) + ends[rng.integers(4)]
+                        for _ in range(int(rng.integers(1, 40))))
+        if seed % 3 == 0:
+            data = data.rstrip(b"\r\n")  # no line end at the end of the file
+        inp = tmp_path / "in.csv"
+        inp.write_bytes(data)
+        line_ends = [(m.start(), m.end()) for m in re.finditer(rb"\r\n|\r|\n", data)]
+        starts = [0] + [end for _, end in line_ends]  # starts[i]: where line i + 1 starts
+        commas = [m.start() for m in re.finditer(rb",", data)]
+        for workers in (2, 3, 5):
+            parts = min(workers, -(-len(commas) // 8))
+            cuts = [0]  # each range starts past the line end after comma k * commas // parts
+            for k in range(1, parts):
+                at = commas[len(commas) * k // parts]
+                cut = next((end for start, end in line_ends if start >= at), len(data))
+                if cuts[-1] < cut < len(data):
+                    cuts.append(cut)
+            lines = [starts.index(b) - starts.index(a) for a, b in zip(cuts, cuts[1:])] + [None]
+            expected = [(cut, starts.index(cut) + 1, count) for cut, count in zip(cuts, lines)]
+            with cli._open_input(inp) as fh:
+                assert groupfile._ranges(fh, workers) == (expected if len(cuts) > 1 else None)
+
+    def test_closed_stdout_leaves_no_child(self, tmp_path):
+        # the reader leaves after one line while the child still works; the
+        # session holds the command and any child it leaves
+        inp = tmp_path / "in.csv"
+        write_groups(inp, [(f"g{i}", [0.5, 0.25, 0.125]) for i in range(20_000)])
+        argv = [sys.executable, "-m", "heavycomb.cli", "closed-test", "-i", str(inp), "--dist",
+                "cauchy", "--alpha", "0.05", "--workers", "2"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True) as proc:
+            assert proc.stdout.readline() == b"group_id,hypothesis,p_value,adjusted_p,reject\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert err == b""
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
 class TestPresets:
     @pytest.mark.parametrize("name,rows", [("table2a", 4 * 7), ("tableS1", 3 * 7)])
     def test_preset_shapes(self, tmp_path, name, rows):
@@ -1565,6 +1783,47 @@ class TestPresets:
         out = tmp_path / "res.csv"
         assert main(["calibrate-minp", "--config", str(path), "-o", str(out)]) == 0
         assert len(read_csv(out)) == 4
+
+    def test_few_events_flag_only_fig3s_rarest_row(self, tmp_path, capsys):
+        # fig3's alpha = 1e-4 row rests on one disagreement; every other preset
+        # row on more than 100 events
+        for name, command in [("table2a", "simulate"), ("tableS1", "simulate"),
+                              ("tableS2", "simulate"), ("fig3", "equiv-ratio")]:
+            out = tmp_path / f"{name}.csv"
+            assert main([command, "--preset", name, "-o", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("warning:")]
+            if name != "fig3":
+                assert "health" not in manifest and warnings == [], name
+                continue
+            row = read_csv(out)[3]
+            assert (row["alpha"], row["disagreements"]) == ("0.0001", "1")
+            assert manifest["health"] == {"few_events": [{
+                "row": 4, "rho": 0.5, "alpha": 0.0001,
+                "events": {"disagreements": 1, "weighted_rejections": 108,
+                           "bonferroni_rejections": 107}}]}
+            assert warnings == ["warning: row 4 (rho=0.5, alpha=0.0001) rests on 1 disagreements, "
+                                "108 weighted_rejections, 107 bonferroni_rejections: fewer than "
+                                "10 events"]
+
+    def test_few_events_flag_a_simulate_row(self, tmp_path, capsys):
+        cfg = {"command": "simulate", "model": {"family": "normal", "n": 2, "rho": [0.0, 0.5]},
+               "methods": [{"kind": "bonferroni"}], "alphas": [0.05, 0.001],
+               "replications": 2000, "seed": 3}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(path), "-o", str(out)]) == 0
+        rows = read_csv(out)
+        few = [i for i, row in enumerate(rows, 1) if int(row["rejections"]) < 10]
+        assert few == [2, 4]
+        manifest = json.loads((tmp_path / "s.manifest.json").read_text())
+        assert [(f["row"], f["method"], f["alpha"], f["events"]["rejections"])
+                for f in manifest["health"]["few_events"]] == [
+            (i, "bonferroni", 0.001, int(rows[i - 1]["rejections"])) for i in few]
+        err = capsys.readouterr().err
+        assert err.count("warning: row ") == 2 and "rho=0.5, method=bonferroni, alpha=0.001" in err
 
     def test_all_presets_parse(self):
         from heavycomb.presets import PRESETS, get_preset

@@ -436,3 +436,45 @@ class TestPoissonTail:
                     else:
                         assert abs(got / exact - 1) <= 1e-14, (k, y)
 
+
+    @staticmethod
+    def _recursion(k, y):
+        # the one-value recursion, with its early exit, that the array form replaced
+        m = 1
+        while y / m >= 708.0:
+            m *= 2
+        factor = math.exp(-y / m)
+        term = total = factor
+        left = m - 1
+        for j in range(1, k):
+            term *= y / j
+            total += term
+            if left and total > 1e280:
+                term *= factor
+                total *= factor
+                left -= 1
+            if j > y and term < 1e-20 * total:
+                break
+        for _ in range(left):
+            total *= factor
+        return total
+
+    def test_array_form_keeps_the_recursions_bits(self):
+        # the array form runs past the early exit, adding only terms below half an ulp
+        y = np.concatenate([np.linspace(0.0, 1416.0, 3000), np.geomspace(1e-3, 1e5, 3000),
+                            [0.0, 707.9, 708.0, 1416.0, 5000.0, 1e5]])
+        for k in (1, 2, 3, 5, 10, 20, 60, 200):
+            got = special._poisson_tail_array(k, y)
+            want = np.array([self._recursion(k, v) for v in y.tolist()])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
+            assert [special._poisson_tail(k, v) for v in y[::97].tolist()] == want[::97].tolist()
+
+    def test_chi_square_quantile_keeps_its_bits(self):
+        from heavycomb.simulate import chi_square_upper_quantile
+        for k in (1, 2, 5, 20):
+            for alpha in (0.05, 1e-4, 1e-10):
+                f = lambda t: self._recursion(k, t / 2.0) - alpha
+                hi = 4.0 * k + 10.0
+                while f(hi) > 0.0:
+                    hi *= 2.0
+                assert chi_square_upper_quantile(float(k), alpha) == find_root(f, 1e-12, hi)
