@@ -2,7 +2,8 @@
 
 Subcommands: combine, closed-test, adjust-bh, simulate, calibrate-minp,
 tail-dep, equiv-ratio.  Exit codes: 0 success, 1 input validation error (or a
-closed stdout), 2 configuration/usage error, 3 numerical failure.
+closed stdout), 2 configuration/usage error, 3 numerical failure (or a worker
+that ended without a result).
 """
 
 from __future__ import annotations
@@ -67,17 +68,20 @@ def _csv_lines(rows):
     return map(fmt.__mod__, chain((first,), rows))
 
 
-def _emit(args, header, rows, config_echo, tail=(), few_events=()) -> int:
+def _emit(args, header, rows, config_echo, tail=()) -> int:
     """Write ``rows`` (tuples) and the run's manifest to ``--output`` (default stdout).
 
     CSV rows (see ``_csv_lines``) are written as they are produced, then the
     CSV text of ``tail``, so an error part-way leaves the rows so far and no
-    manifest; a JSON document is written only once complete.  The manifest
-    takes the run's seed, workers and start time from ``args``, and, when
-    ``few_events`` (filled as the rows are made, see ``_flag_few_events``)
-    is not empty, a ``health`` section that lists them; an output file gets it
-    as ``<stem>.manifest.json``.
+    manifest; a JSON document is written only once complete.  A header with an
+    event-count column has its rows flagged as they pass (see
+    ``_flag_few_events``).  The manifest takes the run's seed, workers and start
+    time from ``args``, and, when a row was flagged, a ``health`` section that
+    lists them; an output file gets it as ``<stem>.manifest.json``.
     """
+    few_events = []
+    if not _EVENTS.isdisjoint(header):
+        rows = _flag_few_events(few_events, header, rows)
     to_file = args.output not in (None, "-")
     stream = _open(args.output, "w", "write output") if to_file else sys.stdout
     try:
@@ -402,20 +406,28 @@ def _model_cols(model: ExchangeableModel) -> tuple:
 
 
 _FEW_EVENTS = 10  # a rate's row that rests on fewer events is flagged
+_EVENTS = {"rejections", "disagreements", "weighted_rejections", "bonferroni_rejections"}
 
 
-def _flag_few_events(flagged: list, row: int, where: dict, events: dict) -> None:
-    """Flag data row ``row`` (counted from 1) when one of its ``events`` counts is
-    below ``_FEW_EVENTS``: a line on stderr, and an entry in ``flagged`` for the
-    manifest.  Its estimate and delta-method std_error then rest on a handful
-    of events, so they can be far off; the counts are also CSV columns."""
-    if min(events.values()) < _FEW_EVENTS:
-        flagged.append({"row": row, **where, "events": events})
-        place = ", ".join(f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
-                          for key, value in where.items())
-        counts = ", ".join(f"{value} {key}" for key, value in events.items())
-        print(f"warning: row {row} ({place}) rests on {counts}: fewer than {_FEW_EVENTS} "
-              "events", file=sys.stderr)
+def _flag_few_events(flagged: list, header, rows):
+    """``rows``, each flagged when one of its event counts (its ``_EVENTS``
+    columns) is below ``_FEW_EVENTS``: a line on stderr, and an entry in
+    ``flagged`` for the manifest, named by its number (from 1) and its rho,
+    method and alpha.  Its estimate and delta-method std_error then rest on a
+    handful of events, so they can be far off; the counts are also CSV columns."""
+    places = [(i, key) for i, key in enumerate(header) if key in ("rho", "method", "alpha")]
+    columns = [(i, key) for i, key in enumerate(header) if key in _EVENTS]
+    for number, row in enumerate(rows, 1):
+        events = {key: row[i] for i, key in columns}
+        if min(events.values()) < _FEW_EVENTS:
+            where = {key: row[i] for i, key in places}
+            flagged.append({"row": number, **where, "events": events})
+            place = ", ".join(f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
+                              for key, value in where.items())
+            counts = ", ".join(f"{value} {key}" for key, value in events.items())
+            print(f"warning: row {number} ({place}) rests on {counts}: fewer than {_FEW_EVENTS} "
+                  "events", file=sys.stderr)
+        yield row
 
 
 def cmd_simulate(args) -> int:
@@ -427,15 +439,9 @@ def cmd_simulate(args) -> int:
     # the whole run, and so every check of the config, before any output
     reports = list(sim._rejection_reports(config, models))
 
-    few = []
-
     def rows():
-        lines = count(1)
         for model, report in zip(models, reports):
             for row in report.rows:
-                _flag_few_events(few, next(lines), {"rho": model.rho, "method": row.method,
-                                                    "alpha": row.alpha},
-                                 {"rejections": row.rejections})
                 yield _model_cols(model) + (
                     row.method, row.alpha, row.estimate, row.std_error,
                     row.rejections, report.replications, report.seed,
@@ -445,7 +451,7 @@ def cmd_simulate(args) -> int:
 
     header = _MODEL_HEADER + ["method", "alpha", "estimate", "std_error", "rejections",
                               "replications", "seed"]
-    return _emit(args, header, rows(), cfg, few_events=few)
+    return _emit(args, header, rows(), cfg)
 
 
 def cmd_calibrate_minp(args) -> int:
@@ -488,26 +494,14 @@ def cmd_equiv_ratio(args) -> int:
     # the block pass before any output; a scenario without rejections fails at its rows
     reports = sim._equivalence_reports(config, models, plan)
 
-    few = []
-
-    def rows():
-        lines = count(1)
-        for model, report in zip(models, reports):
-            for row in report.rows:
-                _flag_few_events(few, next(lines), {"rho": model.rho, "alpha": row.alpha},
-                                 {"disagreements": row.disagreements,
-                                  "weighted_rejections": row.weighted_rejections,
-                                  "bonferroni_rejections": row.bonferroni_rejections})
-                yield _model_cols(model) + (
-                    dist.spec_string(), row.alpha, row.ratio, row.std_error,
-                    row.disagreements, row.weighted_rejections,
-                    row.bonferroni_rejections, report.replications, report.seed,
-                )
-
+    rows = (_model_cols(model) + (dist.spec_string(), row.alpha, row.ratio, row.std_error,
+                                  row.disagreements, row.weighted_rejections,
+                                  row.bonferroni_rejections, report.replications, report.seed)
+            for model, report in zip(models, reports) for row in report.rows)
     header = _MODEL_HEADER + ["distribution", "alpha", "ratio", "std_error", "disagreements",
                               "weighted_rejections", "bonferroni_rejections",
                               "replications", "seed"]
-    return _emit(args, header, rows(), cfg, few_events=few)
+    return _emit(args, header, rows, cfg)
 
 
 def _add_common(parser):
@@ -621,7 +615,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, BracketError, InsufficientEventsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except HeavyCombError as exc:
+    except (HeavyCombError, ChildProcessError) as exc:  # also a worker that sent no result
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:  # the reader of stdout has gone: stop quietly

@@ -81,7 +81,7 @@ def _iter_groups(fh, first=1, lines=None):
         yield line_no, group_id, values
 
 
-def _batched_rows(fh, compute, to_rows, first=1, lines=None):
+def _batched_rows(fh, compute, to_rows, first, lines):
     """The rows of each group of a file command, in input order, computed a
     chunk at a time (``itertools.chain.from_iterable`` flattens them), from
     the lines that ``_iter_groups(fh, first, lines)`` reads.
@@ -241,23 +241,21 @@ def _rows(path, fh, compute, to_rows, csv_lines, workers: int):
     """``(rows, tail)`` of the input at ``path``, open as ``fh``: the rows of
     every group (see ``_batched_rows``), and the CSV text that follows them.
 
-    An input that ``_ranges`` splits is shared by as many processes.  This
-    one yields the rows of the first range.  A forked child (see
-    ``simulate._forked``) reads each other range from a new open of the input
-    (an inherited descriptor would share its offset), numbers its lines from
-    the range's first and never looks for a header.  It formats its rows with
-    ``csv_lines`` into an unnamed temporary file, a spool, and sends back only
-    its error or None.  The tail is each spool's text in range order, each
-    followed by raising its range's error.  So, written after the rows, the
-    bytes, the first error in line order and the rows before it are those of
-    one process, and no process holds more than a chunk of rows.  On leaving,
-    every child still at work is killed.
+    An input that ``_ranges`` splits is shared by as many processes; any other
+    is the one range ``(0, 1, None)``.  This one yields the rows of the first
+    range.  A forked child (see ``simulate._forked``) reads each other range
+    from a new open of the input (an inherited descriptor would share its
+    offset), numbers its lines from the range's first and never looks for a
+    header.  It formats its rows with ``csv_lines`` into an unnamed temporary
+    file, a spool, and sends back only its error or None.  The tail is each
+    spool's text in range order, then its range's error, raised.  So, written
+    after the rows, the bytes, the first error in line order and the rows
+    before it are those of one process, and no process holds more than a chunk
+    of rows.  On leaving, every child still at work is killed.
     """
-    ranges = _ranges(fh, workers) if workers > 1 and hasattr(os, "fork") else None
-    if ranges is None:
-        yield chain.from_iterable(_batched_rows(fh, compute, to_rows)), ()
-        return
-    import tempfile  # only a split needs it
+    ranges = (workers > 1 and hasattr(os, "fork") and _ranges(fh, workers)) or [(0, 1, None)]
+    if len(ranges) > 1:
+        import tempfile  # only a split needs it
     with contextlib.ExitStack() as stack:
         spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in ranges[1:]]
         payloads = [(path, fh.encoding, *part, spool, compute, to_rows, csv_lines)

@@ -174,6 +174,38 @@ def test_exact_n2_rate_quad_matches_trapezoid():
     assert _n2_exact_rate(method, method.thresholds[0], -0.5) == pytest.approx(dense, rel=1e-7)
 
 
+def _bonferroni_exact_rate(alpha, n, rho):
+    """P(min_i p_i < alpha / n) for n one-sided normal p-values with common
+    correlation ``rho`` > 0: 1 - int phi(z) Phi((c - sqrt(rho) z) / sqrt(1 - rho))^n dz,
+    c = isf(alpha / n).  The bracket is -expm1(n log Phi), so it keeps its
+    digits where Phi is near 1, and the range is split around z* = c / sqrt(rho),
+    where it falls from 1 to 0, on the scale sqrt((1 - rho) / rho)."""
+    c, r, s = st.norm.isf(alpha / n), math.sqrt(rho), math.sqrt(1.0 - rho)
+    f = lambda z: st.norm.pdf(z) * -math.expm1(n * sps.log_ndtr((c - r * z) / s))
+    edges = [-np.inf, *(c / r + k * s / r for k in (-10, -4, -2, -1, 0, 1, 2, 4, 10)), np.inf]
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+def test_exact_bonferroni_rates_fig3():
+    # fig3's Bonferroni counts (normal, n = 5, rho = 0.5), within 4 SE of the exact rates
+    cfg = get_preset("fig3")
+    model = ExchangeableModel(**cfg["model"])
+    reps, alphas = cfg["replications"], tuple(cfg["alphas"])
+    rep = estimate_equivalence_ratio(ExperimentConfig(model, (), alphas, reps, seed=cfg["seed"]),
+                                     Cauchy())
+    exact = {}
+    for row in rep.rows:
+        rate = exact[row.alpha] = _bonferroni_exact_rate(row.alpha, model.n, model.rho)
+        dev = (row.bonferroni_rejections / reps - rate) / math.sqrt(rate * (1.0 - rate) / reps)
+        print(f"  fig3 alpha={row.alpha:g}: {row.bonferroni_rejections} of {reps}, "
+              f"exact {rate:.10g} ({dev:+.2f} SE)")
+        assert abs(dev) <= 4.0
+    assert len(exact) == 4
+    assert exact[5e-2] == pytest.approx(0.04004779083, abs=5e-12)  # ROADMAP item 1's digits
+    assert exact[1e-4] == pytest.approx(9.758353498e-5, abs=5e-15)
+
+
 _CRIT3_CACHE = {}
 _CRIT3_ALPHA, _CRIT3_RHO, _CRIT3_REPS = 0.05, -0.9, 1_000_000
 

@@ -1739,6 +1739,36 @@ class TestSplitFileCommands:
             with cli._open_input(inp) as fh:
                 assert groupfile._ranges(fh, workers) == (expected if len(cuts) > 1 else None)
 
+    @staticmethod
+    def long_last_lines(tmp_path, values, end):
+        """A short line then a long one, and two long ones: ``values`` p-values a line."""
+        long = ",".join(["0.5"] * values)
+        short, two = tmp_path / "short.csv", tmp_path / "two.csv"
+        short.write_text(f"a,0.5\nb,{long}{end}")
+        two.write_text(f"a,{long}\nb,{long}{end}")
+        return short, two, [(0, 1, 1), (len(long) + 3, 2, None)]
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["line-end", "no-line-end"])
+    def test_ranges_when_the_last_line_holds_a_cut(self, tmp_path, monkeypatch, capsys, end):
+        # a range would start past the last line, which may have no line end:
+        # that cut is dropped, and with it a split of the file with one long line.
+        # The real chunk and pre-pass block first: 20,000 p-values span two blocks
+        monkeypatch.setattr(combine_module, "_CHUNK", 1 << 14)
+        short, two, ranges = self.long_last_lines(tmp_path, 20_000, end)
+        for inp, expected in ((short, None), (two, ranges)):
+            with cli._open_input(inp) as fh:
+                assert groupfile._ranges(fh, 3) == expected
+        # then the class's chunk and a smaller block, where closed-test runs fast
+        monkeypatch.setattr(combine_module, "_CHUNK", 192)
+        monkeypatch.setattr(groupfile, "_SCAN", 1024)
+        short, two, ranges = self.long_last_lines(tmp_path, 1000, end)
+        for inp, expected in ((short, None), (two, ranges)):
+            with cli._open_input(inp) as fh:
+                assert groupfile._ranges(fh, 3) == expected
+            found = self.outcomes(capsys, self.COMMANDS["closed-test"], inp, tmp_path)
+            assert found[0][0] == 0 and found[0][2] == ""
+            assert found[1] == found[0] and found[2] == found[0]
+
     def test_closed_stdout_leaves_no_child(self, tmp_path):
         # the reader leaves after one line while the child still works; the
         # session holds the command and any child it leaves
@@ -1755,6 +1785,40 @@ class TestSplitFileCommands:
         assert err == b""
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
+
+
+class TestWorkerWithoutResult:
+    """A forked worker that exits before sending its result ends the command
+    with exit status 3 and one line on stderr, and leaves no child."""
+
+    ERROR = "error: a worker ended without a result (exit status 3)\n"
+
+    def test_engine_command(self, monkeypatch, capsys):
+        parent, range_ = os.getpid(), cli.sim._range  # five blocks: two ranges at 2 workers
+
+        def failing(payload):  # this process computes the first range, a child the second
+            return range_(payload) if os.getpid() == parent else os._exit(3)
+
+        monkeypatch.setattr(cli.sim, "_range", failing)
+        argv = ["calibrate-minp", "--n", "3", "--rho", "0.3", "--reps", "140000", "--seed", "5",
+                "--workers", "2"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == self.ERROR and captured.out == ""  # the run fails before any output
+        TestSplitFileCommands.assert_no_child()
+
+    def test_split_combine(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(combine_module, "_CHUNK", 192)
+        monkeypatch.setattr(groupfile, "_spool_range", lambda payload: os._exit(3))
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        TestSplitFileCommands.write(inp, TestSplitFileCommands.groups())
+        argv = ["combine", "-i", str(inp), "--method", "fisher", "-o", str(out), "--workers", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == self.ERROR
+        lines = out.read_text().splitlines()  # the first range's rows, then no manifest
+        assert 1 < len(lines) < 1 + TestSplitFileCommands.GROUPS
+        assert not (tmp_path / "out.manifest.json").exists()
+        TestSplitFileCommands.assert_no_child()
 
 
 class TestPresets:
