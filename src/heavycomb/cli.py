@@ -153,39 +153,21 @@ def _parse_weights_arg(text):
     return weights
 
 
-def _check_run_flags(args):
-    """``--seed`` and ``--workers`` of a command that runs no engine: the manifest
-    records them as given, so they meet the engine commands' rule.  Nothing
-    reads the seed; combine and closed-test read the worker count through
-    ``_file_workers``, while adjust-bh and tail-dep read no workers."""
-    if args.seed is not None:
-        sim._check_seed(args.seed)
-    if args.workers is not None:
-        sim._check_workers(args.workers)
-
-
 def _env_workers() -> int:
-    """``$HEAVYCOMB_WORKERS``, or 1 when it is unset or empty."""
+    """``$HEAVYCOMB_WORKERS``, or 1 when it is unset or empty: the worker count of a
+    command given no ``--workers`` (nor, for an engine command, a config's), held
+    to the flag's rule."""
     env = os.environ.get(_ENV_WORKERS)
     try:
-        return int(env) if env else 1
+        workers = int(env) if env else 1
     except ValueError:
         raise ConfigError(f"{_ENV_WORKERS} must be an integer, got {env!r}") from None
-
-
-def _file_workers(args) -> int:
-    """The processes that share combine's or closed-test's input (see
-    ``_emit_groups``): ``--workers``, else ``$HEAVYCOMB_WORKERS``, else 1."""
-    if args.workers is not None:
-        return args.workers
-    workers = _env_workers()
     sim._check_workers(workers)
     return workers
 
 
 def cmd_combine(args) -> int:
-    _check_run_flags(args)
-    workers = _file_workers(args)
+    workers = args.workers or _env_workers()  # see _emit_groups
     method, takes = args.method, sim._KINDS[args.method]
     dist = None
     if "distribution" in takes:
@@ -242,8 +224,7 @@ def _raising(exc):  # rows whose first ``next`` raises ``exc``
 
 
 def cmd_closed_test(args) -> int:
-    _check_run_flags(args)
-    workers = _file_workers(args)
+    workers = args.workers or _env_workers()  # see _emit_groups
     dist = _dist_from_arg(args.dist)
     _check_level("--alpha", args.alpha)
     flag = _FLAGS[args.format]
@@ -265,7 +246,6 @@ def cmd_closed_test(args) -> int:
 def cmd_adjust_bh(args) -> int:
     from . import groupfile  # as in _emit_groups
 
-    _check_run_flags(args)
     _check_level("--q", args.q)
     ids, pvals = [], []
     with _open_input(args.input) as fh:
@@ -327,14 +307,12 @@ def _read_config(args, command: str):
     defaults) and the command's ``_DEFAULTS``; each flag given then sets its key: in
     ``model`` for ``_MODEL``'s keys, else at the top level.  The run settings are the
     defaults overlaid by the echo.  A key that no engine command reads is refused.  Set
-    ``args.seed`` and ``args.workers`` to the run's, as ExperimentConfig checks them; with
-    no workers set, ``$HEAVYCOMB_WORKERS`` or 1.  A bad type names its key."""
+    ``args.seed`` and ``args.workers`` to the run's, as ExperimentConfig checks them (the
+    flags were checked in ``main``); with no workers set, ``_env_workers()``.  A bad type
+    names its key."""
     defaults = _DEFAULTS[command]
     if args.preset:
-        try:
-            cfg = presets.get_preset(args.preset)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = presets.get_preset(args.preset)
     elif args.config:
         with _open(args.config, "r", "read config") as fh:
             try:
@@ -470,7 +448,6 @@ def cmd_calibrate_minp(args) -> int:
 
 
 def cmd_tail_dep(args) -> int:
-    _check_run_flags(args)
     rhos = _numbers("rho", args.rho)  # an empty list is a usage error
     try:  # every value before any output
         rows = [(args.nu, rho, tail_dependence_t(args.nu, rho)) for rho in rhos]
@@ -604,7 +581,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
     args.start = time.perf_counter()
-    try:
+    try:  # every manifest records --seed and --workers as given: checked once, before any input
+        if args.seed is not None:
+            sim._check_seed(args.seed)
+        if args.workers is not None:
+            sim._check_workers(args.workers)
         return args.func(args)
     except (ValidationError, ShapeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import copy
 
+from .errors import ConfigError
+
 _STANDARD_METHODS = [
     {"kind": "standard", "distribution": "cauchy", "label": "cauchy"},
     {"kind": "standard", "distribution": "pareto:1", "label": "pareto"},
@@ -80,6 +82,6 @@ def get_preset(name: str) -> dict:
     try:
         return copy.deepcopy(PRESETS[name])
     except KeyError:
-        raise KeyError(
+        raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None

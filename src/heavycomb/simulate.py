@@ -792,6 +792,8 @@ def tail_dependence_t(nu: float, rho: float) -> float:
     """
     if not (nu > 0.0):
         raise DomainError(f"nu must be positive, got {nu!r}")
+    if not math.isfinite(nu):
+        raise DomainError(f"nu must be finite, got {nu!r}")
     if not (-1.0 < rho <= 1.0):
         raise DomainError(f"rho must be in (-1, 1], got {rho!r}")
     arg = math.sqrt((nu + 1.0) * (1.0 - rho) / (1.0 + rho))

@@ -5,15 +5,18 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the criterion
 lines as they complete.
 """
 
+import functools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats as st
 from scipy.integrate import quad, trapezoid
+from scipy.optimize import brentq
 
 from heavycomb import simulate
 from heavycomb.cli import main as cli_main
@@ -174,36 +177,163 @@ def test_exact_n2_rate_quad_matches_trapezoid():
     assert _n2_exact_rate(method, method.thresholds[0], -0.5) == pytest.approx(dense, rel=1e-7)
 
 
-def _bonferroni_exact_rate(alpha, n, rho):
-    """P(min_i p_i < alpha / n) for n one-sided normal p-values with common
-    correlation ``rho`` > 0: 1 - int phi(z) Phi((c - sqrt(rho) z) / sqrt(1 - rho))^n dz,
-    c = isf(alpha / n).  The bracket is -expm1(n log Phi), so it keeps its
-    digits where Phi is near 1, and the range is split around z* = c / sqrt(rho),
-    where it falls from 1 to 0, on the scale sqrt((1 - rho) / rho)."""
-    c, r, s = st.norm.isf(alpha / n), math.sqrt(rho), math.sqrt(1.0 - rho)
+_Z_STEPS = (-10, -4, -2, -1, 0, 1, 2, 4, 10)  # panel edges about z*, in sqrt((1 - rho) / rho)
+
+
+def _bonferroni_exact_rate(q, n, rho):
+    """P(min_i p_i < q) for n one-sided normal p-values with common correlation
+    ``rho`` >= 0: 1 - int phi(z) Phi((c - sqrt(rho) z) / sqrt(1 - rho))^n dz,
+    c = isf(q), and 1 - (1 - q)^n at rho = 0.  The bracket is -expm1(n log Phi),
+    so it keeps its digits where Phi is near 1, and the range is split around
+    z* = c / sqrt(rho), where it falls from 1 to 0, on the scale sqrt((1 - rho) / rho)."""
+    if rho == 0.0:
+        return -math.expm1(n * math.log1p(-q))
+    c, r, s = st.norm.isf(q), math.sqrt(rho), math.sqrt(1.0 - rho)
     f = lambda z: st.norm.pdf(z) * -math.expm1(n * sps.log_ndtr((c - r * z) / s))
-    edges = [-np.inf, *(c / r + k * s / r for k in (-10, -4, -2, -1, 0, 1, 2, 4, 10)), np.inf]
+    edges = [-np.inf, *(c / r + k * s / r for k in _Z_STEPS), np.inf]
     return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
                for a, b in zip(edges, edges[1:]))
 
 
-def test_exact_bonferroni_rates_fig3():
-    # fig3's Bonferroni counts (normal, n = 5, rho = 0.5), within 4 SE of the exact rates
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def _gauss_legendre(edges):
+    """Nodes and weights of 32-point Gauss-Legendre on each panel between
+    consecutive ``edges`` (the last axis), flattened along that axis."""
+    half, shape = np.diff(edges, axis=-1)[..., None] / 2.0, (*edges.shape[:-1], -1)
+    nodes = edges[..., :-1, None] + half * (_GL_NODES + 1.0)
+    return nodes.reshape(shape), (half * _GL_WEIGHTS).reshape(shape)
+
+
+def _normal_union_rate(c, n, rho):
+    """``_bonferroni_exact_rate`` at thresholds ``c`` (any shape) by Gauss-Legendre:
+    in z, panels at z* + _Z_STEPS sqrt((1 - rho) / rho), clipped to +-12."""
+    c = np.asarray(c, dtype=float)[..., None]
+    if rho == 0.0:
+        return -np.expm1(n * sps.log_ndtr(c[..., 0]))
+    r, s = math.sqrt(rho), math.sqrt(1.0 - rho)
+    ends = np.full_like(c, 12.0)
+    edges = np.clip(np.concatenate([-ends, c / r + np.multiply(_Z_STEPS, s / r), ends], -1),
+                    -12.0, 12.0)
+    z, w = _gauss_legendre(edges)
+    return np.sum(w * st.norm.pdf(z) * -np.expm1(n * sps.log_ndtr((c - r * z) / s)), axis=-1)
+
+
+def _t_union_rate(q, n, rho, nu):
+    """P(min_i p_i < q) for n one-sided p-values of an exchangeable multivariate t
+    with ``nu`` degrees of freedom: the normal form at c u, c = t_nu.isf(q), averaged
+    over u = sqrt(S / nu), S ~ chi2(nu), by Gauss-Legendre on 12 panels even in
+    log u, for S from 1e-24 to nu + 60 sqrt(2 nu) + 200."""
+    log_s, w = _gauss_legendre(np.linspace(math.log(1e-24),
+                                           math.log(nu + 60.0 * math.sqrt(2.0 * nu) + 200.0), 13))
+    s = np.exp(log_s)
+    weights = w * np.exp(st.chi2.logpdf(s, nu) + log_s)  # dS = S dlog S
+    return float(weights @ _normal_union_rate(st.t.isf(q, nu) * np.sqrt(s / nu), n, rho))
+
+
+def _rate_row(name, label, count, reps, rate):
+    """A README table row of a rejection count against its exact rate, with the
+    deviation in SE, sqrt(rate (1 - rate) / reps)."""
+    dev = (count / reps - rate) / math.sqrt(rate * (1.0 - rate) / reps)
+    return name, label, f"{count} of {reps}", rate, dev
+
+
+@functools.cache
+def _fig3_rows():
+    # fig3's Bonferroni counts (normal, n = 5, rho = 0.5)
     cfg = get_preset("fig3")
     model = ExchangeableModel(**cfg["model"])
     reps, alphas = cfg["replications"], tuple(cfg["alphas"])
     rep = estimate_equivalence_ratio(ExperimentConfig(model, (), alphas, reps, seed=cfg["seed"]),
                                      Cauchy())
-    exact = {}
-    for row in rep.rows:
-        rate = exact[row.alpha] = _bonferroni_exact_rate(row.alpha, model.n, model.rho)
-        dev = (row.bonferroni_rejections / reps - rate) / math.sqrt(rate * (1.0 - rate) / reps)
-        print(f"  fig3 alpha={row.alpha:g}: {row.bonferroni_rejections} of {reps}, "
-              f"exact {rate:.10g} ({dev:+.2f} SE)")
-        assert abs(dev) <= 4.0
-    assert len(exact) == 4
-    assert exact[5e-2] == pytest.approx(0.04004779083, abs=5e-12)  # ROADMAP item 1's digits
-    assert exact[1e-4] == pytest.approx(9.758353498e-5, abs=5e-15)
+    return tuple(_rate_row("fig3", f"Bonferroni, alpha = {row.alpha:g}",
+                           row.bonferroni_rejections, reps,
+                           _bonferroni_exact_rate(row.alpha / model.n, model.n, model.rho))
+                 for row in rep.rows)
+
+
+@functools.cache
+def _table2a_rows():
+    # table2a's Bonferroni rows (t, nu = 2, n = 5, alpha = 0.05)
+    cfg = get_preset("table2a")
+    mc, (alpha,), reps = cfg["model"], cfg["alphas"], cfg["replications"]
+    rows = []
+    for rho in mc["rho"]:
+        model = ExchangeableModel(mc["family"], mc["n"], rho, nu=mc["nu"])
+        config = ExperimentConfig(model, (MethodSpec("bonferroni"),), (alpha,), reps,
+                                  seed=cfg["seed"])
+        count = estimate_rejection_rate(config).rows[0].rejections
+        exact = _t_union_rate(alpha / model.n, model.n, rho, model.nu)
+        rows.append(_rate_row("table2a", f"Bonferroni, rho = {rho:g}", count, reps, exact))
+    return tuple(rows)
+
+
+@functools.cache
+def _tableS3_rows():
+    """tableS3's minP cutoffs (normal, n = 5, alpha = 0.05) beside the exact ones,
+    found by brentq on the exact size; the deviation is the exact size of the
+    preset's cutoff from alpha, in SE sqrt(alpha (1 - alpha) / reps)."""
+    cfg = get_preset("tableS3")
+    mc, alpha, reps = cfg["model"], cfg["alpha"], cfg["replications"]
+    rows = []
+    for rho in mc["rho"]:
+        size = lambda q: _bonferroni_exact_rate(q, mc["n"], rho)
+        exact = brentq(lambda q: size(q) - alpha, alpha / mc["n"], alpha, xtol=1e-15)
+        cutoff = calibrate_minp(ExchangeableModel(mc["family"], mc["n"], rho), alpha, reps,
+                                seed=cfg["seed"]).cutoff
+        dev = (size(cutoff) - alpha) / math.sqrt(alpha * (1.0 - alpha) / reps)
+        rows.append(("tableS3", f"minP cutoff, rho = {rho:g}", f"{cutoff:.10g}", exact, dev))
+    return tuple(rows)
+
+
+def _check_rows(rows):
+    for name, label, engine, exact, dev in rows:
+        print(f"  {name} {label}: {engine}, exact {exact:.10g} ({dev:+.2f} SE)")
+    assert len(rows) == 4 and all(abs(dev) <= 4.0 for *_, dev in rows)
+    return [exact for *_, exact, _ in rows]
+
+
+def test_exact_bonferroni_rates_fig3():
+    # fig3's Bonferroni counts within 4 SE of the exact rates (split scipy quad)
+    exact = _check_rows(_fig3_rows())
+    assert exact[0] == pytest.approx(0.04004779083, abs=5e-12)  # ROADMAP item 1's digits
+    assert exact[3] == pytest.approx(9.758353498e-5, abs=5e-15)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99])
+@pytest.mark.parametrize("alpha", [0.05, 1e-4])
+def test_gauss_legendre_normal_form_matches_quad(alpha, rho):
+    q = alpha / 5
+    assert _normal_union_rate(st.norm.isf(q), 5, rho) == pytest.approx(
+        _bonferroni_exact_rate(q, 5, rho), rel=1e-13)
+
+
+def test_exact_bonferroni_rates_table2a():
+    # table2a's Bonferroni rows within 4 SE of the exact t rates (Gauss-Legendre);
+    # a nested scipy quad gives the same digits in over a minute per rho
+    exact = _check_rows(_table2a_rows())
+    assert exact == pytest.approx([0.0357198806, 0.0266875869, 0.0165672440, 0.0119142551],
+                                  abs=1e-10)
+
+
+def test_exact_minp_cutoffs_tableS3():
+    # tableS3's cutoffs have exact sizes within 4 SE of alpha; at rho = 0 the
+    # exact cutoff is 1 - (1 - alpha)^(1/n)
+    exact = _check_rows(_tableS3_rows())
+    assert exact[0] == pytest.approx(-math.expm1(math.log1p(-0.05) / 5), rel=1e-12)
+    assert exact == pytest.approx([0.010206218, 0.012747560, 0.024569466, 0.039490793],
+                                  abs=5e-10)
+
+
+def test_readme_exact_table():
+    # README's engine-against-exact table is these tests' rows, in order
+    lines = [f"| {name} | {label} | {engine} | {exact:.10g} | {dev:+.2f} |"
+             for name, label, engine, exact, dev in
+             _fig3_rows() + _table2a_rows() + _tableS3_rows()]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = readme.index(lines[0])
+    assert readme[start:start + len(lines)] == lines
 
 
 _CRIT3_CACHE = {}

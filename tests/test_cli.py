@@ -515,7 +515,8 @@ class TestSimulateCommand:
 class TestRunFlagsWithoutAnEngine:
     """combine, closed-test, adjust-bh and tail-dep read no seed (and adjust-bh and
     tail-dep no workers), but record them in the manifest, so they hold them to
-    the engine commands' rule."""
+    the engine commands' rule.  Every command checks them before it reads a
+    config, a preset or an input."""
 
     @pytest.fixture
     def commands(self, tmp_path):
@@ -535,7 +536,10 @@ class TestRunFlagsWithoutAnEngine:
     ], ids=["workers-0", "workers-neg", "seed-negative", "seed-2**64"])
     def test_refused_before_any_output(self, tmp_path, capsys, commands, flags, message):
         out = tmp_path / "out.csv"
-        for argv in commands:
+        unread = [["simulate", "--config", str(tmp_path / "missing.json")],
+                  ["equiv-ratio", "--config", str(tmp_path / "missing.json")],
+                  ["calibrate-minp", "--preset", "nope"]]  # each a config error of its own
+        for argv in commands + unread:
             assert main(argv + flags + ["-o", str(out)]) == 2, argv
             assert capsys.readouterr().err == f"config error: {message}\n"
             assert not out.exists()
@@ -672,6 +676,7 @@ class TestEngineCommandsBeforeOutput:
          "alpha must be in (0,1), got 1.5"),
         (["tail-dep", "--nu", "2", "--rho", "0.5,1.5"], "rho must be in (-1, 1], got 1.5"),
         (["tail-dep", "--nu", "0", "--rho", "0.5"], "nu must be positive, got 0.0"),
+        (["tail-dep", "--nu", "inf", "--rho", "0.5"], "nu must be finite, got inf"),
         (["calibrate-minp", "--family", "student_t", "--nu", "inf", "--n", "2", "--rho", "0",
           "--reps", "1000"], "student_t family needs finite degrees of freedom, got nu=inf"),
         (["equiv-ratio", "--n", "2", "--rho", "0", "--weights", "1,x"],
@@ -687,8 +692,8 @@ class TestEngineCommandsBeforeOutput:
         (["combine", "-i", "none.csv", "--method", "standard", "--dist", "inv_gamma:1e300"],
          "inv_gamma: tail index must be at most 1e+08, got 1e+300"),
     ], ids=["calibrate-minp-alpha", "equiv-ratio-alphas", "tail-dep-rho", "tail-dep-nu",
-            "calibrate-minp-nu", "equiv-ratio-weights-x", "equiv-ratio-weights-empty",
-            "equiv-ratio-weights-blank", "combine-weights-blank",
+            "tail-dep-nu-inf", "calibrate-minp-nu", "equiv-ratio-weights-x",
+            "equiv-ratio-weights-empty", "equiv-ratio-weights-blank", "combine-weights-blank",
             "seed-negative", "seed-2**64", "inv-gamma-huge-shape"])
     def test_flags(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
@@ -1894,6 +1899,14 @@ class TestPresets:
         for name in PRESETS:
             cfg = get_preset(name)
             assert "model" in cfg and "seed" in cfg
+
+    def test_unknown_preset_is_a_config_error(self):
+        from heavycomb.errors import ConfigError
+        from heavycomb.presets import get_preset
+        with pytest.raises(ConfigError) as info:
+            get_preset("nope")
+        assert str(info.value) == ("unknown preset 'nope'; available: fig3, table2a, tableS1, "
+                                   "tableS2, tableS3")
 
 
 class TestWorkerEnvVar:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import signal
 import time
 import tracemalloc
@@ -895,6 +896,13 @@ class TestTailDependence:
             tail_dependence_t(0.0, 0.5)
         with pytest.raises(DomainError):
             tail_dependence_t(2.0, -1.0)
+        # the message names the caller's nu, not the t(nu + 1) built from it
+        for nu, message in [(math.inf, "nu must be finite, got inf"),
+                            (math.nan, "nu must be positive, got nan"),
+                            (-2.0, "nu must be positive, got -2.0")]:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                tail_dependence_t(nu, 0.5)
+        assert tail_dependence_t(1e308, 0.5) == 0.0  # finite, however large
 
     def test_joint_exceedance_trends_toward_lambda(self):
         model = ExchangeableModel("student_t", 2, 0.5, nu=2)
