@@ -120,14 +120,15 @@ def _open_input(path):
     return _open(path, "r", "read input", errors="surrogateescape")
 
 
-def _emit_groups(args, fh, header, compute, to_rows, echo, workers: int) -> int:
-    """``_emit`` of the rows of every group of the input open as ``fh``, a CSV
-    split across up to ``workers`` processes (see ``groupfile._rows``); a JSON
-    document is written whole, by this process alone."""
+def _emit_groups(args, fh, header, compute, echo, workers: int) -> int:
+    """``_emit`` of each group's rows, from ``compute(block, ids)`` on a
+    ``(groups, n)`` block of the input open as ``fh`` and its group ids.  A CSV
+    is split across up to ``workers`` processes (see ``groupfile._rows``); a
+    JSON document is written whole, by this process alone."""
     from . import groupfile  # only the file commands read one, so no other command loads it
 
     workers = workers if args.format == "csv" else 1
-    with groupfile._rows(args.input, fh, compute, to_rows, _csv_lines, workers) as (rows, tail):
+    with groupfile._rows(args.input, fh, compute, _csv_lines, workers) as (rows, tail):
         return _emit(args, header, rows, echo, tail)
 
 
@@ -199,15 +200,12 @@ def cmd_combine(args) -> int:
         header.append("reject")
     flag = _FLAGS[args.format]
 
-    def compute(block):
+    def compute(block, ids):  # one row a group
         res = comb._combine_rows(method, block, dist, weights)
-        cols = [repeat(block.shape[1]), res.statistic.tolist(), res.combined_p.tolist()]
+        cols = [ids, repeat(block.shape[1]), res.statistic.tolist(), res.combined_p.tolist()]
         if args.alpha is not None:
             cols.append(map(flag.__getitem__, (res.combined_p < args.alpha).tolist()))
-        return zip(*cols)
-
-    def to_rows(group_id, *result):
-        return ((group_id, *result),)
+        return zip(zip(*cols))
 
     echo = {"input": args.input, "method": method, "dist": args.dist,
             "weights": args.weights, "alpha": args.alpha}
@@ -215,7 +213,7 @@ def cmd_combine(args) -> int:
         if method == "weighted" and weights is None:  # after the header, whatever the input
             missing = ConfigError("method 'weighted' requires --weights")
             return _emit(args, header, _raising(missing), echo)
-        return _emit_groups(args, fh, header, compute, to_rows, echo, workers)
+        return _emit_groups(args, fh, header, compute, echo, workers)
 
 
 def _raising(exc):  # rows whose first ``next`` raises ``exc``
@@ -227,20 +225,18 @@ def cmd_closed_test(args) -> int:
     workers = args.workers or _env_workers()  # see _emit_groups
     dist = _dist_from_arg(args.dist)
     _check_level("--alpha", args.alpha)
-    flag = _FLAGS[args.format]
+    mark = _FLAGS[args.format].__getitem__
 
-    def compute(block):
+    def compute(block, ids):  # a group's lists are made as its rows are written, not a chunk's
         adjusted = closed_testing._shortcut_rows(block, dist)
-        return zip(block, adjusted, closed_testing._decide(adjusted, args.alpha)[0])
-
-    def to_rows(group_id, p, adjusted, rejected):
-        return zip(repeat(group_id), count(1), p.tolist(), adjusted.tolist(),
-                   map(flag.__getitem__, rejected.tolist()))
+        rejected = closed_testing._decide(adjusted, args.alpha)[0]
+        return (zip(repeat(gid), count(1), p.tolist(), adj.tolist(), map(mark, rej.tolist()))
+                for gid, p, adj, rej in zip(ids, block, adjusted, rejected))
 
     header = ["group_id", "hypothesis", "p_value", "adjusted_p", "reject"]
     echo = {"input": args.input, "dist": args.dist, "alpha": args.alpha}
     with _open_input(args.input) as fh:  # before any output
-        return _emit_groups(args, fh, header, compute, to_rows, echo, workers)
+        return _emit_groups(args, fh, header, compute, echo, workers)
 
 
 def cmd_adjust_bh(args) -> int:

@@ -97,12 +97,15 @@ def _sum_weights(kind: str, n: int, d: HeavyTailDistribution, w=None) -> np.ndar
 
 def _kappa(weights: np.ndarray, d: HeavyTailDistribution) -> float:
     """kappa = sum_i w_i^gamma; one outside the positive doubles is a DomainError
-    (a single power may underflow)."""
+    (a single power may underflow).  So, after that check, are weights whose sum
+    overflows: their weighted sum overflows wherever the scores reach 1."""
     with np.errstate(over="ignore"):
-        kappa = float((weights ** d.tail_index).sum())
+        kappa, total = float((weights ** d.tail_index).sum()), float(weights.sum())
     if not 0.0 < kappa < math.inf:
         raise DomainError(f"kappa, the sum of the weights to the power of the tail index "
                           f"{d.tail_index!r}, {'underflows to 0' if kappa == 0.0 else 'overflows'}")
+    if total == math.inf:
+        raise DomainError("the sum of the weights overflows")
     return kappa
 
 
@@ -154,9 +157,11 @@ def _mapped_weights(weights: np.ndarray, d: HeavyTailDistribution) -> np.ndarray
 
 def _bonferroni_statistic(p: np.ndarray, weights: np.ndarray | None = None):
     """min_i p_i / w_i over the last axis (min_i p_i without weights), a column
-    at a time: ``np.minimum`` is exact, so this has the bits of a row minimum."""
-    return reduce(np.minimum, (p[..., i] if weights is None else p[..., i] / weights[i]
-                               for i in range(p.shape[-1])))
+    at a time: ``np.minimum`` is exact, so this has the bits of a row minimum.  A
+    ratio that overflows, or a weight normalised to 0, reads +inf."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return reduce(np.minimum, (p[..., i] if weights is None else p[..., i] / weights[i]
+                                   for i in range(p.shape[-1])))
 
 
 def _fisher_statistic(p: np.ndarray):
@@ -268,7 +273,9 @@ def bonferroni_as_max_statistic(p, w, d: HeavyTailDistribution, alpha: float) ->
     weights = _validate_weights(w, arr.size)
     _check_alpha(alpha)
     x, _ = _transform(arr, d)
-    return bool(np.max(weights * x) > _thresholds(d, [alpha], _kappa(weights, d))[0])
+    threshold = _thresholds(d, [alpha], _kappa(weights, d))[0]
+    with np.errstate(over="ignore"):  # a product that overflows reads +inf
+        return bool(np.max(weights * x) > threshold)
 
 
 def fisher(p) -> CombinedResult:

@@ -81,46 +81,46 @@ def _iter_groups(fh, first=1, lines=None):
         yield line_no, group_id, values
 
 
-def _batched_rows(fh, compute, to_rows, first, lines):
+def _batched_rows(fh, compute, first, lines):
     """The rows of each group of a file command, in input order, computed a
     chunk at a time (``itertools.chain.from_iterable`` flattens them), from
     the lines that ``_iter_groups(fh, first, lines)`` reads.
 
     A chunk is groups of up to ``combine._CHUNK`` p-values in all (one group
     at least), cut short by a read error.  It is held as one flat ``array`` of
-    doubles per group length, so its working set is bounded whatever the
-    lengths.  ``compute`` maps a length's ``(groups, n)`` block to one result
-    per group, in order, and ``to_rows(group_id, *result)`` returns a group's
-    rows.  A block fails only for its length and the flags, so blocks run in
-    the order of their first group, to which a failed block's error belongs:
-    every row before that group's line is yielded, then the error is raised,
-    named by the line for a p-value or shape error.
+    doubles per group length, with that length's group ids, so its working set
+    is bounded whatever the lengths.  ``compute(block, ids)`` maps a length's
+    ``(groups, n)`` block and its group ids to each group's rows, in order.  A
+    block fails only for its length and the flags, so blocks run in the order
+    of their first group, to which a failed block's error belongs: every row
+    before that group's line is yielded, then the error is raised, named by the
+    line for a p-value or shape error.
     """
     groups = _iter_groups(fh, first, lines)
     while True:
-        ids, lengths, blocks, results, size, error = [], [], {}, {}, 0, None
+        lengths, blocks, results, size, error = [], {}, {}, 0, None
         try:
             for line_no, group_id, values in groups:
                 n = len(values)
                 if n not in blocks:
-                    blocks[n] = (line_no, len(ids), array("d"))
+                    blocks[n] = (line_no, len(lengths), array("d"), [])
                 blocks[n][2].extend(values)
-                ids.append(group_id)
+                blocks[n][3].append(group_id)
                 lengths.append(n)
                 size += n
                 if size >= comb._CHUNK:
                     break
         except ValidationError as exc:
             error = exc
-        stop = len(ids)
-        for n, (line_no, index, flat) in blocks.items():
+        stop = len(lengths)
+        for n, (line_no, index, flat, ids) in blocks.items():
             try:
-                results[n] = iter(compute(np.frombuffer(flat).reshape(-1, n)))
+                results[n] = iter(compute(np.frombuffer(flat).reshape(-1, n), ids))
             except HeavyCombError as exc:
                 stop, bad_line, error = index, line_no, exc
                 break
-        for group_id, n in zip(ids[:stop], lengths):
-            yield to_rows(group_id, *next(results[n]))
+        for n in lengths[:stop]:
+            yield next(results[n])
         if isinstance(error, (DomainError, ShapeError)):
             raise ValidationError(f"line {bad_line}: {error}") from error
         if error is not None:
@@ -135,19 +135,16 @@ _SCAN = 1 << 16  # bytes of the input that a split's pre-pass reads at a time
 def _counts(data: bytes) -> tuple[int, int]:
     """The commas and the line ends in ``data``, with lines split as
     ``cli._open_input``'s reader splits them: at \\r\\n, \\r or \\n."""
-    a = np.frombuffer(data, np.uint8)
-    cr = int(np.count_nonzero(a == 13))
-    ends = int(np.count_nonzero(a == 10)) + cr - (data.count(b"\r\n") if cr else 0)
-    return int(np.count_nonzero(a == 44)), ends
+    return data.count(b","), data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 def _line_end(data: bytes, at: int) -> int:
     """The index just past the first line end in ``data`` from ``at``, or -1."""
-    ends = [j for j in (data.find(b"\n", at), data.find(b"\r", at)) if j >= 0]
-    if not ends:
-        return -1
-    j = min(ends)
-    return j + (2 if data[j:j + 2] == b"\r\n" else 1)
+    end = _LINE_END.search(data, at)
+    return -1 if end is None else end.end()
 
 
 def _ranges(fh, workers: int):
@@ -210,14 +207,14 @@ def _spool_range(payload):
     """A range of a split (see ``_rows``), read from a new open of the input:
     its CSV lines go to its spool, and the error that ended them, or None, is
     returned."""
-    path, encoding, start, first, lines, spool, compute, to_rows, csv_lines = payload
+    path, encoding, start, first, lines, spool, compute, csv_lines = payload
     try:
         with open(path, "rb") as raw:
             raw.seek(start)
             with io.TextIOWrapper(raw, encoding, "surrogateescape", newline="") as fh, \
                     open(spool.fileno(), "w", encoding="utf-8", errors="surrogatepass",
                          newline="", closefd=False) as out:
-                rows = _batched_rows(fh, compute, to_rows, first, lines)
+                rows = _batched_rows(fh, compute, first, lines)
                 out.writelines(csv_lines(chain.from_iterable(rows)))
     except HeavyCombError as exc:  # the rows before it are in the spool
         return exc
@@ -237,7 +234,7 @@ def _spooled(spools, results):
 
 
 @contextlib.contextmanager
-def _rows(path, fh, compute, to_rows, csv_lines, workers: int):
+def _rows(path, fh, compute, csv_lines, workers: int):
     """``(rows, tail)`` of the input at ``path``, open as ``fh``: the rows of
     every group (see ``_batched_rows``), and the CSV text that follows them.
 
@@ -258,8 +255,8 @@ def _rows(path, fh, compute, to_rows, csv_lines, workers: int):
         import tempfile  # only a split needs it
     with contextlib.ExitStack() as stack:
         spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in ranges[1:]]
-        payloads = [(path, fh.encoding, *part, spool, compute, to_rows, csv_lines)
+        payloads = [(path, fh.encoding, *part, spool, compute, csv_lines)
                     for part, spool in zip(ranges[1:], spools)]
         results = stack.enter_context(sim._forked(_spool_range, payloads))
-        yield (chain.from_iterable(_batched_rows(fh, compute, to_rows, 1, ranges[0][2])),
+        yield (chain.from_iterable(_batched_rows(fh, compute, 1, ranges[0][2])),
                _spooled(spools, results))

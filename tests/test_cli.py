@@ -1182,6 +1182,48 @@ class TestWeightRule:
             "power of the tail index 3.0, underflows to 0\n")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("dist", ["pareto:0.5", "levy"])
+    def test_combine_refuses_weights_whose_sum_overflows(self, tmp_path, capsys, dist):
+        # kappa is finite, but sum w_i X_i overflows wherever the scores reach
+        # 1: the combined p would read the 2.2e-308 floor at (1, 1) under pareto
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_groups(inp, [("g1", [1.0, 1.0]), ("g2", [0.5, 0.9])])
+        assert main(["combine", "-i", str(inp), "-o", str(out), "--method", "weighted",
+                     "--dist", dist, "--weights", "1e308,1e308"]) == 2
+        assert capsys.readouterr().err == "config error: the sum of the weights overflows\n"
+        assert not out.exists()
+
+    def test_simulate_config_refuses_weights_whose_sum_overflows(self, tmp_path, capsys):
+        method = {"kind": "weighted", "distribution": "pareto:0.5", "weights": [1e308, 1e308]}
+        cfg = {"model": {"n": 2, "rho": 0.3}, "methods": [method], "alphas": [0.05],
+               "replications": 3000, "seed": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "-o", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: method weighted[pareto:0.5]: the sum of the weights overflows\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_equiv_ratio_refuses_weights_whose_sum_overflows(self, tmp_path, capsys):
+        rc = main(["equiv-ratio", "--dist", "pareto:0.5", "--weights", "1e308,1e308", "--n", "2",
+                   "--rho", "0.3", "--reps", "2000", "-o", str(tmp_path / "eq.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: the sum of the weights overflows\n"
+        assert not (tmp_path / "eq.csv").exists()
+
+    def test_extreme_bonferroni_weights_leave_stderr_empty(self, tmp_path, capsys):
+        # a weight normalised to 1e-310: its ratios overflow to +inf, with no warning
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_groups(inp, [("g1", [0.5, 0.9, 0.1]), ("g2", [1.0, 1.0, 1.0])])
+        assert main(["combine", "-i", str(inp), "-o", str(out), "--method", "bonferroni",
+                     "--weights", "1e-10,1e300,1"]) == 0
+        assert capsys.readouterr().err == ""
+        assert [row["combined_p"] for row in read_csv(out)] == ["0.90000000000000002", "1"]
+        assert main(["equiv-ratio", "--n", "2", "--rho", "0.3", "--reps", "20000", "--weights",
+                     "1e-10,1e300", "-o", str(tmp_path / "eq.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestFileLayout:
     """Spaces around tokens and CRLF line ends read as the clean file, and a
@@ -1790,6 +1832,22 @@ class TestSplitFileCommands:
         assert err == b""
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
+
+
+_BYTES = hst.lists(hst.sampled_from([b",", b"a", b"\r", b"\n", b"\r\r\r", b"\r\r\n"]),
+                   max_size=40).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BYTES)
+def test_split_byte_helpers_split_lines_as_the_reader_does(data):
+    # the pre-pass counts commas and line ends as the reader splits lines, at
+    # \r\n, \r or \n, and a cut lands just past the first line end from its comma
+    line_end = rb"\r\n|\r|\n"
+    assert groupfile._counts(data) == (data.count(b","), len(re.findall(line_end, data)))
+    for at in range(len(data) + 1):
+        found = re.search(line_end, data[at:])
+        assert groupfile._line_end(data, at) == (-1 if found is None else at + found.end())
 
 
 class TestWorkerWithoutResult:

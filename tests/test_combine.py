@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import assume, given, settings, strategies as hst
 
 from heavycomb.combine import (
     _bonferroni_statistic,
@@ -191,13 +192,23 @@ class TestCombineWeighted:
         ([1e-200, 1e-200], "underflows to 0"),
         ([1e300, 1.0], "overflows"),
         ([5.6e102, 5.6e102], "overflows"),  # each power is finite, their sum is not
-    ], ids=["underflow", "power-overflow", "sum-overflow"])
+        ([1e308, 1e308], "overflows"),  # the weights' own sum overflows too: kappa first
+    ], ids=["underflow", "power-overflow", "sum-overflow", "weight-sum-overflow"])
     def test_kappa_outside_the_doubles(self, w, outcome):
         # positive finite weights whose kappa = sum w_i^gamma is 0 or inf
         # have no combined p-value, and no RuntimeWarning escapes
         with pytest.raises(DomainError, match=(
                 rf"^kappa, the sum of the weights to the power of the tail index 3.0, {outcome}$")):
             combine_weighted([0.1, 0.2], w, Pareto(3.0))
+
+    @pytest.mark.parametrize("d", [Pareto(0.5), Levy()], ids=["pareto", "levy"])
+    def test_weights_whose_sum_overflows(self, d):
+        # kappa = 2e154 is finite, but sum w_i X_i overflows on every input, so
+        # the combined p would read the 2.2e-308 floor
+        with pytest.raises(DomainError, match=r"^the sum of the weights overflows$"):
+            combine_weighted([1.0, 1.0], [1e308, 1e308], d)
+        with pytest.raises(DomainError, match=r"^the sum of the weights overflows$"):
+            bonferroni_as_max_statistic([1.0, 1.0], [1e308, 1e308], d, 0.05)  # it checks kappa
 
     def test_one_underflowed_power_keeps_kappa(self):
         res = combine_weighted([0.1, 0.2], [1e-200, 1.0], Pareto(3.0))
@@ -229,6 +240,10 @@ class TestBonferroni:
         res, equal = bonferroni([0.1, 0.2], [1e308, 1e308]), bonferroni([0.1, 0.2])
         assert (res.statistic, res.combined_p) == (equal.statistic, equal.combined_p) == (0.2, 0.2)
         assert res.weights_normalized
+        # a weight normalised to 1e-310, whose ratio overflows, or to 0, a
+        # division by zero: the ratio reads +inf, which cannot be the smallest
+        for w in ([1e-10, 1e300], [1e-200, 1e200]):
+            assert bonferroni([0.5, 0.5], w).combined_p == 0.5
 
 
 class TestColumnReductions:
@@ -296,6 +311,10 @@ class TestBonferroniMaxStatistic:
             mapped = w**gamma / kappa
             ref = bool(np.min(p / mapped) < alpha)
             assert bonferroni_as_max_statistic(p, w, d, alpha) == ref
+
+    def test_product_that_overflows(self):
+        # w_1 X_1 = 1e300 * 1e300 reads +inf, above any threshold, with no warning
+        assert bonferroni_as_max_statistic([1e-300, 0.5], [1e300, 1.0], Pareto(1.0), 0.05)
 
     def test_threshold_collapses_when_alpha_exceeds_kappa(self):
         # kappa < alpha pushes the quantile level past 1; the threshold then
@@ -439,3 +458,104 @@ class TestPerfectCorrelationLimit:
 
     def test_pareto_exact(self):
         assert self.ratio(Pareto(1.0), 5, 1e-6) == pytest.approx(1.0, rel=1e-12)
+
+
+# each family's scipy reference, and the exponent of the smallest p drawn.  scipy's
+# Student t quantile is wrong far out (st.t(3).isf(3.929e-176) is 1.519e58, whose
+# survival is 8p by mpmath; ours is 3.039e58), so t keeps p >= 1e-100
+_SCIPY = {
+    "cauchy": (st.cauchy(), -300), "levy": (st.levy(), -300),
+    "pareto:0.5": (st.pareto(0.5), -300), "pareto:2": (st.pareto(2.0), -300),
+    "frechet:0.7": (st.invweibull(0.7), -300), "frechet:2.5": (st.invweibull(2.5), -300),
+    "inv_gamma:0.5": (st.invgamma(0.5), -300), "inv_gamma:2.5": (st.invgamma(2.5), -300),
+    "t:2.5": (st.t(2.5), -100), "t:3": (st.t(3.0), -100),
+}
+_RTOL = 1e-13  # each score and survival against scipy's
+_MAX = sys.float_info.max
+_MIN_P = sys.float_info.min
+
+
+def _levels(exponent=-300):
+    """p-values down to 10**exponent, and exact 1s."""
+    return hst.one_of(hst.just(1.0), hst.floats(exponent, 0).map(lambda e: 10.0 ** e))
+
+
+@hst.composite
+def _sum_cases(draw, weighted):
+    spec = draw(hst.sampled_from(sorted(_SCIPY)))
+    n = draw(hst.integers(1, 6))
+    p = draw(hst.lists(_levels(_SCIPY[spec][1]), min_size=n, max_size=n))
+    w = draw(hst.lists(hst.floats(1e-3, 1.0), min_size=n, max_size=n)) if weighted else None
+    return spec, p, w
+
+
+def _close(found, expected, rtol):
+    return abs(found - expected) <= rtol * abs(expected)
+
+
+def _slope(ref, stat):
+    """|S| f(S) / F_bar(S): a relative error r in S moves F_bar(S) by about r times this."""
+    if stat == 0.0 or not math.isfinite(stat):
+        return 0.0
+    with np.errstate(all="ignore"):  # scipy's log density far out
+        return math.exp(math.log(abs(stat)) + float(ref.logpdf(stat)) - float(ref.logsf(stat)))
+
+
+class TestAgainstScipy:
+    """combine_* against values from scipy.stats, with the sums taken exactly
+    (mpmath).  A sum's tolerance scales by its condition number
+    sum |w_i x_i| / |S|; a draw where that exceeds 1e6 is skipped."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=hst.data())
+    def test_sum_tests(self, weighted, data):
+        spec, p, w = data.draw(_sum_cases(weighted))
+        ref, d = _SCIPY[spec][0], parse_distribution(spec)
+        res = combine_weighted(p, w, d) if weighted else combine_standard(p, d)
+        w = [1.0] * len(p) if w is None else w
+        with np.errstate(over="ignore", divide="ignore"):
+            x = ref.isf(np.array(p))
+        x = np.where(x == -np.inf, -_MAX, x)  # a p of 1 under support that reaches -inf
+        with mpmath.workdps(40):  # each product exact
+            terms = [mpmath.mpf(wi) * mpmath.mpf(xi) for wi, xi in zip(w, x.tolist())]
+            exact = mpmath.fsum(terms)
+        if abs(exact) > _MAX:  # the sum overflows: ours reads inf of its sign
+            assert res.statistic == math.copysign(math.inf, exact)
+            cond = 1.0
+        else:
+            size = mpmath.fsum(map(abs, terms))
+            cond = 1.0 if size == 0 else float(size / abs(exact)) if exact else math.inf
+            assume(cond <= 1e6)
+            assert _close(res.statistic, float(exact), _RTOL * cond), (spec, p, w)
+        stat = float(exact)
+        kappa = math.fsum(wi ** d.tail_index for wi in w)
+        expected = min(1.0, max(kappa * float(ref.sf(stat)), _MIN_P))
+        assert _close(res.combined_p, expected, _RTOL * (1.0 + cond * _slope(ref, stat))), \
+            (spec, p, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(_levels(), min_size=1, max_size=8))
+    def test_fisher(self, p):
+        res = fisher(p)
+        with mpmath.workdps(30):  # positive terms: condition 1
+            stat = float(mpmath.fsum(-2 * mpmath.log(v) for v in p))
+        assert _close(res.statistic, stat, 1e-15 * len(p)), p
+        ref = st.chi2(2 * len(p))
+        expected = min(1.0, max(float(ref.sf(stat)), _MIN_P))
+        assert _close(res.combined_p, expected, _RTOL * (1.0 + _slope(ref, stat))), p
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.integers(1, 8).flatmap(lambda n: hst.tuples(
+        hst.lists(_levels(), min_size=n, max_size=n),
+        hst.lists(hst.floats(1e-3, 1e3), min_size=n, max_size=n))))
+    def test_bonferroni(self, case):
+        p, w = case
+        res = bonferroni(p, w)
+        total = mpmath.fsum(w)
+        if math.isclose(math.fsum(w), 1.0, rel_tol=1e-12):  # such weights are taken as given
+            total = 1
+        stat = float(min(mpmath.mpf(pi) * total / wi for pi, wi in zip(p, w)))
+        # the sum, the normalisation and the ratio round once each
+        assert _close(res.statistic, stat, (len(w) + 2) * 2.3e-16), (p, w)
+        assert res.combined_p == min(1.0, max(res.statistic, _MIN_P))

@@ -259,6 +259,13 @@ class TestRejectionRates:
                                     seed=1) for w in ((1e308, 1e308), None)]
         counts = [estimate_rejection_rate(c).rows[0].rejections for c in configs]
         assert counts[0] == counts[1] > 0
+        # a weight normalised to 1e-310, whose ratios overflow to +inf, with no
+        # warning: the counts of weights (1e-200, 1)
+        model = ExchangeableModel("normal", 2, 0.3)
+        configs = [ExperimentConfig(model, (MethodSpec("bonferroni", weights=w),), (0.05,), 2000,
+                                    seed=1) for w in ((1e-10, 1e300), (1e-200, 1.0))]
+        counts = [estimate_rejection_rate(c).rows[0].rejections for c in configs]
+        assert counts == [117, 117]
 
     def test_worker_invariance(self):
         model = ExchangeableModel("normal", 3, 0.4)
