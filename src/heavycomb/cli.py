@@ -243,16 +243,18 @@ def cmd_adjust_bh(args) -> int:
     from . import groupfile  # as in _emit_groups
 
     _check_level("--q", args.q)
+
+    def compute(block, ids):  # a group's id and its one p-value
+        if block.shape[1] != 1:
+            raise ShapeError(
+                f"adjust-bh expects one combined p-value per group, got {block.shape[1]}")
+        return zip(zip(ids, block[:, 0].tolist()))
+
     ids, pvals = [], []
-    with _open_input(args.input) as fh:
-        for line_no, group_id, values in groupfile._iter_groups(fh):
-            if len(values) != 1:
-                raise ValidationError(
-                    f"line {line_no}: adjust-bh expects one combined p-value per group, "
-                    f"got {len(values)}"
-                )
+    with _open_input(args.input) as fh:  # the step-up needs every p-value
+        for group_id, p in chain.from_iterable(groupfile._batched_rows(fh, compute, 1, None)):
             ids.append(group_id)
-            pvals.append(values[0])
+            pvals.append(p)
     adjusted = comb.bh_adjust(pvals).tolist() if pvals else []
     flag = _FLAGS[args.format]
     rows = ((gid, p, adj, flag[adj <= args.q]) for gid, p, adj in zip(ids, pvals, adjusted))

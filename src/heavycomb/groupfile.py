@@ -1,9 +1,11 @@
 """Group files: the ragged CSV input (``group_id,p1,p2,...``) of the file commands.
 
-``_iter_groups`` reads one line at a time, and ``_batched_rows`` a chunk of
-about ``combine._CHUNK`` p-values at a time.  ``_rows`` spreads a file
-across forked processes, each of which reads, computes and formats its own
-run of lines.
+``_pieces`` reads a batch of lines at a time, in bulk where it can and else
+through ``_iter_groups``, which reads one line at a time with ``csv`` and is
+the one definition of a valid line and of every message; so both give the same
+groups, errors and bytes.  ``_batched_rows`` computes a chunk of about
+``combine._CHUNK`` p-values at a time.  ``_rows`` spreads a file across forked
+processes, each of which reads, computes and formats its own run of lines.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import io
 import os
 import re
 from array import array
-from itertools import chain, count, islice
+from itertools import accumulate, chain, count, islice
 
 import numpy as np
 
@@ -35,17 +37,16 @@ def _undecoded(text: str) -> bool:
 _SURROGATE = re.compile("[\udc80-\udcff]")
 
 
-def _iter_groups(fh, first=1, lines=None):
-    """Yield (line_no, group_id, p_values) from a ragged CSV file open as ``fh``
-    (by ``cli._open_input``), numbering its lines from ``first``; with ``lines``,
-    of that many lines only.
+def _iter_groups(lines, encoding, first):
+    """Yield (line_no, group_id, p_values) from the lines of a ragged CSV file
+    in ``encoding``, open by ``cli._open_input``, numbering them from ``first``.
 
     A header line is detected by a non-numeric second field on line 1.
     ``float`` ignores the whitespace around a token, as ``strip`` would.  A
     group id or p-value that is not text, or a line that ``csv`` cannot read,
     is a ValidationError naming the line.
     """
-    rows = csv.reader(fh if lines is None else islice(fh, lines))
+    rows = csv.reader(lines)
     for line_no in count(first):
         try:
             row = next(rows)
@@ -56,7 +57,7 @@ def _iter_groups(fh, first=1, lines=None):
         if not row or (len(row) == 1 and not row[0].strip()):
             raise ValidationError(f"line {line_no}: empty line")
         if _undecoded(row[0]):  # the one field written out as read
-            raise ValidationError(f"line {line_no}: not {fh.encoding} text")
+            raise ValidationError(f"line {line_no}: not {encoding} text")
         if line_no == 1 and len(row) >= 2:
             try:
                 float(row[1])
@@ -72,7 +73,7 @@ def _iter_groups(fh, first=1, lines=None):
                 try:
                     float(tok)
                 except ValueError:
-                    what = (f"not {fh.encoding} text" if _undecoded(tok)
+                    what = (f"not {encoding} text" if _undecoded(tok)
                             else f"unparseable p-value: {tok.strip()!r}")
                     raise ValidationError(f"line {line_no}: {what}") from None
         for v in values:
@@ -81,48 +82,139 @@ def _iter_groups(fh, first=1, lines=None):
         yield line_no, group_id, values
 
 
-def _batched_rows(fh, compute, first, lines):
-    """The rows of each group of a file command, in input order, computed a
-    chunk at a time (``itertools.chain.from_iterable`` flattens them), from
-    the lines that ``_iter_groups(fh, first, lines)`` reads.
+_BATCH = 1 << 13  # characters of input that the bulk path converts at a time
 
-    A chunk is groups of up to ``combine._CHUNK`` p-values in all (one group
-    at least), cut short by a read error.  It is held as one flat ``array`` of
-    doubles per group length, with that length's group ids, so its working set
-    is bounded whatever the lengths.  ``compute(block, ids)`` maps a length's
-    ``(groups, n)`` block and its group ids to each group's rows, in order.  A
-    block fails only for its length and the flags, so blocks run in the order
-    of their first group, to which a failed block's error belongs: every row
-    before that group's line is yielded, then the error is raised, named by the
-    line for a p-value or shape error.
-    """
-    groups = _iter_groups(fh, first, lines)
+
+def _line_pieces(lines, encoding, first):
+    """``_iter_groups(lines, encoding, first)`` in pieces (see ``_pieces``) of
+    about as many p-values as a batch holds, then its error."""
+    rows = _iter_groups(lines, encoding, first)
     while True:
-        lengths, blocks, results, size, error = [], {}, {}, 0, None
+        piece, flat, error = [], array("d"), None
         try:
-            for line_no, group_id, values in groups:
-                n = len(values)
-                if n not in blocks:
-                    blocks[n] = (line_no, len(lengths), array("d"), [])
-                blocks[n][2].extend(values)
-                blocks[n][3].append(group_id)
-                lengths.append(n)
-                size += n
-                if size >= comb._CHUNK:
+            for line_no, group_id, values in rows:
+                piece.append((line_no, group_id, len(values)))
+                flat.extend(values)
+                if 16 * len(flat) >= _BATCH:  # at 16 characters a p-value
                     break
         except ValidationError as exc:
             error = exc
-        stop = len(lengths)
-        for n, (line_no, index, flat, ids) in blocks.items():
-            try:
-                results[n] = iter(compute(np.frombuffer(flat).reshape(-1, n), ids))
-            except HeavyCombError as exc:
-                stop, bad_line, error = index, line_no, exc
+        if piece:
+            line_nos, ids, lengths = zip(*piece)
+            yield line_nos[0], list(ids), list(lengths), np.frombuffer(flat)
+        if error is not None:
+            raise error
+        if not piece:
+            return
+
+
+def _bulk(batch):
+    """The ``(ids, lengths, values)`` of a batch of lines, or None for
+    ``_iter_groups`` to judge it (see ``_pieces``)."""
+    text = "".join(batch)
+    if '"' in text or "\0" in text or max(map(len, batch)) > csv.field_size_limit():
+        return None
+    fields = [line.split(",") for line in batch]
+    lengths = [len(f) - 1 for f in fields]
+    try:
+        if not text.isascii():  # a byte that is not text reads as a surrogate: not UTF-8
+            text.encode()
+        values = np.fromiter(map(float, chain.from_iterable([f[1:] for f in fields])),
+                             float, text.count(","))
+    except ValueError:  # UnicodeEncodeError is one
+        return None
+    if all(lengths) and values.min() > 0.0 and values.max() <= 1.0:
+        return [f[0].strip() for f in fields], lengths, values
+    return None
+
+
+def _pieces(fh, first, lines):
+    """The groups of the input open as ``fh``, from line ``first`` (of ``lines``
+    lines, if given), in pieces ``(line_no, ids, lengths, values)``: the line of
+    the first group (the others follow it line by line), the group ids, the
+    p-value count of each, and their p-values end to end.
+
+    A batch is the first line alone (line 1 may be a header), then lines up to
+    ``_BATCH`` characters or just past.  The bulk path gives it one
+    ``str.split`` a line, one ``float`` pass and one range check, unless it
+    holds a ``"``, a NUL, a byte that is not text, a line longer than csv's
+    field limit or with no comma, or a token that ``float`` refuses or puts
+    outside (0, 1]: then it goes through ``_iter_groups``.  A quoted field may
+    span a line end, so a ``"`` sends the rest of the input there too.
+    """
+    source, budget = (fh if lines is None else islice(fh, lines)), 1
+    while True:
+        batch, size = [], 0
+        for line in source:
+            batch.append(line)
+            size += len(line)
+            if size >= budget:
                 break
-        for n in lengths[:stop]:
-            yield next(results[n])
-        if isinstance(error, (DomainError, ShapeError)):
-            raise ValidationError(f"line {bad_line}: {error}") from error
+        if not batch:
+            return
+        if (piece := _bulk(batch)) is not None:
+            yield first, *piece
+        elif any('"' in line for line in batch):
+            yield from _line_pieces(chain(batch, source), fh.encoding, first)
+            return
+        else:
+            yield from _line_pieces(batch, fh.encoding, first)
+        first, budget = first + len(batch), _BATCH
+
+
+def _batched_rows(fh, compute, first, lines):
+    """The rows of each group of a file command, in input order, computed a
+    chunk at a time (``itertools.chain.from_iterable`` flattens them), from
+    the pieces that ``_pieces(fh, first, lines)`` reads.
+
+    A chunk is groups of up to ``combine._CHUNK`` p-values in all (one group
+    at least), cut short by a read error.  Its values are gathered into one
+    ``(groups, n)`` block per group length, and its pieces let go, before
+    ``compute(block, ids)`` maps each length's block and group ids to each
+    group's rows, in order; so its working set is bounded whatever the
+    lengths.  A block fails only for its length and the flags, so blocks run
+    in the order of their first group, to which a failed block's error
+    belongs: every row before that group's line is yielded, then the error is
+    raised, named by the line for a p-value or shape error.
+    """
+    pieces, rest = _pieces(fh, first, lines), None
+    while True:
+        taken, size, error = [], 0, None
+        try:
+            while size < comb._CHUNK:  # a piece is cut after the group that fills the chunk
+                line_no, ids, lengths, values = rest or next(pieces)
+                ends = list(accumulate(lengths))
+                k = min(bisect.bisect_left(ends, comb._CHUNK - size) + 1, len(ends))
+                cut, size = ends[k - 1], size + ends[k - 1]
+                rest = (line_no + k, ids[k:], lengths[k:], values[cut:]) if k < len(ends) else None
+                taken.append((line_no, ids[:k], lengths[:k], values[:cut]))
+        except StopIteration:
+            pass
+        except ValidationError as exc:
+            error = exc
+        if taken:
+            line_no, stop, results = taken[0][0], None, {}
+            ids, order = ([*chain.from_iterable(piece[i] for piece in taken)] for i in (1, 2))
+            lengths = np.fromiter(order, np.intp, len(order))
+            values = np.concatenate([piece[3] for piece in taken])
+            starts, blocks = np.cumsum(lengths) - lengths, []
+            del taken
+            for n in dict.fromkeys(order):  # in the order of their first group
+                rows = np.flatnonzero(lengths == n)
+                blocks.append((int(rows[0]), n, values[starts[rows, None] + np.arange(n)],
+                               [ids[r] for r in rows.tolist()]))
+            del values, ids, lengths, starts  # the blocks hold the chunk's only copy
+            for i, n, block, block_ids in blocks:
+                try:
+                    results[n] = iter(compute(block, block_ids))
+                except HeavyCombError as exc:
+                    stop, error = i, exc
+                    break
+            del blocks
+            yield from map(next, map(results.__getitem__, order[:stop]))
+            del results, order  # before the next chunk is read
+            if isinstance(error, (DomainError, ShapeError)):
+                raise ValidationError(f"line {line_no + stop}: {error}") from error
         if error is not None:
             raise error
         if size < comb._CHUNK:
